@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from .partitions import (
     Partition,
     PartitionLike,
-    _first_column_hooks,
-    _is_core_parts,
     _iter_partition_buffers,
-    count_p,
+    _multiply_one_minus,
+    _regular_series,
+    bead_positions,
+    beta_mask,
+    mask_parts,
+    strip_ends,
 )
-
-# above this many partitions of n, enumerate_cores abandons the filter path
-FILTER_CROSSOVER = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def structure_numbers(lam: PartitionLike) -> tuple[int, ...]:
 
     The empty partition yields the empty tuple.
     """
-    return tuple(_first_column_hooks(Partition.of(lam).parts))
+    return tuple(bead_positions(beta_mask(Partition.of(lam).parts)))[::-1]
 
 
 def to_abacus(lam: PartitionLike, ell: int) -> Abacus:
@@ -60,20 +60,23 @@ def to_abacus(lam: PartitionLike, ell: int) -> Abacus:
     lam = Partition.of(lam)
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    cols = [0] * ell
-    top = [-1] * ell
-    s = len(lam.parts)
-    for i, p in enumerate(lam.parts):
-        b = p + s - 1 - i
-        r = b % ell
-        cols[r] += 1
-        if b // ell > top[r]:
-            top[r] = b // ell
-    for r in range(ell):
-        if top[r] != cols[r] - 1:
-            raise ValueError(f"not an {ell}-core: {lam!r}")
+    mask = beta_mask(lam.parts)
+    if strip_ends(mask, ell):
+        raise ValueError(f"not an {ell}-core: {lam!r}")
     # beads flush and none at position 0, so the first column is already empty
+    cols = [0] * ell
+    for b in bead_positions(mask):
+        cols[b % ell] += 1
     return Abacus(ell, tuple(cols))
+
+
+def _bead_mask(ab: Abacus) -> int:
+    # beta-set bitmask of the bead positions ell*m + i, m < b_i
+    mask = 0
+    for i, b in enumerate(ab.cols):
+        for m in range(b):
+            mask |= 1 << (ab.ell * m + i)
+    return mask
 
 
 def from_abacus(ab: Abacus) -> Partition:
@@ -83,14 +86,7 @@ def from_abacus(ab: Abacus) -> Partition:
     """
     if not ab.canonical:
         raise ValueError("abacus is not canonical (first column must be empty)")
-    beta: list[int] = []
-    for i, b in enumerate(ab.cols):
-        beta.extend(ab.ell * m + i for m in range(b))
-    beta.sort(reverse=True)
-    s = len(beta)
-    return Partition._from_desc(
-        tuple(p for p in (b + i + 1 - s for i, b in enumerate(beta)) if p > 0)
-    )
+    return Partition._from_desc(mask_parts(_bead_mask(ab)))
 
 
 def canonicalize(ab: Abacus) -> Abacus:
@@ -169,22 +165,22 @@ def _iter_core_abaci(n: int, ell: int) -> Iterator[tuple[int, ...]]:
         yield from rec(1, s, n + s * (s - 1) // 2)
 
 
-def enumerate_cores(n: int, ell: int, strategy: str = "auto") -> Iterator[Partition]:
+def enumerate_cores(n: int, ell: int, strategy: str = "abacus") -> Iterator[Partition]:
     """Every ell-core of n exactly once.
 
-    strategy "filter" walks all partitions of n and keeps the cores;
-    "abacus" walks canonical abaci of size n directly.  "auto" picks the
-    abacus walk once count_p(n) passes FILTER_CROSSOVER.
+    "abacus" walks canonical abaci of size n: cores come by increasing number
+    of parts, then in lexicographic order of the column heights (b_1, ...,
+    b_{ell-1}), not in the reverse-lexicographic order of enumerate_partitions.
+    "filter" keeps the cores among all partitions of n, in reverse-lex order;
+    it is far slower and serves as an independent oracle in tests.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    if strategy == "auto":
-        strategy = "abacus" if count_p(n) > FILTER_CROSSOVER else "filter"
     if strategy == "filter":
         for buf in _iter_partition_buffers(n):
-            if _is_core_parts(buf, ell):
+            if not strip_ends(beta_mask(buf), ell):
                 yield Partition._from_desc(tuple(buf))
     elif strategy == "abacus":
         for cols in _iter_core_abaci(n, ell):
@@ -206,15 +202,11 @@ def count_cores(n: int, ell: int) -> int:
     cached = _CORE_SERIES.get(ell)
     if cached is None or len(cached) <= n:
         upto = max(n, 2 * len(cached or []), 16)
-        coeffs = [0] * (upto + 1)
-        coeffs[0] = 1
-        for k in range(1, upto + 1):
-            for m in range(k, upto + 1):
-                coeffs[m] += coeffs[m - k]
+        # the ell-regular series times the remaining (1 - q^{ell k})^(ell - 1)
+        coeffs = _regular_series(ell, upto)
         for k in range(ell, upto + 1, ell):
-            for _ in range(ell):
-                for m in range(upto, k - 1, -1):
-                    coeffs[m] -= coeffs[m - k]
+            for _ in range(ell - 1):
+                _multiply_one_minus(coeffs, k)
         _CORE_SERIES[ell] = cached = coeffs
     return cached[n]
 
@@ -238,13 +230,12 @@ def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:
             continue
         if all(b <= k or b >= k + ell for b in cols):
             j = high[0]
-            lam = from_abacus(ab)
-            beta = sorted(structure_numbers(lam), reverse=True)
-            s = len(beta)
-            # beads of column j in rows k+1 .. k+ell cover every residue mod ell
+            mask = _bead_mask(ab)
+            # beads of column j in rows k+1 .. k+ell cover every residue mod ell;
+            # as in mask_parts, a part is its bead's position less the beads below
             for row in range(k + 1, k + ell + 1):
                 pos = ell * (row - 1) + j
-                part = pos + beta.index(pos) + 1 - s
+                part = pos - (mask & ((1 << pos) - 1)).bit_count()
                 if part % ell == 0:
                     return (j, part)
             raise AssertionError("row window missed a multiple of ell")
@@ -265,7 +256,9 @@ def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
 
 def n_ell(ell: int) -> int:
     """(ell^6 - 2 ell^5 + 2 ell^4 - 3 ell^2 + 2 ell) / 24, the size of the
-    largest ell-core with no part divisible by ell."""
+    extremal abacus: above it every ell-core has a part divisible by ell.
+    The bound is not attained: the largest ell-regular ell-cores have size 10
+    for ell = 3 (n_ell = 16) and 198 for ell = 5 (n_ell = 440)."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
     num = ell**6 - 2 * ell**5 + 2 * ell**4 - 3 * ell**2 + 2 * ell
@@ -276,22 +269,21 @@ def n_ell(ell: int) -> int:
 
 
 def extremal_abacus(ell: int) -> Abacus:
-    """Canonical abacus (0, ell-1, 2(ell-1), ..., (ell-1)^2) of the largest
-    ell-regular ell-core; its size is n_ell(ell)."""
+    """Canonical abacus (0, ell-1, 2(ell-1), ..., (ell-1)^2), the largest one
+    with no bead-jump witness; its size is n_ell(ell).  Its core still has
+    parts divisible by ell: (6, 4, 2, 2, 1, 1) at ell = 3."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
     return Abacus(ell, tuple(i * (ell - 1) for i in range(ell)))
 
 
-def search_max_regular_core(
-    ell: int, bound: int, strategy: str = "auto"
-) -> int | None:
+def search_max_regular_core(ell: int, bound: int) -> int | None:
     """Largest n <= bound carrying a partition that is both an ell-core and
     ell-regular, by exhaustive descending scan; None if no such n >= 0."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     for n in range(bound, -1, -1):
-        for lam in enumerate_cores(n, ell, strategy=strategy):
+        for lam in enumerate_cores(n, ell):
             if not any(p % ell == 0 for p in lam.parts):
                 return n
     return None

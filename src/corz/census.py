@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -44,12 +45,15 @@ from .numtheory import (
     sigma_twisted,
 )
 from .partitions import (
+    Partition,
     _iter_partition_buffers,
+    beta_mask,
     count_p,
     count_p_regular,
     enumerate_partitions,
-    hook_multiset,
+    hook_mask,
     is_regular,
+    strip_ends,
 )
 
 DEFAULT_CAP_EXACT = 18
@@ -76,21 +80,17 @@ def z_lower_bound(n: int, ell: int) -> int:
     return (count_p(n) - count_p_regular(n, ell)) * count_cores(n, ell)
 
 
-def _zero_columns(n: int, ell: int) -> list[int]:
-    # per-column zero counts over core rows, columns in reverse-lex order
-    cores = list(enumerate_cores(n, ell, strategy="abacus"))
-    if not cores:
-        return [0] * count_p(n)
-    hooks = [frozenset(hook_multiset(lam).counts) for lam in cores]
+def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> list[int]:
+    # zeros chi_row(column) per column, in column order.  A pair vanishes
+    # without MN when some part of the column is not a hook length of the row.
+    hooks = [hook_mask(beta_mask(lam.parts)) for lam in rows]
     out = []
-    for mu in enumerate_partitions(n):
+    for mu in columns:
         col = ColumnEvaluator(mu)
-        needed = set(mu.parts)
+        needed = sum(1 << p for p in set(mu.parts))
         zeros = 0
-        for lam, hset in zip(cores, hooks):
-            if not needed <= hset:
-                zeros += 1
-            elif col.value(lam) == 0:
+        for lam, hset in zip(rows, hooks):
+            if needed & ~hset or col.value(lam) == 0:
                 zeros += 1
         out.append(zeros)
     return out
@@ -103,7 +103,7 @@ def z_exact(n: int, ell: int, cap: int = DEFAULT_CAP_EXACT) -> int:
         raise ValueError(
             f"exact census cap exceeded: n={n} > cap={cap}; raise --cap-exact to allow"
         )
-    return sum(_zero_columns(n, ell))
+    return sum(_count_zeros(list(enumerate_cores(n, ell)), enumerate_partitions(n)))
 
 
 def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
@@ -112,18 +112,8 @@ def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
         raise ValueError(
             f"exact star census cap exceeded: n={n} > cap={cap}; raise --cap-star to allow"
         )
-    cores = list(enumerate_cores(n, ell, strategy="abacus"))
-    hooks = [frozenset(hook_multiset(lam).counts) for lam in cores]
-    zeros = 0
-    for mu in cores:
-        col = ColumnEvaluator(mu)
-        needed = set(mu.parts)
-        for lam, hset in zip(cores, hooks):
-            if not needed <= hset:
-                zeros += 1
-            elif col.value(lam) == 0:
-                zeros += 1
-    return zeros
+    cores = list(enumerate_cores(n, ell))
+    return sum(_count_zeros(cores, cores))
 
 
 def z_star_closed(n: int, ell: int) -> int:
@@ -145,17 +135,7 @@ def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
             f"exact census cap exceeded: n={n} > cap={cap}; raise --cap-exact to allow"
         )
     lams = list(enumerate_partitions(n))
-    hooks = [frozenset(hook_multiset(lam).counts) for lam in lams]
-    zeros = 0
-    for mu in lams:
-        col = ColumnEvaluator(mu)
-        needed = set(mu.parts)
-        for lam, hset in zip(lams, hooks):
-            if not needed <= hset:
-                zeros += 1
-            elif col.value(lam) == 0:
-                zeros += 1
-    return zeros
+    return sum(_count_zeros(lams, lams))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +189,12 @@ class CensusRecord:
         return obj
 
 
+def _require(ok: bool, detail: object) -> None:
+    # an explicit raise survives python -O, which strips assert statements
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _payload_digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -239,9 +225,15 @@ def _store_cache(path: Path, n: int, ell: int, payload: dict) -> None:
         "sha256": _payload_digest(payload),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    # a temp name of its own per writer, so overlapping runs never share one
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def build_record(
@@ -271,11 +263,11 @@ def build_record(
     if n <= cap_exact:
         cols = payload.get("z_exact_columns")
         if cols is None:
-            cols = _zero_columns(n, ell)
+            cols = _count_zeros(list(enumerate_cores(n, ell)), enumerate_partitions(n))
             payload["z_exact_columns"] = cols
             dirty = True
         rec.z_exact = sum(cols)
-        assert rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower)
+        _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
     if n <= cap_star:
         star = payload.get("z_star_exact")
         if star is None:
@@ -286,7 +278,7 @@ def build_record(
     if n > n_ell(ell):
         rec.z_star_closed = z_star_closed(n, ell)
         if rec.z_star_exact is not None:
-            assert rec.z_star_exact == rec.z_star_closed, (n, ell)
+            _require(rec.z_star_exact == rec.z_star_closed, (n, ell))
     # the analytic constant needs the quadratic character, so primes only
     if ell >= 5 and _is_prime(ell):
         main = core_main_term(n, ell) * count_p(n)
@@ -422,7 +414,7 @@ def _suite_constants(checks: list[Check]) -> None:
     def check(ell: int, expected: int):
         def body():
             got = inv_alpha(ell)
-            assert got == expected, f"inv_alpha({ell}) = {got}, expected {expected}"
+            _require(got == expected, f"inv_alpha({ell}) = {got}, expected {expected}")
 
         return body
 
@@ -437,15 +429,15 @@ def _suite_constants(checks: list[Check]) -> None:
 def _suite_closed_forms(checks: list[Check]) -> None:
     def two_core():
         for n in range(501):
-            assert c2_closed(n) == count_cores(n, 2), f"n={n}"
+            _require(c2_closed(n) == count_cores(n, 2), f"n={n}")
 
     def three_core():
         for n in range(501):
-            assert c3_closed(n) == count_cores(n, 3), f"n={n}"
+            _require(c3_closed(n) == count_cores(n, 3), f"n={n}")
 
     def five_core():
         for n in range(301):
-            assert sigma_twisted(n + 1, 5) == count_cores(n, 5), f"n={n}"
+            _require(sigma_twisted(n + 1, 5) == count_cores(n, 5), f"n={n}")
 
     _run_check(checks, "two-core indicator matches series for n <= 500", two_core)
     _run_check(checks, "three-core divisor sum matches series for n <= 500", three_core)
@@ -457,18 +449,18 @@ def _suite_theorem2(checks: list[Check]) -> None:
 
     def pairs_vanish():
         for n in window:
-            cores = list(enumerate_cores(n, 3, strategy="abacus"))
+            cores = list(enumerate_cores(n, 3))
             for mu in cores:
                 col = ColumnEvaluator(mu)
                 for lam in cores:
                     v = col.value(lam)
-                    assert v == 0, f"chi_{lam.parts}{mu.parts} = {v}"
+                    _require(v == 0, f"chi_{lam.parts}{mu.parts} = {v}")
 
     def star_matches_square():
         for n in window:
             got = z_star_exact(n, 3)
             want = z_star_closed(n, 3)
-            assert got == want, f"n={n}: {got} != {want}"
+            _require(got == want, f"n={n}: {got} != {want}")
 
     _run_check(checks, "every ordered 3-core pair vanishes on (16, 60]", pairs_vanish)
     _run_check(checks, "star census equals squared core count on (16, 60]", star_matches_square)
@@ -482,12 +474,12 @@ def _suite_lemma1(checks: list[Check]) -> None:
             for n in range(15):
                 ze = z_exact(n, ell)
                 zl = z_lower_bound(n, ell)
-                assert ze >= zl, f"n={n} ell={ell}: {ze} < {zl}"
+                _require(ze >= zl, f"n={n} ell={ell}: {ze} < {zl}")
 
     def core_rows_vanish():
         for ell in ells:
             for n in range(13):
-                cores = list(enumerate_cores(n, ell, strategy="abacus"))
+                cores = list(enumerate_cores(n, ell))
                 if not cores:
                     continue
                 for mu in enumerate_partitions(n):
@@ -496,7 +488,7 @@ def _suite_lemma1(checks: list[Check]) -> None:
                     col = ColumnEvaluator(mu)
                     for lam in cores:
                         v = col.value(lam)
-                        assert v == 0, f"chi_{lam.parts}{mu.parts} = {v}"
+                        _require(v == 0, f"chi_{lam.parts}{mu.parts} = {v}")
 
     _run_check(checks, "exhaustive zeros dominate the lower bound for n <= 14", exact_dominates)
     _run_check(checks, "core rows vanish on non-regular columns for n <= 12", core_rows_vanish)
@@ -510,7 +502,7 @@ def _suite_orthogonality(checks: list[Check]) -> None:
                 col = ColumnEvaluator(mu)
                 total = sum(col.value(lam) ** 2 for lam in lams)
                 want = centralizer_order(mu)
-                assert total == want, f"mu={mu.parts}: {total} != {want}"
+                _require(total == want, f"mu={mu.parts}: {total} != {want}")
 
     def identity_column():
         for n in range(13):
@@ -518,15 +510,15 @@ def _suite_orthogonality(checks: list[Check]) -> None:
             for lam in enumerate_partitions(n):
                 v = col.value(lam)
                 want = dimension(lam)
-                assert v == want, f"lam={lam.parts}: {v} != {want}"
+                _require(v == want, f"lam={lam.parts}: {v} != {want}")
 
     def closed_rows():
         for n in range(11):
             for mu in enumerate_partitions(n):
-                assert mn_character((n,) if n else (), mu) == 1, f"mu={mu.parts}"
+                _require(mn_character((n,) if n else (), mu) == 1, f"mu={mu.parts}")
                 sign = -1 if (n - len(mu.parts)) % 2 else 1
                 got = mn_character([1] * n, mu)
-                assert got == sign, f"mu={mu.parts}: {got} != {sign}"
+                _require(got == sign, f"mu={mu.parts}: {got} != {sign}")
 
     _run_check(checks, "column norms equal centralizer orders for n <= 10", column_norms)
     _run_check(checks, "identity column equals hook-length dimension for n <= 12", identity_column)
@@ -534,17 +526,12 @@ def _suite_orthogonality(checks: list[Check]) -> None:
 
 
 def _count_cores_filter_pass(n: int, ells: Sequence[int]) -> dict[int, int]:
-    # one reverse-lex sweep, testing the beta-set closure for every modulus
+    # one reverse-lex sweep, testing each partition's beta-set for every modulus
     counts = dict.fromkeys(ells, 0)
     for buf in _iter_partition_buffers(n):
-        s = len(buf)
-        beta = [p + s - 1 - i for i, p in enumerate(buf)]
-        bs = set(beta)
+        mask = beta_mask(buf)
         for ell in ells:
-            for b in beta:
-                if b >= ell and b - ell not in bs:
-                    break
-            else:
+            if not strip_ends(mask, ell):
                 counts[ell] += 1
     return counts
 
@@ -561,18 +548,18 @@ def _suite_abacus(checks: list[Check]) -> None:
     def roundtrip():
         for ell in ells:
             for n in range(41):
-                for lam in enumerate_cores(n, ell, strategy="abacus"):
+                for lam in enumerate_cores(n, ell):
                     back = from_abacus(to_abacus(lam, ell))
-                    assert back == lam, f"ell={ell}: {lam.parts} -> {back.parts}"
+                    _require(back == lam, f"ell={ell}: {lam.parts} -> {back.parts}")
 
     def counts_match():
         for n in range(61):
             filtered = _count_cores_filter_pass(n, ells)
             for ell in ells:
-                via_abacus = sum(1 for _ in enumerate_cores(n, ell, strategy="abacus"))
+                via_abacus = sum(1 for _ in enumerate_cores(n, ell))
                 series = count_cores(n, ell)
-                assert filtered[ell] == series, f"filter n={n} ell={ell}"
-                assert via_abacus == series, f"abacus n={n} ell={ell}"
+                _require(filtered[ell] == series, f"filter n={n} ell={ell}")
+                _require(via_abacus == series, f"abacus n={n} ell={ell}")
 
     def swaps_grow():
         rng = random.Random(41)
@@ -589,7 +576,7 @@ def _suite_abacus(checks: list[Check]) -> None:
                 continue
             i, j = rng.choice(pairs)
             bigger = swap_columns(ab, i, j)
-            assert abacus_size(bigger) > abacus_size(ab), f"{ab} ({i},{j})"
+            _require(abacus_size(bigger) > abacus_size(ab), f"{ab} ({i},{j})")
             done += 1
 
     def jumps_name_multiples():
@@ -608,32 +595,32 @@ def _suite_abacus(checks: list[Check]) -> None:
                 continue
             ab = Abacus(ell, tuple(cols))
             witness = bead_jump_witness(ab)
-            assert witness is not None, f"{ab}"
+            _require(witness is not None, f"{ab}")
             j, part = witness
-            assert 1 <= j < ell and part > 0 and part % ell == 0, f"{ab}: {witness}"
-            assert part in from_abacus(ab).parts, f"{ab}: {witness}"
+            _require(1 <= j < ell and part > 0 and part % ell == 0, f"{ab}: {witness}")
+            _require(part in from_abacus(ab).parts, f"{ab}: {witness}")
             done += 1
 
     def extremal_bound():
-        assert n_ell(3) == 16, n_ell(3)
+        _require(n_ell(3) == 16, n_ell(3))
         for ell in ells:
             ab = extremal_abacus(ell)
             lam = from_abacus(ab)
-            assert abacus_size(ab) == n_ell(ell) == lam.n, f"ell={ell}"
-            assert ab.beads() == ell * (ell - 1) ** 2 // 2, f"ell={ell}"
+            _require(abacus_size(ab) == n_ell(ell) == lam.n, f"ell={ell}")
+            _require(ab.beads() == ell * (ell - 1) ** 2 // 2, f"ell={ell}")
             # witness-free: the defining property of the maximizer
-            assert bead_jump_witness(ab) is None, f"ell={ell}"
-            assert to_abacus(lam, ell) == ab, f"ell={ell}"
+            _require(bead_jump_witness(ab) is None, f"ell={ell}")
+            _require(to_abacus(lam, ell) == ab, f"ell={ell}")
         # brute force at ell=3: no witness-free abacus beats the bound
         for b1 in range(9):
             for b2 in range(9):
                 ab = Abacus(3, (0, b1, b2))
                 if bead_jump_witness(ab) is None:
-                    assert abacus_size(ab) <= 16, f"{ab}"
+                    _require(abacus_size(ab) <= 16, f"{ab}")
 
     def no_regular_core_above():
-        best = search_max_regular_core(3, 200, strategy="abacus")
-        assert best == 10, f"largest 3-regular 3-core at n={best}, expected 10"
+        best = search_max_regular_core(3, 200)
+        _require(best == 10, f"largest 3-regular 3-core at n={best}, expected 10")
 
     _run_check(checks, "abacus round-trip on every core of n <= 40", roundtrip)
     _run_check(checks, "filter, abacus, and series counts agree for n <= 60", counts_match)

@@ -1,19 +1,27 @@
 """Exact symmetric-group characters by border-strip removal.
 
-Strips are manipulated through first-column hook lengths (beta numbers):
-removing a strip of length k replaces a beta number b by b - k when b - k is
-nonnegative and not already a beta number, and the strip height is the number
-of beta numbers strictly between b - k and b.
+Strips are removed on the beta-set bitmask of the row (see partitions): a
+strip of length k moves a bead from b down to an empty position b - k, and
+its height is the number of beads strictly between the two.  One generator
+of these moves serves border_strips and the Murnaghan-Nakayama evaluator.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .partitions import Partition, PartitionLike, hook_multiset
+from .partitions import (
+    Partition,
+    PartitionLike,
+    beta_mask,
+    canonical_mask,
+    hook_mask,
+    hook_multiset,
+    mask_parts,
+    strip_ends,
+)
 
 
 @dataclass(frozen=True)
@@ -25,30 +33,16 @@ class BorderStrip:
     remainder: Partition
 
 
-def _beta_ascending(lam: Partition) -> tuple[int, ...]:
-    s = len(lam.parts)
-    return tuple(p + s - 1 - i for i, p in enumerate(lam.parts))[::-1]
-
-
-def _partition_key(beta: tuple[int, ...]) -> tuple[int, ...]:
-    # parts of the partition a beta tuple represents, zeros dropped
-    out = []
-    for i in range(len(beta) - 1, -1, -1):
-        p = beta[i] - i
-        if p > 0:
-            out.append(p)
-    return tuple(out)
-
-
-def _removals(beta: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    # (new beta tuple, strip height) for every length-k strip removal
-    bset = set(beta)
-    for pos, b in enumerate(beta):
-        if b < k or (b - k) in bset:
-            continue
-        j = bisect_left(beta, b - k)
-        new_beta = beta[:j] + (b - k,) + beta[j:pos] + beta[pos + 1 :]
-        yield new_beta, pos - j
+def _strips(mask: int, k: int) -> Iterator[tuple[int, int]]:
+    # (canonical remaining beta-set, height) for every length-k strip,
+    # highest landing position first
+    ends = strip_ends(mask, k)
+    while ends:
+        end = 1 << (ends.bit_length() - 1)
+        ends ^= end
+        top = end << k
+        # the landing position is empty, so beads in [end, top) lie strictly between
+        yield canonical_mask(mask ^ top ^ end), (mask & (top - end)).bit_count()
 
 
 def border_strips(lam: PartitionLike, length: int) -> list[BorderStrip]:
@@ -56,14 +50,10 @@ def border_strips(lam: PartitionLike, length: int) -> list[BorderStrip]:
     lam = Partition.of(lam)
     if length < 1:
         raise ValueError("strip length must be positive")
-    beta = _beta_ascending(lam)
-    out = []
-    for new_beta, height in _removals(beta, length):
-        out.append(
-            BorderStrip(length, height, Partition._from_desc(_partition_key(new_beta)))
-        )
-    out.reverse()
-    return out
+    return [
+        BorderStrip(length, height, Partition._from_desc(mask_parts(rest)))
+        for rest, height in _strips(beta_mask(lam.parts), length)
+    ]
 
 
 class ColumnEvaluator:
@@ -71,8 +61,9 @@ class ColumnEvaluator:
 
     Strips are removed for the parts of mu in the order given (a Partition
     supplies them largest first); the value is independent of that order.
-    Results are memoized on (remaining partition, parts consumed), so one
-    evaluator amortizes work across many row labels of the same column.
+    Results are memoized on the canonical beta-set of the remaining
+    partition; its size fixes how many parts were consumed.  One evaluator
+    thus amortizes work across many row labels of the same column.
     Evaluators share nothing, which keeps per-column work independent.
     """
 
@@ -82,7 +73,7 @@ class ColumnEvaluator:
             raise ValueError("cycle type parts must be positive")
         self.parts = parts
         self.size = sum(parts)
-        self._memo: dict[tuple[tuple[int, ...], int], int] = {}
+        self._memo: dict[int, int] = {}
 
     def value(self, lam: PartitionLike) -> int:
         lam = Partition.of(lam)
@@ -90,20 +81,19 @@ class ColumnEvaluator:
             raise ValueError(
                 f"size mismatch: partition of {lam.n} against cycle type of {self.size}"
             )
-        return self._eval(_beta_ascending(lam), 0)
+        return self._eval(beta_mask(lam.parts), 0)
 
-    def _eval(self, beta: tuple[int, ...], idx: int) -> int:
+    def _eval(self, mask: int, idx: int) -> int:
         if idx == len(self.parts):
             return 1
-        key = (_partition_key(beta), idx)
-        cached = self._memo.get(key)
+        cached = self._memo.get(mask)
         if cached is not None:
             return cached
         total = 0
-        for new_beta, height in _removals(beta, self.parts[idx]):
-            term = self._eval(new_beta, idx + 1)
+        for rest, height in _strips(mask, self.parts[idx]):
+            term = self._eval(rest, idx + 1)
             total += -term if height % 2 else term
-        self._memo[key] = total
+        self._memo[mask] = total
         return total
 
 
@@ -115,10 +105,8 @@ def mn_character(lam: PartitionLike, mu: PartitionLike) -> int:
 def quick_vanish(lam: PartitionLike, mu: PartitionLike) -> bool:
     """True when some part of mu is not a hook length of lam, which forces
     chi_lam(mu) = 0.  False promises nothing."""
-    lam = Partition.of(lam)
-    mu = Partition.of(mu)
-    hooks = hook_multiset(lam)
-    return not set(mu.parts) <= set(hooks.counts)
+    hooks = hook_mask(beta_mask(Partition.of(lam).parts))
+    return any(not hooks >> p & 1 for p in Partition.of(mu).parts)
 
 
 def dimension(lam: PartitionLike) -> int:

@@ -160,7 +160,8 @@ def inv_alpha(ell: int) -> int:
         raise ArithmeticError(
             f"L-value computation inconsistent at ell={ell}: exact route gave {exact}"
         )
-    with mpmath.workdps(40):
+    # 20 digits beyond the value's own keep rounding far below the 1e-6 bar
+    with mpmath.workdps(len(str(exact)) + 20):
         factor = (
             mpmath.factorial(k - 1)
             * mpmath.power(ell, mpmath.mpf(ell) / 2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 
@@ -119,31 +119,62 @@ def hook_multiset(lam: PartitionLike) -> HookMultiset:
     return HookMultiset(counts, lam.n)
 
 
-def _first_column_hooks(parts: tuple[int, ...] | list[int]) -> list[int]:
-    # beta numbers lam_i - i + s for the s-row diagram, decreasing, all >= 1
-    s = len(parts)
-    return [p + s - 1 - i for i, p in enumerate(parts)]
+# ---------------------------------------------------------------------------
+# beta-sets as bitmasks: bit b is set when b is a beta number (a bead), one of
+# the first-column hook lengths lam_i - i + s of a partition with s parts.
+# Beads at 0, ..., t-1 under the others shifted up by t give the same
+# partition; a mask with bit 0 clear is canonical, as beta_mask returns.
 
 
-def _is_core_parts(parts: tuple[int, ...] | list[int], ell: int) -> bool:
-    # First-column hooks must be closed under subtracting ell: a beta number
-    # b >= ell with b - ell missing exposes a hook of length ell, so this is
-    # the no-hook-divisible-by-ell test.  Checked against the hook-multiset
-    # definition exhaustively in tests.
+def beta_mask(parts: Sequence[int]) -> int:
+    """Beta-set of a descending part sequence, as a bitmask."""
     s = len(parts)
-    beta = [p + s - 1 - i for i, p in enumerate(parts)]
-    bs = set(beta)
-    for b in beta:
-        if b >= ell and b - ell not in bs:
-            return False
-    return True
+    mask = 0
+    for i, p in enumerate(parts):
+        mask |= 1 << (p + s - 1 - i)
+    return mask
+
+
+def canonical_mask(mask: int) -> int:
+    """The same partition with the run of beads at 0, 1, ... dropped."""
+    return mask >> (((mask + 1) & ~mask).bit_length() - 1)
+
+
+def bead_positions(mask: int) -> Iterator[int]:
+    """Bead positions of a beta-set mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_parts(mask: int) -> tuple[int, ...]:
+    """Parts, largest first, of the partition whose beta-set is mask."""
+    # a bead's part is its position less the number of beads below it
+    return tuple(b - i for i, b in enumerate(bead_positions(mask)) if b > i)[::-1]
+
+
+def strip_ends(mask: int, k: int) -> int:
+    """Bit c is set when a bead at c + k can move down to the empty
+    position c: one removable border strip, and one hook, of length k."""
+    return (mask & ~(mask << k)) >> k
+
+
+def hook_mask(mask: int) -> int:
+    """Distinct hook lengths as a bitmask: bit k for a hook of length k."""
+    hooks = 0
+    for k in range(1, mask.bit_length()):
+        if strip_ends(mask, k):
+            hooks |= 1 << k
+    return hooks
 
 
 def is_core(lam: PartitionLike, ell: int) -> bool:
     """True iff no hook length of lam is divisible by ell."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    return _is_core_parts(Partition.of(lam).parts, ell)
+    # a hook of length divisible by ell exists iff one of length ell does
+    return not strip_ends(beta_mask(Partition.of(lam).parts), ell)
 
 
 def is_regular(lam: PartitionLike, a: int) -> bool:

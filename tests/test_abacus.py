@@ -140,6 +140,14 @@ def test_enumerate_cores_strategies_agree():
             assert len(via_filter) == count_cores(n, ell), (n, ell)
 
 
+def test_enumerate_cores_order():
+    # by number of parts, then by column heights (b_1, ..., b_{ell-1})
+    for ell in (2, 3, 5):
+        for n in range(30):
+            keys = [(len(lam), to_abacus(lam, ell).cols) for lam in enumerate_cores(n, ell)]
+            assert keys == sorted(keys), (n, ell)
+
+
 def test_enumerate_cores_yields_cores():
     for ell in (2, 3, 4, 6):
         for n in range(18):
@@ -242,6 +250,8 @@ def test_search_max_regular_core():
     assert search_max_regular_core(3, 9) == 8  # (4,2,1,1) is a 3-regular 3-core
     assert search_max_regular_core(2, 200) == 1
     assert search_max_regular_core(2, 0) == 0  # empty partition qualifies
+    # n_ell is a bound that is not attained: at ell = 5 it is 440
+    assert search_max_regular_core(5, n_ell(5)) == 198
 
 
 def test_no_regular_core_between_bound_and_200():

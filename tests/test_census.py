@@ -1,5 +1,8 @@
 import io
 import json
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ from corz.abacus import count_cores, n_ell
 from corz.census import (
     CensusConfig,
     CensusRecord,
+    _load_cache,
+    _store_cache,
     available_suites,
     build_record,
     run_census,
@@ -225,6 +230,56 @@ def test_unsupported_cache_version_is_rejected(tmp_path):
     (cache / "census-3-6.json").write_text('{"format": 99, "payload": {}}')
     with pytest.raises(RuntimeError, match="format"):
         build_record(6, 3, cache_dir=cache)
+
+
+def test_concurrent_cache_stores_leave_one_valid_file(tmp_path):
+    path = tmp_path / "census-3-6.json"
+    payloads = [{"z_star_exact": i} for i in range(4)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(5):
+            barrier = threading.Barrier(len(payloads))
+            errors = []
+
+            def store(payload):
+                barrier.wait(timeout=10)
+                try:
+                    _store_cache(path, 6, 3, payload)
+                except OSError as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=store, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert _load_cache(path) in payloads
+            assert [f.name for f in tmp_path.iterdir()] == [path.name]
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_result_guards_survive_optimize_flag():
+    # python -O strips assert statements; the verify checks and the
+    # build_record invariants must still fail on a wrong value
+    script = """
+import corz.census as c
+c.inv_alpha = lambda ell: 0
+assert False, "asserts are live"
+print(c.verify("constants").passed)
+c.z_star_closed = lambda n, ell: -1
+try:
+    c.build_record(17, 3, cap_exact=0)
+except AssertionError:
+    print("record guard raised")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "record guard raised"]
 
 
 def test_parallel_census_matches_serial(tmp_path):

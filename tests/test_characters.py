@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,77 @@ from corz.partitions import (
     is_regular,
 )
 from corz.abacus import enumerate_cores
+
+
+# The tuple-based Murnaghan-Nakayama evaluator that preceded the bitmask one,
+# kept as an independent reference: ascending beta tuples, strips found by
+# bisection, memo keyed on (remaining parts, parts consumed).
+
+
+def _ref_beta(parts):
+    s = len(parts)
+    return tuple(p + s - 1 - i for i, p in enumerate(parts))[::-1]
+
+
+def _ref_parts(beta):
+    return tuple(p for p in (beta[i] - i for i in range(len(beta) - 1, -1, -1)) if p > 0)
+
+
+def _ref_removals(beta, k):
+    # (new beta tuple, strip height) for every length-k strip removal
+    bset = set(beta)
+    for pos, b in enumerate(beta):
+        if b < k or (b - k) in bset:
+            continue
+        j = bisect_left(beta, b - k)
+        yield beta[:j] + (b - k,) + beta[j:pos] + beta[pos + 1 :], pos - j
+
+
+class _ReferenceEvaluator:
+    def __init__(self, mu):
+        self.parts = tuple(mu)
+        self.memo = {}
+
+    def value(self, lam):
+        return self._eval(_ref_beta(Partition.of(lam).parts), 0)
+
+    def _eval(self, beta, idx):
+        if idx == len(self.parts):
+            return 1
+        key = (_ref_parts(beta), idx)
+        if key not in self.memo:
+            total = 0
+            for new_beta, height in _ref_removals(beta, self.parts[idx]):
+                term = self._eval(new_beta, idx + 1)
+                total += -term if height % 2 else term
+            self.memo[key] = total
+        return self.memo[key]
+
+
+def test_evaluator_and_strips_match_reference_exhaustively():
+    for n in range(10):
+        lams = list(enumerate_partitions(n))
+        for mu in lams:
+            col = ColumnEvaluator(mu)
+            ref = _ReferenceEvaluator(mu.parts)
+            for lam in lams:
+                assert col.value(lam) == ref.value(lam), (lam.parts, mu.parts)
+        for lam in lams:
+            for k in range(1, n + 1):
+                got = [(s.height, s.remainder.parts) for s in border_strips(lam, k)]
+                want = [(h, _ref_parts(b)) for b, h in _ref_removals(_ref_beta(lam.parts), k)]
+                assert got == want[::-1], (lam.parts, k)
+
+
+@given(st.integers(min_value=10, max_value=16), st.data())
+@settings(max_examples=200, deadline=None)
+def test_evaluator_matches_reference_on_random_pairs(n, data):
+    lams = list(enumerate_partitions(n))
+    lam = data.draw(st.sampled_from(lams))
+    mu = data.draw(st.sampled_from(lams))
+    # any order of the cycle type's parts, which the memo key must not confuse
+    order = data.draw(st.permutations(mu.parts))
+    assert ColumnEvaluator(order).value(lam) == _ReferenceEvaluator(order).value(lam)
 
 
 def test_border_strips_examples():

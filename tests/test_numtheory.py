@@ -130,6 +130,16 @@ def test_inv_alpha_larger_primes_pass_dual_route():
     assert inv_alpha(19) == 3708443635
 
 
+def test_inv_alpha_passes_dual_route_beyond_forty_digits():
+    # 42, 51 and 118 digits: the numeric route works at the value's own size
+    assert inv_alpha(47) == 970352062869924781020402760556090727940368
+    assert inv_alpha(53) == 135294343452046399719534067031016407016806466276761
+    assert inv_alpha(97) == int(
+        "28738426215735700206612747962060062876615950867121179884879478439659"
+        "82325182444922611891396374889675099441520471783906"
+    )
+
+
 def test_inv_alpha_rejects_bad_modulus():
     with pytest.raises(ValueError):
         inv_alpha(4)

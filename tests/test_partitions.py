@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from corz.partitions import (
     Partition,
+    beta_mask,
+    canonical_mask,
     conjugate,
     count_p,
     count_p_regular,
     enumerate_partitions,
     hagis_estimate,
+    hook_mask,
     hook_multiset,
     hr_estimate,
     is_core,
     is_regular,
+    mask_parts,
 )
 
 
@@ -89,6 +93,25 @@ def test_is_core_definition_matches_hooks():
             for ell in (2, 3, 4, 5, 7):
                 expected = not any(h % ell == 0 for h in hooks.counts)
                 assert is_core(lam, ell) == expected, (lam.parts, ell)
+
+
+def test_beta_mask_round_trips_with_extra_low_beads():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            mask = beta_mask(lam.parts)
+            assert not mask & 1
+            for t in range(4):
+                padded = (mask << t) | ((1 << t) - 1)
+                assert mask_parts(padded) == lam.parts
+                assert canonical_mask(padded) == mask
+
+
+def test_hook_mask_is_the_hook_length_set():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            hooks = hook_mask(beta_mask(lam.parts))
+            got = {k for k in range(hooks.bit_length()) if hooks >> k & 1}
+            assert got == set(hook_multiset(lam).counts), lam.parts
 
 
 def test_is_core_examples():
