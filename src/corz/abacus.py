@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from .partitions import (
     Partition,
     PartitionLike,
-    _iter_partition_buffers,
-    _multiply_one_minus,
-    _regular_series,
     bead_positions,
     beta_mask,
+    count_cores,  # re-exported: corz.abacus.count_cores is public API
     mask_parts,
     strip_ends,
 )
@@ -165,50 +163,19 @@ def _iter_core_abaci(n: int, ell: int) -> Iterator[tuple[int, ...]]:
         yield from rec(1, s, n + s * (s - 1) // 2)
 
 
-def enumerate_cores(n: int, ell: int, strategy: str = "abacus") -> Iterator[Partition]:
-    """Every ell-core of n exactly once.
+def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
+    """Every ell-core of n exactly once, by walking canonical abaci of size n.
 
-    "abacus" walks canonical abaci of size n: cores come by increasing number
-    of parts, then in lexicographic order of the column heights (b_1, ...,
-    b_{ell-1}), not in the reverse-lexicographic order of enumerate_partitions.
-    "filter" keeps the cores among all partitions of n, in reverse-lex order;
-    it is far slower and serves as an independent oracle in tests.
+    Cores come by increasing number of parts, then in lexicographic order of
+    the column heights (b_1, ..., b_{ell-1}), not in the reverse-lexicographic
+    order of enumerate_partitions.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    if strategy == "filter":
-        for buf in _iter_partition_buffers(n):
-            if not strip_ends(beta_mask(buf), ell):
-                yield Partition._from_desc(tuple(buf))
-    elif strategy == "abacus":
-        for cols in _iter_core_abaci(n, ell):
-            yield from_abacus(Abacus(ell, cols))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-
-_CORE_SERIES: dict[int, list[int]] = {}
-
-
-def count_cores(n: int, ell: int) -> int:
-    """Number of ell-cores of n: coefficient of q^n in
-    prod_{k>=1} (1 - q^{ell k})^ell / (1 - q^k)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    cached = _CORE_SERIES.get(ell)
-    if cached is None or len(cached) <= n:
-        upto = max(n, 2 * len(cached or []), 16)
-        # the ell-regular series times the remaining (1 - q^{ell k})^(ell - 1)
-        coeffs = _regular_series(ell, upto)
-        for k in range(ell, upto + 1, ell):
-            for _ in range(ell - 1):
-                _multiply_one_minus(coeffs, k)
-        _CORE_SERIES[ell] = cached = coeffs
-    return cached[n]
+    for cols in _iter_core_abaci(n, ell):
+        yield from_abacus(Abacus(ell, cols))
 
 
 def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:

@@ -19,6 +19,7 @@ import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import IO
 
@@ -26,7 +27,6 @@ from .abacus import (
     Abacus,
     abacus_size,
     bead_jump_witness,
-    count_cores,
     enumerate_cores,
     extremal_abacus,
     from_abacus,
@@ -48,6 +48,7 @@ from .partitions import (
     Partition,
     _iter_partition_buffers,
     beta_mask,
+    count_cores,
     count_p,
     count_p_regular,
     enumerate_partitions,
@@ -296,32 +297,30 @@ def build_record(
     return rec
 
 
-def _record_task(args: tuple[int, int, int, int, str | None, bool]) -> CensusRecord:
-    n, ell, cap_exact, cap_star, cache_dir, with_z_all = args
-    return build_record(
-        n, ell, cap_exact, cap_star, Path(cache_dir) if cache_dir else None, with_z_all
-    )
-
-
 def run_census(config: CensusConfig) -> list[CensusRecord]:
     """All records of the sweep in (n, ell) order; writes config.out if set.
 
-    Worker count config.jobs shards record computation across processes;
-    workers share nothing and the writer orders results, so output does not
-    depend on scheduling.
+    Worker count config.jobs shards record computation across at most one
+    process per grid cell; workers share nothing and map keeps grid order, so
+    output does not depend on scheduling.
     """
-    grid = [
-        (n, ell, config.cap_exact, config.cap_star,
-         str(config.cache_dir) if config.cache_dir else None, config.with_z_all)
-        for n in range(config.n_min, config.n_max + 1)
-        for ell in sorted(set(config.ells))
-    ]
-    if config.jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_record_task, grid))
+    task = partial(
+        build_record,
+        cap_exact=config.cap_exact,
+        cap_star=config.cap_star,
+        cache_dir=config.cache_dir,
+        with_z_all=config.with_z_all,
+    )
+    moduli = sorted(set(config.ells))
+    grid = [(n, ell) for n in range(config.n_min, config.n_max + 1) for ell in moduli]
+    ns = [n for n, _ in grid]
+    ells = [ell for _, ell in grid]
+    workers = min(config.jobs, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(task, ns, ells))
     else:
-        records = [_record_task(task) for task in grid]
-    records.sort(key=lambda r: (r.n, r.ell))
+        records = list(map(task, ns, ells))
     if config.out is not None:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             write_records(records, config.fmt, fh)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .abacus import count_cores
+from .partitions import count_cores
 
 
 def _is_prime(m: int) -> bool:

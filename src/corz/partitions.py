@@ -1,8 +1,9 @@
 """Integer partitions: hooks, cores, regularity, and exact counting series.
 
-Everything that counts is exact (Python integers, truncated integer power
-series); the two closed-form growth estimates at the bottom are advisory
-floats and are never mixed into exact results.
+Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
+integers drawn from one p(n) table and sparse Euler products.  The two
+closed-form growth estimates at the bottom are advisory floats and are never
+mixed into exact results.
 """
 
 from __future__ import annotations
@@ -185,7 +186,31 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact counting
+# exact counting series.  Every count is a coefficient of an eta-quotient in
+# Euler's function E(q) = prod_{k>=1} (1 - q^k):
+#     sum p(n) q^n = 1/E(q),   sum p_a(n) q^n = E(q^a)/E(q),
+#     sum c_ell(n) q^n = E(q^ell)^ell / E(q).
+# By the pentagonal number theorem E(q) = 1 + sum sign(g) q^g over the
+# generalized pentagonal numbers g, so it has O(sqrt N) terms up to q^N, and
+# each count is a short convolution with the one p(n) table.
+
+
+def _pentagonal(upto: int) -> Iterator[tuple[int, int]]:
+    # (g, sign) for the generalized pentagonal numbers 1 <= g <= upto,
+    # ascending: g = k(3k -+ 1)/2 with sign (-1)^k for k = 1, 2, ...
+    k = 1
+    while True:
+        sign = -1 if k % 2 else 1
+        g = k * (3 * k - 1) // 2
+        if g > upto:
+            return
+        yield g, sign
+        g += k
+        if g > upto:
+            return
+        yield g, sign
+        k += 1
+
 
 _P_CACHE: list[int] = [1]
 
@@ -194,65 +219,58 @@ def count_p(n: int) -> int:
     """Number of partitions of n, by the pentagonal-number recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_P_CACHE) <= n:
-        m = len(_P_CACHE)
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            sgn = 1 if k % 2 else -1
-            total += sgn * _P_CACHE[m - g]
-            g = k * (3 * k + 1) // 2
-            if g <= m:
-                total += sgn * _P_CACHE[m - g]
-            k += 1
-        _P_CACHE.append(total)
-    return _P_CACHE[n]
-
-
-def _divide_one_minus(coeffs: list[int], k: int) -> None:
-    # multiply by 1/(1 - q^k), truncated
-    for m in range(k, len(coeffs)):
-        coeffs[m] += coeffs[m - k]
-
-
-def _multiply_one_minus(coeffs: list[int], k: int) -> None:
-    # multiply by (1 - q^k), truncated
-    for m in range(len(coeffs) - 1, k - 1, -1):
-        coeffs[m] -= coeffs[m - k]
-
-
-def _regular_series(a: int, upto: int) -> list[int]:
-    # coefficients of prod (1 - q^{a k}) / (1 - q^k) through q^upto
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for k in range(1, upto + 1):
-        _divide_one_minus(coeffs, k)
-    for k in range(a, upto + 1, a):
-        _multiply_one_minus(coeffs, k)
-    return coeffs
-
-
-_REGULAR_CACHE: dict[int, list[int]] = {}
+    p = _P_CACHE
+    while len(p) <= n:
+        m = len(p)
+        # E(q) * sum p(n) q^n = 1
+        p.append(-sum(sign * p[m - g] for g, sign in _pentagonal(m)))
+    return p[n]
 
 
 def count_p_regular(n: int, a: int) -> int:
     """Number of partitions of n with no part divisible by a.
 
-    Coefficient of q^n in prod_{k>=1} (1 - q^{ak})/(1 - q^k), computed with
-    truncated exact-integer power series.
+    Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
+    p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if a < 2:
         raise ValueError("a must be at least 2")
-    cached = _REGULAR_CACHE.get(a)
-    if cached is None or len(cached) <= n:
-        cached = _regular_series(a, max(n, 2 * len(cached or []) , 16))
-        _REGULAR_CACHE[a] = cached
-    return cached[n]
+    count_p(n)
+    p = _P_CACHE
+    return p[n] + sum(sign * p[n - a * g] for g, sign in _pentagonal(n // a))
+
+
+_EULER_POWERS: dict[int, list[int]] = {}
+
+
+def _euler_power(ell: int, upto: int) -> list[int]:
+    # Coefficients of E(q)^ell through at least q^upto, extended in place by
+    # J. C. P. Miller's power recurrence over the sparse pentagonal terms:
+    # m e_m = sum_g ((ell + 1) g - m) sign(g) e_{m-g}, an exact division.
+    e = _EULER_POWERS.setdefault(ell, [1])
+    while len(e) <= upto:
+        m = len(e)
+        total = sum(sign * ((ell + 1) * g - m) * e[m - g] for g, sign in _pentagonal(m))
+        e.append(total // m)
+    return e
+
+
+def count_cores(n: int, ell: int) -> int:
+    """Number of ell-cores of n.
+
+    Coefficient of q^n in E(q^ell)^ell / E(q): the convolution
+    sum_m e_m p(n - ell m), where e_m is the coefficient of q^m in E(q)^ell.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if ell < 2:
+        raise ValueError("ell must be at least 2")
+    count_p(n)
+    p = _P_CACHE
+    e = _euler_power(ell, n // ell)
+    return sum(e[m] * p[n - ell * m] for m in range(n // ell + 1))
 
 
 def _iter_partition_buffers(n: int) -> Iterator[list[int]]:

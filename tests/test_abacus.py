@@ -71,7 +71,7 @@ def test_from_abacus_requires_canonical():
 def test_roundtrip_all_small_cores():
     for ell in (2, 3, 5, 7):
         for n in range(41):
-            for lam in enumerate_cores(n, ell, strategy="abacus"):
+            for lam in enumerate_cores(n, ell):
                 assert from_abacus(to_abacus(lam, ell)) == lam
 
 
@@ -112,7 +112,7 @@ def test_rotation_property(ell, data):
 def test_abacus_size_matches_partition():
     for ell in (2, 3, 5):
         for n in range(30):
-            for lam in enumerate_cores(n, ell, strategy="abacus"):
+            for lam in enumerate_cores(n, ell):
                 assert abacus_size(to_abacus(lam, ell)) == n
 
 
@@ -134,8 +134,8 @@ def test_count_cores_rejects_bad_modulus():
 def test_enumerate_cores_strategies_agree():
     for ell in (2, 3, 5, 7):
         for n in range(26):
-            via_filter = set(enumerate_cores(n, ell, strategy="filter"))
-            via_abacus = set(enumerate_cores(n, ell, strategy="abacus"))
+            via_filter = {lam for lam in enumerate_partitions(n) if is_core(lam, ell)}
+            via_abacus = set(enumerate_cores(n, ell))
             assert via_filter == via_abacus, (n, ell)
             assert len(via_filter) == count_cores(n, ell), (n, ell)
 
@@ -151,13 +151,8 @@ def test_enumerate_cores_order():
 def test_enumerate_cores_yields_cores():
     for ell in (2, 3, 4, 6):
         for n in range(18):
-            for lam in enumerate_cores(n, ell, strategy="abacus"):
+            for lam in enumerate_cores(n, ell):
                 assert is_core(lam, ell), (lam.parts, ell)
-
-
-def test_enumerate_cores_unknown_strategy():
-    with pytest.raises(ValueError):
-        list(enumerate_cores(5, 3, strategy="magic"))
 
 
 def test_swap_columns_examples():
@@ -258,7 +253,7 @@ def test_no_regular_core_between_bound_and_200():
     # above the abacus bound every core keeps a part divisible by ell
     for ell in (2, 3):
         for n in range(n_ell(ell) + 1, 201):
-            for lam in enumerate_cores(n, ell, strategy="abacus"):
+            for lam in enumerate_cores(n, ell):
                 assert not is_regular(lam, ell), (n, ell, lam.parts)
 
 
@@ -271,5 +266,5 @@ def test_cores_positive_for_moduli_4_through_9():
 def test_core_count_series_agrees_with_filter_path():
     for ell in (2, 3, 5, 7):
         for n in range(31):
-            direct = sum(1 for _ in enumerate_cores(n, ell, strategy="filter"))
+            direct = sum(1 for lam in enumerate_partitions(n) if is_core(lam, ell))
             assert direct == count_cores(n, ell), (n, ell)

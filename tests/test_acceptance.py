@@ -63,7 +63,7 @@ def test_criterion_04_regular_core_vanishing_bound():
     ok = n_ell(3) == 16
     ok = ok and search_max_regular_core(3, 200) == 10
     for n in range(11, 201):
-        for lam in enumerate_cores(n, 3, strategy="abacus"):
+        for lam in enumerate_cores(n, 3):
             ok = ok and not is_regular(lam, 3)
     _conclude(4, "n_ell(3)=16, largest 3-regular 3-core is 10, none in (10, 200]",
               ok, time.perf_counter() - t0, 60)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from corz.abacus import count_cores, n_ell
+from corz import census
 from corz.census import (
     CensusConfig,
     CensusRecord,
@@ -288,6 +289,30 @@ def test_parallel_census_matches_serial(tmp_path):
     run_census(CensusConfig(n_min=1, n_max=10, ells=(2, 5), jobs=1, out=serial))
     run_census(CensusConfig(n_min=1, n_max=10, ells=(2, 5), jobs=2, out=parallel))
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
+    started = []
+
+    class InlinePool:
+        # records the pool size and maps in-process, so no worker is forked
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    run_census(CensusConfig(n_min=4, n_max=4, ells=(3,), jobs=64))
+    assert started == []
+    records = run_census(CensusConfig(n_min=3, n_max=4, ells=(2, 3, 5), jobs=64))
+    assert started == [6]
+    assert [(r.n, r.ell) for r in records] == [(n, ell) for n in (3, 4) for ell in (2, 3, 5)]
 
 
 def test_z_all_column_appears_only_on_request(tmp_path):

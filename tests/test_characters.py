@@ -227,7 +227,7 @@ def test_quick_vanish_implies_zero():
 def test_core_rows_vanish_on_singular_columns():
     for ell in (2, 3, 5):
         for n in range(13):
-            cores = list(enumerate_cores(n, ell, strategy="abacus"))
+            cores = list(enumerate_cores(n, ell))
             if not cores:
                 continue
             for mu in enumerate_partitions(n):

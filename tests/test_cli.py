@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from corz.cli import main
+from corz import census
+from corz.cli import COUNT_N_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,16 @@ def test_count_domain_error(capsys):
     code, out, err = run_cli(capsys, "count", "inv-alpha", "9")
     assert code == 2
     assert err.startswith("corz:")
+
+
+def test_count_series_bound(capsys):
+    for argv in (("p", "1000000"), ("p-regular", "1000000", "2"), ("cores", "1000000", "5"),
+                 ("cores", str(COUNT_N_MAX + 1), "5")):
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == 2 and out == "", argv
+        assert f"at most {COUNT_N_MAX}" in err, argv
+    code, out, err = run_cli(capsys, "count", "p", str(COUNT_N_MAX))
+    assert code == 0 and out.strip().isdigit()
 
 
 def test_count_z_all_cap(capsys):
@@ -97,6 +108,17 @@ def test_census_bad_ell_list(capsys):
     code, out, err = run_cli(capsys, "census", "--ell", "2,x")
     assert code == 2
     assert "cannot parse --ell" in err
+
+
+def test_census_rejects_jobs_out_of_range(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+    for jobs in ("0", "-1", str(10**6)):
+        code, out, err = run_cli(capsys, "census", "--jobs", jobs)
+        assert code == 2 and out == "", jobs
+        assert "--jobs must be between 1 and" in err, jobs
 
 
 def test_census_z_all_flag(capsys):

@@ -10,6 +10,7 @@ from corz.partitions import (
     beta_mask,
     canonical_mask,
     conjugate,
+    count_cores,
     count_p,
     count_p_regular,
     enumerate_partitions,
@@ -187,6 +188,46 @@ def test_count_p_regular_known_values():
 def test_count_p_regular_rejects_bad_modulus():
     with pytest.raises(ValueError):
         count_p_regular(5, 1)
+
+
+# Reference: the dense truncated products the series used to be built from,
+# one (1 - q^k) factor at a time, independent of the pentagonal convolution.
+SERIES_N = 1150
+
+
+def _divide_one_minus(coeffs, k):
+    # multiply by 1/(1 - q^k), truncated
+    for m in range(k, len(coeffs)):
+        coeffs[m] += coeffs[m - k]
+
+
+def _multiply_one_minus(coeffs, k):
+    # multiply by (1 - q^k), truncated
+    for m in range(len(coeffs) - 1, k - 1, -1):
+        coeffs[m] -= coeffs[m - k]
+
+
+def test_series_match_dense_products():
+    # 1/E(q) once; then E(q^a)/E(q) and E(q^a)^a/E(q) for every modulus
+    partitions = [1] + [0] * SERIES_N
+    for k in range(1, SERIES_N + 1):
+        _divide_one_minus(partitions, k)
+    assert partitions == [count_p(n) for n in range(SERIES_N + 1)]
+    for a in range(2, 14):
+        series = list(partitions)
+        for power in range(a):
+            for k in range(a, SERIES_N + 1, a):
+                _multiply_one_minus(series, k)
+            if power == 0:
+                assert series == [count_p_regular(n, a) for n in range(SERIES_N + 1)], a
+        assert series == [count_cores(n, a) for n in range(SERIES_N + 1)], a
+
+
+def test_series_reject_negative_n():
+    with pytest.raises(ValueError):
+        count_cores(-1, 5)
+    with pytest.raises(ValueError):
+        count_p_regular(-1, 5)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=0, max_size=12))
