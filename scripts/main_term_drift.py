@@ -8,31 +8,25 @@ ell = 5 the ratio is identically 1, so the interesting rows start at 7.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from corz.abacus import count_cores
 from corz.numtheory import core_main_term
 
-
-@dataclass
-class GridConfig:
-    ells: tuple[int, ...] = (5, 7, 11)
-    n_max: int = 2000
-    blocks: int = 4
-    show_rows: int = 6
+# grid rows printed per modulus before the block summary
+SHOW_ROWS = 6
 
 
-def block_deviations(ell: int, config: GridConfig) -> list[float]:
-    width = config.n_max // config.blocks
+def block_deviations(ell: int, n_max: int, blocks: int) -> list[float]:
+    width = n_max // blocks
     out = []
-    for b in range(config.blocks):
+    for b in range(blocks):
         lo = max(1, b * width)
         hi = (b + 1) * width
-        devs = [
-            abs(float(count_cores(n, ell) / core_main_term(n, ell)) - 1)
-            for n in range(lo, hi)
-            if core_main_term(n, ell) != 0
-        ]
+        devs = []
+        for n in range(lo, hi):
+            main = core_main_term(n, ell)
+            if main != 0:
+                devs.append(abs(float(count_cores(n, ell) / main) - 1))
         out.append(sum(devs) / len(devs))
     return out
 
@@ -43,21 +37,16 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=2000)
     ap.add_argument("--blocks", type=int, default=4)
     args = ap.parse_args()
-    config = GridConfig(
-        ells=tuple(int(t) for t in args.ell.split(",")),
-        n_max=args.n_max,
-        blocks=args.blocks,
-    )
 
-    for ell in config.ells:
+    for ell in (int(t) for t in args.ell.split(",")):
         print(f"ell = {ell}")
-        step = max(1, config.n_max // config.show_rows)
-        for n in range(step, config.n_max + 1, step):
+        step = max(1, args.n_max // SHOW_ROWS)
+        for n in range(step, args.n_max + 1, step):
             main = core_main_term(n, ell)
             exact = count_cores(n, ell)
             ratio = float(exact / main) if main else float("nan")
             print(f"  n = {n:6d}  c = {exact:16d}  main = {float(main):18.2f}  ratio = {ratio:.6f}")
-        devs = block_deviations(ell, config)
+        devs = block_deviations(ell, args.n_max, args.blocks)
         rendered = ", ".join(f"{d:.2e}" for d in devs)
         print(f"  mean |ratio - 1| per block: {rendered}")
         print()

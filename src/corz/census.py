@@ -19,7 +19,7 @@ import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import IO
 
@@ -97,22 +97,23 @@ def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> lis
     return out
 
 
+def _check_cap(n: int, cap: int, kind: str = "exact", flag: str = "--cap-exact") -> None:
+    if n > cap:
+        raise ValueError(
+            f"{kind} census cap exceeded: n={n} > cap={cap}; raise {flag} to allow"
+        )
+
+
 def z_exact(n: int, ell: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Exhaustive count of zeros chi_lam(mu) = 0 with lam an ell-core of n,
     over all columns mu of n."""
-    if n > cap:
-        raise ValueError(
-            f"exact census cap exceeded: n={n} > cap={cap}; raise --cap-exact to allow"
-        )
+    _check_cap(n, cap)
     return sum(_count_zeros(list(enumerate_cores(n, ell)), enumerate_partitions(n)))
 
 
 def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
     """Exhaustive count of zeros over ordered pairs of ell-cores of n."""
-    if n > cap:
-        raise ValueError(
-            f"exact star census cap exceeded: n={n} > cap={cap}; raise --cap-star to allow"
-        )
+    _check_cap(n, cap, "exact star", "--cap-star")
     cores = list(enumerate_cores(n, ell))
     return sum(_count_zeros(cores, cores))
 
@@ -131,10 +132,13 @@ def z_star_closed(n: int, ell: int) -> int:
 
 def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Zeros over the whole character table of S_n (no core restriction)."""
-    if n > cap:
-        raise ValueError(
-            f"exact census cap exceeded: n={n} > cap={cap}; raise --cap-exact to allow"
-        )
+    _check_cap(n, cap)
+    return _z_all(n)
+
+
+@lru_cache(maxsize=None)
+def _z_all(n: int) -> int:
+    # the table does not depend on ell, so a sweep over moduli walks it once per n
     lams = list(enumerate_partitions(n))
     return sum(_count_zeros(lams, lams))
 
@@ -145,7 +149,7 @@ def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """Sweep bounds and output policy for run_census."""
+    """Sweep bounds and caps for run_census."""
 
     n_min: int = 0
     n_max: int = 14
@@ -153,8 +157,6 @@ class CensusConfig:
     cap_exact: int = DEFAULT_CAP_EXACT
     cap_star: int = DEFAULT_CAP_STAR
     jobs: int = 1
-    fmt: str = "csv"
-    out: Path | None = None
     cache_dir: Path | None = None
     with_z_all: bool = False
 
@@ -247,14 +249,11 @@ def build_record(
 ) -> CensusRecord:
     """One census row; caches the expensive exhaustive counts when a cache
     directory is given (the cache is an optimization only)."""
-    rec = CensusRecord(
-        n=n,
-        ell=ell,
-        p_n=count_p(n),
-        p_ell_n=count_p_regular(n, ell),
-        c_ell_n=count_cores(n, ell),
-        z_lower=z_lower_bound(n, ell),
-    )
+    # each series once; z_lower and z_star_closed are arithmetic on them
+    p = count_p(n)
+    p_ell = count_p_regular(n, ell)
+    c = count_cores(n, ell)
+    rec = CensusRecord(n=n, ell=ell, p_n=p, p_ell_n=p_ell, c_ell_n=c, z_lower=(p - p_ell) * c)
     payload: dict = {}
     path: Path | None = None
     if cache_dir is not None:
@@ -277,12 +276,12 @@ def build_record(
             dirty = True
         rec.z_star_exact = star
     if n > n_ell(ell):
-        rec.z_star_closed = z_star_closed(n, ell)
+        rec.z_star_closed = c * c
         if rec.z_star_exact is not None:
             _require(rec.z_star_exact == rec.z_star_closed, (n, ell))
     # the analytic constant needs the quadratic character, so primes only
     if ell >= 5 and _is_prime(ell):
-        main = core_main_term(n, ell) * count_p(n)
+        main = core_main_term(n, ell) * p
         rec.main_term_num = main.numerator
         rec.main_term_den = main.denominator
     if with_z_all and n <= cap_exact:
@@ -298,11 +297,13 @@ def build_record(
 
 
 def run_census(config: CensusConfig) -> list[CensusRecord]:
-    """All records of the sweep in (n, ell) order; writes config.out if set.
+    """All records of the sweep in (n, ell) order; it writes nothing, and
+    write_records renders the list as CSV or JSON.
 
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order, so
-    output does not depend on scheduling.
+    output does not depend on scheduling.  With with_z_all, each process
+    walks the full table of a given n once, whatever the number of moduli.
     """
     task = partial(
         build_record,
@@ -318,13 +319,8 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     workers = min(config.jobs, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(task, ns, ells))
-    else:
-        records = list(map(task, ns, ells))
-    if config.out is not None:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            write_records(records, config.fmt, fh)
-    return records
+            return list(pool.map(task, ns, ells))
+    return list(map(task, ns, ells))
 
 
 def write_records(records: Iterable[CensusRecord], fmt: str, fh: IO[str]) -> None:

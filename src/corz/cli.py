@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .census import (
@@ -128,21 +129,23 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     cache_dir = opts.cache_dir
     if cache_dir is None and os.environ.get("CORZ_CACHE_DIR"):
         cache_dir = Path(os.environ["CORZ_CACHE_DIR"])
-    config = CensusConfig(
+    records = run_census(CensusConfig(
         n_min=opts.n_min,
         n_max=opts.n_max,
         ells=ells,
         cap_exact=opts.cap_exact,
         cap_star=opts.cap_star,
         jobs=opts.jobs,
-        fmt=opts.format,
-        out=opts.out,
         cache_dir=cache_dir,
         with_z_all=opts.z_all,
+    ))
+    sink = (
+        nullcontext(sys.stdout)
+        if opts.out is None
+        else open(opts.out, "w", encoding="utf-8", newline="")
     )
-    records = run_census(config)
-    if config.out is None:
-        write_records(records, config.fmt, sys.stdout)
+    with sink as fh:
+        write_records(records, opts.format, fh)
     return 0
 
 

@@ -48,7 +48,11 @@ def sigma_twisted(n: int, ell: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     _require_core_prime(ell)
-    e = (ell - 3) // 2
+    return _twisted_divisor_sum(n, ell, (ell - 3) // 2)
+
+
+def _twisted_divisor_sum(n: int, ell: int, e: int) -> int:
+    # sum over d | n of (n/d / ell) * d^e, pairing each d <= sqrt(n) with n/d
     total = 0
     d = 1
     while d * d <= n:
@@ -192,20 +196,11 @@ def c2_closed(n: int) -> int:
 
 
 def c3_closed(n: int) -> int:
-    """Count of 3-cores of n: sum over d | 3n+1 of (d / 3)."""
+    """Count of 3-cores of n: sum over d | 3n+1 of (d / 3), the ell = 3,
+    exponent-0 case of the twisted divisor sum."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    target = 3 * n + 1
-    total = 0
-    d = 1
-    while d * d <= target:
-        if target % d == 0:
-            total += legendre(d, 3)
-            cod = target // d
-            if cod != d:
-                total += legendre(cod, 3)
-        d += 1
-    return total
+    return _twisted_divisor_sum(3 * n + 1, 3, 0)
 
 
 def core_main_term(n: int, ell: int) -> Fraction:

@@ -1,9 +1,9 @@
 import io
 import json
+from collections import Counter
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -43,6 +43,13 @@ def brute_zeros(n, ell=None, rows_cores=False, cols_cores=False):
         if not cols_cores or is_core(mu, ell)
     ]
     return sum(1 for lam in lams for mu in mus if mn_character(lam, mu) == 0)
+
+
+def census_text(fmt="csv", **config):
+    """A sweep rendered the way `corz census` prints it."""
+    buf = io.StringIO()
+    write_records(run_census(CensusConfig(**config)), fmt, buf)
+    return buf.getvalue()
 
 
 def test_z_lower_bound_examples():
@@ -119,12 +126,14 @@ def test_build_record_type_invariants():
             assert rec.p_n == count_p(n)
             assert rec.p_ell_n == count_p_regular(n, ell)
             assert rec.c_ell_n == count_cores(n, ell)
-            assert rec.z_lower == (rec.p_n - rec.p_ell_n) * rec.c_ell_n
+            assert rec.z_lower == (rec.p_n - rec.p_ell_n) * rec.c_ell_n == z_lower_bound(n, ell)
             assert rec.z_exact is not None and rec.z_exact >= rec.z_lower
             assert rec.z_star_exact is not None
             if n > n_ell(ell):
-                assert rec.z_star_closed == rec.c_ell_n ** 2
+                assert rec.z_star_closed == rec.c_ell_n ** 2 == z_star_closed(n, ell)
                 assert rec.z_star_exact == rec.z_star_closed
+            else:
+                assert rec.z_star_closed is None
             if ell >= 5:
                 assert rec.main_term_den is not None
                 got = core_main_term(n, ell) * count_p(n)
@@ -140,7 +149,54 @@ def test_build_record_skips_expensive_fields_over_cap():
     rec = build_record(25, 3, cap_exact=10, cap_star=20)
     assert rec.z_exact is None
     assert rec.z_star_exact is None
-    assert rec.z_star_closed == count_cores(25, 3) ** 2
+    assert rec.z_star_closed == count_cores(25, 3) ** 2 == z_star_closed(25, 3)
+
+
+def test_record_bound_and_closed_form_match_public_functions():
+    # the record derives both from its own counts; above the caps too
+    for ell in (2, 3, 5, 7):
+        for n in range(0, 1151, 23):
+            rec = build_record(n, ell, cap_exact=-1, cap_star=-1)
+            assert rec.z_lower == z_lower_bound(n, ell), (n, ell)
+            if n > n_ell(ell):
+                assert rec.z_star_closed == z_star_closed(n, ell), (n, ell)
+            else:
+                assert rec.z_star_closed is None, (n, ell)
+
+
+def test_each_count_is_computed_once(monkeypatch):
+    calls = Counter()
+    walked = []
+
+    def counted(name):
+        fn = getattr(census, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("count_p_regular", "count_cores"):
+        monkeypatch.setattr(census, name, counted(name))
+    for ell in (2, 3, 5, 7):
+        for n in (0, 6, 17, 25, 441):
+            calls.clear()
+            build_record(n, ell, cap_exact=10, cap_star=20)
+            assert calls == {"count_p_regular": 1, "count_cores": 1}, (n, ell)
+
+    count_zeros = census._count_zeros
+
+    def logged(rows, columns):
+        walked.append(len(rows))
+        return count_zeros(rows, columns)
+
+    # the full table does not depend on ell: one walk of it per n
+    monkeypatch.setattr(census, "_count_zeros", logged)
+    census._z_all.cache_clear()
+    records = run_census(CensusConfig(n_min=10, n_max=10, ells=(3, 5, 7), with_z_all=True))
+    assert walked.count(count_p(10)) == 1
+    assert [r.z_all for r in records] == [brute_zeros(10)] * 3
 
 
 def test_record_csv_row_empty_cells():
@@ -148,9 +204,7 @@ def test_record_csv_row_empty_cells():
     assert rec.csv_row() == "25,3,1958,1,2,2,,,,,"
 
 
-def test_run_census_csv_golden(tmp_path):
-    out = tmp_path / "census.csv"
-    run_census(CensusConfig(n_min=1, n_max=3, ells=(2, 3), out=out))
+def test_run_census_csv_golden():
     want = (
         "n,ell,p_n,p_ell_n,c_ell_n,z_lower,z_exact,z_star_exact,z_star_closed,"
         "main_term_num,main_term_den\n"
@@ -161,13 +215,11 @@ def test_run_census_csv_golden(tmp_path):
         "3,2,3,2,1,1,1,1,1,,\n"
         "3,3,3,2,0,0,0,0,,,\n"
     )
-    assert out.read_text(encoding="utf-8") == want
+    assert census_text(n_min=1, n_max=3, ells=(2, 3)) == want
 
 
-def test_run_census_json_golden(tmp_path):
-    out = tmp_path / "census.jsonl"
-    run_census(CensusConfig(n_min=3, n_max=3, ells=(2,), fmt="json", out=out))
-    line = out.read_text(encoding="utf-8").rstrip("\n")
+def test_run_census_json_golden():
+    line = census_text("json", n_min=3, n_max=3, ells=(2,)).rstrip("\n")
     assert line == (
         '{"n": 3, "ell": 2, "p_n": "3", "p_ell_n": "2", "c_ell_n": "1", '
         '"z_lower": "1", "z_exact": "1", "z_star_exact": "1", '
@@ -177,10 +229,8 @@ def test_run_census_json_golden(tmp_path):
     assert json.loads(line)["z_exact"] == "1"
 
 
-def test_empty_range_emits_header_only(tmp_path):
-    out = tmp_path / "empty.csv"
-    run_census(CensusConfig(n_min=5, n_max=4, ells=(3,), out=out))
-    assert out.read_text() == (
+def test_empty_range_emits_header_only():
+    assert census_text(n_min=5, n_max=4, ells=(3,)) == (
         "n,ell,p_n,p_ell_n,c_ell_n,z_lower,z_exact,z_star_exact,z_star_closed,"
         "main_term_num,main_term_den\n"
     )
@@ -193,15 +243,11 @@ def test_write_records_rejects_unknown_format():
 
 def test_cache_is_deterministic_and_inert(tmp_path):
     cfg = dict(n_min=1, n_max=9, ells=(2, 3, 5))
-    cold = tmp_path / "cold.csv"
-    warm = tmp_path / "warm.csv"
-    plain = tmp_path / "plain.csv"
     cache = tmp_path / "cache"
-    run_census(CensusConfig(**cfg, out=cold, cache_dir=cache))
+    cold = census_text(**cfg, cache_dir=cache)
     assert any(cache.iterdir())
-    run_census(CensusConfig(**cfg, out=warm, cache_dir=cache))
-    run_census(CensusConfig(**cfg, out=plain))
-    assert cold.read_bytes() == warm.read_bytes() == plain.read_bytes()
+    warm = census_text(**cfg, cache_dir=cache)
+    assert cold == warm == census_text(**cfg)
 
 
 def test_cache_files_carry_checksum(tmp_path):
@@ -271,7 +317,7 @@ import corz.census as c
 c.inv_alpha = lambda ell: 0
 assert False, "asserts are live"
 print(c.verify("constants").passed)
-c.z_star_closed = lambda n, ell: -1
+c.count_cores = lambda n, ell: -1
 try:
     c.build_record(17, 3, cap_exact=0)
 except AssertionError:
@@ -283,12 +329,9 @@ except AssertionError:
     assert proc.stdout.split("\n")[:2] == ["False", "record guard raised"]
 
 
-def test_parallel_census_matches_serial(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    run_census(CensusConfig(n_min=1, n_max=10, ells=(2, 5), jobs=1, out=serial))
-    run_census(CensusConfig(n_min=1, n_max=10, ells=(2, 5), jobs=2, out=parallel))
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_parallel_census_matches_serial():
+    serial = census_text(n_min=1, n_max=10, ells=(2, 5), jobs=1)
+    assert census_text(n_min=1, n_max=10, ells=(2, 5), jobs=2) == serial
 
 
 def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
@@ -315,13 +358,10 @@ def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
     assert [(r.n, r.ell) for r in records] == [(n, ell) for n in (3, 4) for ell in (2, 3, 5)]
 
 
-def test_z_all_column_appears_only_on_request(tmp_path):
-    base = tmp_path / "base.csv"
-    extra = tmp_path / "extra.csv"
-    run_census(CensusConfig(n_min=3, n_max=4, ells=(3,), out=base))
-    run_census(CensusConfig(n_min=3, n_max=4, ells=(3,), out=extra, with_z_all=True))
-    assert base.read_text().splitlines()[0].count(",") == 10
-    lines = extra.read_text().splitlines()
+def test_z_all_column_appears_only_on_request():
+    base = census_text(n_min=3, n_max=4, ells=(3,))
+    assert base.splitlines()[0].count(",") == 10
+    lines = census_text(n_min=3, n_max=4, ells=(3,), with_z_all=True).splitlines()
     assert lines[0].endswith(",z_all")
     assert lines[1].endswith(f",{brute_zeros(3)}")
 
