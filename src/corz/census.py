@@ -84,6 +84,8 @@ def z_lower_bound(n: int, ell: int) -> int:
 def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> list[int]:
     # zeros chi_row(column) per column, in column order.  A pair vanishes
     # without MN when some part of the column is not a hook length of the row.
+    if not rows:
+        return [0 for _ in columns]
     hooks = [hook_mask(beta_mask(lam.parts)) for lam in rows]
     out = []
     for mu in columns:

@@ -122,9 +122,15 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     except ValueError:
         print(f"cannot parse --ell {opts.ell!r}", file=sys.stderr)
         return 2
+    if any(ell < 2 for ell in ells):
+        print(f"--ell moduli must be at least 2, got {opts.ell!r}", file=sys.stderr)
+        return 2
     cpus = os.cpu_count() or 1
     if not 1 <= opts.jobs <= cpus:
         print(f"--jobs must be between 1 and {cpus}, the CPU count", file=sys.stderr)
+        return 2
+    if opts.out is not None and not _writable_target(opts.out):
+        print(f"--out {opts.out}: not a writable file in an existing directory", file=sys.stderr)
         return 2
     cache_dir = opts.cache_dir
     if cache_dir is None and os.environ.get("CORZ_CACHE_DIR"):
@@ -147,6 +153,15 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     with sink as fh:
         write_records(records, opts.format, fh)
     return 0
+
+
+def _writable_target(path: Path) -> bool:
+    # checked before the sweep so a bad path fails at once; the file itself
+    # is created only when the records are written
+    parent = path.parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK) or path.is_dir():
+        return False
+    return not path.exists() or os.access(path, os.W_OK)
 
 
 def _cmd_verify(opts: argparse.Namespace) -> int:

@@ -1,9 +1,13 @@
 """Quadratic characters, twisted divisor sums, and the exact core constants.
 
 The headline operation is inv_alpha, the integer 1/alpha_ell.  It is computed
-on two genuinely independent routes, an exact rational one through
-generalized Bernoulli numbers and a direct numerical Dirichlet-series
-evaluation with a proven tail bound, and the two must agree.
+on two genuinely independent routes, and the two must agree:
+
+- exact: a rational through the generalized Bernoulli number B_{k,chi},
+  formed from k+1 terms with integer power sums of the character;
+- numeric: a partial sum of the Dirichlet series L(chi, k) in integer fixed
+  point.  Its length comes from the Abel tail bound W (N+1)^(-k), and the
+  N rounded terms together err by under 2^-(prec+8), far below that tail.
 """
 
 from __future__ import annotations
@@ -108,12 +112,19 @@ def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
 
 def generalized_bernoulli(k: int, ell: int) -> Fraction:
     """Generalized Bernoulli number B_{k,chi} for the quadratic character
-    mod ell: ell^(k-1) * sum_a chi(a) B_k(a/ell)."""
+    mod ell: ell^(k-1) * sum_a chi(a) B_k(a/ell).
+
+    Expanding B_k(a/ell) and swapping the sums gives
+    sum_j C(k, j) B_j ell^(j-1) S_(k-j) with the integer power sums
+    S_i = sum_a chi(a) a^i, so only k+1 rational terms are formed.
+    """
     _check_odd_prime(ell)
+    chi = [legendre(a, ell) for a in range(1, ell)]
+    power_sums = [sum(c * a**i for a, c in enumerate(chi, 1)) for i in range(k + 1)]
     acc = Fraction(0)
-    for a in range(1, ell):
-        acc += legendre(a, ell) * bernoulli_polynomial(k, Fraction(a, ell))
-    return ell ** (k - 1) * acc
+    for j in range(k + 1):
+        acc += math.comb(k, j) * bernoulli_number(j) * Fraction(ell) ** (j - 1) * power_sums[k - j]
+    return acc
 
 
 def _window_bound(ell: int) -> int:
@@ -132,16 +143,22 @@ def _window_bound(ell: int) -> int:
 
 def _dirichlet_l_numeric(ell: int, s: int, tail: mpmath.mpf) -> mpmath.mpf:
     # partial sum of L(chi, s); Abel summation bounds the remainder after N
-    # terms by W (N+1)^(-s) with W the window bound, so pick N from that
+    # terms by W (N+1)^(-s) with W the window bound, so pick N from that.
+    # The sum runs in integer fixed point with `bits` fraction bits: each
+    # floor(one / m^s) errs by under one unit, so the N terms together err by
+    # under N * 2^-bits < 2^-(prec+8), far below the tail; the one conversion
+    # to mpf at the end rounds at the working precision.
     w = _window_bound(ell)
     n_terms = int(mpmath.ceil((w / tail) ** (1.0 / s))) + ell
+    bits = mpmath.mp.prec + n_terms.bit_length() + 8
+    one = 1 << bits
     chi = [legendre(a, ell) for a in range(ell)]
-    acc = mpmath.mpf(0)
+    acc = 0
     for m in range(1, n_terms + 1):
         c = chi[m % ell]
         if c:
-            acc += c * mpmath.mpf(m) ** (-s)
-    return acc
+            acc += c * (one // m**s)
+    return mpmath.ldexp(mpmath.mpf(acc), -bits)
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +169,9 @@ def inv_alpha(ell: int) -> int:
     and the Gauss sum sqrt(ell) (or i sqrt(ell)), to
     (-1)^(1+(k-d)/2) * ell * B_{k,chi} / (ell - 1) with k = (ell-1)/2 and
     d = 0 or 1 matching the parity of the character; all pi and sqrt(ell)
-    factors cancel symbolically.  A floating-point Dirichlet-series
-    evaluation with a proven tail bound must confirm the integer to 1e-6.
+    factors cancel symbolically.  A fixed-point Dirichlet-series evaluation,
+    with a proven tail bound and a rounding bound below it, must confirm the
+    integer to 1e-6.
     """
     _require_core_prime(ell)
     k = (ell - 1) // 2
@@ -171,7 +189,8 @@ def inv_alpha(ell: int) -> int:
             * mpmath.power(ell, mpmath.mpf(ell) / 2)
             / (2 * mpmath.pi) ** k
         )
-        # keep factor * tail three orders below the 1e-6 agreement bar
+        # keep factor * tail three orders below the 1e-6 agreement bar; the
+        # fixed-point rounding adds under 2^-(prec+8) to the L-value on top
         lval = _dirichlet_l_numeric(ell, k, mpmath.mpf("1e-9") / factor)
         numeric = factor * lval
         drift = abs(numeric - int(exact))

@@ -27,7 +27,7 @@ from corz.census import (
 )
 from corz.characters import mn_character
 from corz.numtheory import core_main_term
-from corz.partitions import count_p, count_p_regular, enumerate_partitions, is_core
+from corz.partitions import Partition, count_p, count_p_regular, enumerate_partitions, is_core
 
 
 def brute_zeros(n, ell=None, rows_cores=False, cols_cores=False):
@@ -197,6 +197,27 @@ def test_each_count_is_computed_once(monkeypatch):
     records = run_census(CensusConfig(n_min=10, n_max=10, ells=(3, 5, 7), with_z_all=True))
     assert walked.count(count_p(10)) == 1
     assert [r.z_all for r in records] == [brute_zeros(10)] * 3
+
+
+def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
+    built = []
+    evaluator = census.ColumnEvaluator
+
+    def counted(mu):
+        built.append(mu)
+        return evaluator(mu)
+
+    monkeypatch.setattr(census, "ColumnEvaluator", counted)
+    # 4 is not triangular, so it has no 2-cores: no row, one zero count per column
+    assert census._count_zeros([], enumerate_partitions(4)) == [0] * count_p(4)
+    rec = build_record(4, 2, cache_dir=tmp_path)
+    assert built == []
+    assert rec.z_exact == 0 and rec.z_star_exact == 0
+    cached = json.loads((tmp_path / "census-2-4.json").read_text())
+    assert cached["payload"]["z_exact_columns"] == [0] * count_p(4)
+    # with rows, every column still gets its evaluator
+    assert census._count_zeros([Partition((2, 2))], enumerate_partitions(4)) == [1, 0, 0, 1, 0]
+    assert len(built) == count_p(4)
 
 
 def test_record_csv_row_empty_cells():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from corz import census
+from corz import census, cli
 from corz.cli import COUNT_N_MAX, main
 
 
@@ -81,6 +81,30 @@ def test_census_out_file(tmp_path, capsys):
     )
     assert code == 0 and printed == ""
     assert out.read_text().startswith("n,ell,")
+
+
+def test_census_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_census", no_sweep)
+    for out in (tmp_path / "missing" / "c.csv", tmp_path, tmp_path / "file.txt" / "c.csv"):
+        (tmp_path / "file.txt").write_text("")
+        code, printed, err = run_cli(capsys, "census", "--out", str(out))
+        assert code == 2 and printed == "", out
+        assert f"--out {out}" in err, out
+    assert not (tmp_path / "missing").exists()
+
+
+def test_census_rejects_small_moduli(capsys, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_census", no_sweep)
+    for ell in ("1", "0", "5,1"):
+        code, out, err = run_cli(capsys, "census", "--ell", ell)
+        assert code == 2 and out == "", ell
+        assert "--ell" in err and "a must" not in err, ell
 
 
 def test_census_json_format(capsys):

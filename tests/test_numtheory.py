@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corz import numtheory
 from corz.abacus import count_cores
 from corz.numtheory import (
+    _dirichlet_l_numeric,
     bernoulli_number,
     bernoulli_polynomial,
     c2_closed,
@@ -105,15 +108,59 @@ def test_bernoulli_polynomial_identities():
 
 
 def test_generalized_bernoulli_odd_symmetry():
-    # for odd characters only odd k survive; sanity: values are rational and
-    # match a direct finite-sum recomputation
-    for ell in (5, 7, 11):
+    # B_{k,chi} vanishes exactly when the parity of k differs from that of
+    # chi, chi(-1) = (-1/ell): for odd characters only odd k survive
+    for ell in (5, 7, 11, 13):
+        for k in range(1, 9):
+            vanishes = generalized_bernoulli(k, ell) == 0
+            assert vanishes == (legendre(-1, ell) != (-1) ** k), (ell, k)
+
+
+def per_residue_bernoulli(k, ell):
+    """B_{k,chi} straight from its definition ell^(k-1) sum_a chi(a) B_k(a/ell)."""
+    return ell ** (k - 1) * sum(
+        legendre(a, ell) * bernoulli_polynomial(k, Fraction(a, ell)) for a in range(1, ell)
+    )
+
+
+PRIMES_5_TO_97 = [p for p in range(5, 98) if all(p % q for q in range(2, p))]
+
+
+def test_generalized_bernoulli_matches_per_residue_definition():
+    for ell in PRIMES_5_TO_97:
         k = (ell - 1) // 2
-        direct = sum(
-            legendre(a, ell) * bernoulli_polynomial(k, Fraction(a, ell))
-            for a in range(1, ell + 1)
-        ) * Fraction(ell ** (k - 1))
-        assert generalized_bernoulli(k, ell) == direct
+        assert generalized_bernoulli(k, ell) == per_residue_bernoulli(k, ell), ell
+    for ell in (5, 7, 11, 13):
+        for k in range(1, 9):
+            assert generalized_bernoulli(k, ell) == per_residue_bernoulli(k, ell), (ell, k)
+
+
+def test_dirichlet_l_numeric_within_tail_and_rounding():
+    for ell in (5, 7, 13, 97):
+        s = (ell - 1) // 2
+        with mpmath.workdps(40):
+            tail = mpmath.mpf("1e-12")
+            got = _dirichlet_l_numeric(ell, s, tail)
+            want = mpmath.dirichlet(s, [legendre(a, ell) for a in range(ell)])
+            # the fixed-point sum errs by under 2^-(prec+8) on top of the tail
+            assert abs(got - want) <= tail + mpmath.ldexp(1, -mpmath.mp.prec - 8), ell
+
+
+def test_inv_alpha_rejects_a_wrong_exact_route(monkeypatch):
+    # 1275 -> 1276 is still a positive integer, so only the numeric route can
+    # catch it
+    exact = generalized_bernoulli
+
+    def off_by_one(k, ell):
+        return exact(k, ell) * Fraction(1276, 1275)
+
+    monkeypatch.setattr(numtheory, "generalized_bernoulli", off_by_one)
+    inv_alpha.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="exact 1276 vs numeric"):
+            inv_alpha(11)
+    finally:
+        inv_alpha.cache_clear()
 
 
 def test_inv_alpha_frozen_values():
