@@ -7,15 +7,12 @@ into a count.
 """
 
 from .partitions import (
-    HookMultiset,
     Partition,
-    conjugate,
     count_cores,
     count_p,
     count_p_regular,
     enumerate_partitions,
     hagis_estimate,
-    hook_multiset,
     hr_estimate,
     is_core,
     is_regular,
@@ -24,24 +21,19 @@ from .abacus import (
     Abacus,
     abacus_size,
     bead_jump_witness,
-    canonicalize,
     enumerate_cores,
     extremal_abacus,
     from_abacus,
     n_ell,
     search_max_regular_core,
-    structure_numbers,
     swap_columns,
     to_abacus,
 )
 from .characters import (
-    BorderStrip,
     ColumnEvaluator,
-    border_strips,
     centralizer_order,
     dimension,
     mn_character,
-    quick_vanish,
 )
 from .numtheory import (
     bernoulli_number,
@@ -75,24 +67,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Abacus",
-    "BorderStrip",
     "CensusConfig",
     "CensusRecord",
     "ColumnEvaluator",
-    "HookMultiset",
     "Partition",
     "Report",
     "abacus_size",
     "available_suites",
     "bead_jump_witness",
     "bernoulli_number",
-    "border_strips",
     "build_record",
     "c2_closed",
     "c3_closed",
-    "canonicalize",
     "centralizer_order",
-    "conjugate",
     "core_lower_bound_ok",
     "core_main_term",
     "count_cores",
@@ -106,7 +93,6 @@ __all__ = [
     "from_abacus",
     "generalized_bernoulli",
     "hagis_estimate",
-    "hook_multiset",
     "hr_estimate",
     "inv_alpha",
     "is_core",
@@ -114,11 +100,9 @@ __all__ = [
     "legendre",
     "mn_character",
     "n_ell",
-    "quick_vanish",
     "run_census",
     "search_max_regular_core",
     "sigma_twisted",
-    "structure_numbers",
     "swap_columns",
     "to_abacus",
     "verify",

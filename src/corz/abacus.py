@@ -45,14 +45,6 @@ class Abacus:
         return sum(self.cols)
 
 
-def structure_numbers(lam: PartitionLike) -> tuple[int, ...]:
-    """First-column hook lengths B_i = lam_i - i + s, strictly decreasing.
-
-    The empty partition yields the empty tuple.
-    """
-    return tuple(bead_positions(beta_mask(Partition.of(lam).parts)))[::-1]
-
-
 def to_abacus(lam: PartitionLike, ell: int) -> Abacus:
     """Canonical abacus of an ell-core; rejects partitions that are not cores."""
     lam = Partition.of(lam)
@@ -85,15 +77,6 @@ def from_abacus(ab: Abacus) -> Partition:
     if not ab.canonical:
         raise ValueError("abacus is not canonical (first column must be empty)")
     return Partition._from_desc(mask_parts(_bead_mask(ab)))
-
-
-def canonicalize(ab: Abacus) -> Abacus:
-    """Rotate (b_0, ..., b_{l-1}) -> (b_1, ..., b_{l-1}, b_0 - 1) until the
-    first column is empty; the represented core is unchanged."""
-    cols = ab.cols
-    while cols[0] > 0:
-        cols = cols[1:] + (cols[0] - 1,)
-    return Abacus(ab.ell, cols)
 
 
 def abacus_size(ab: Abacus) -> int:

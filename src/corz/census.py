@@ -59,6 +59,9 @@ from .partitions import (
 
 DEFAULT_CAP_EXACT = 18
 DEFAULT_CAP_STAR = 60
+# written into each cache file under its checksum; bump it with any change
+# that can alter a cached count, so files from older code are recomputed
+ALGORITHM_VERSION = 1
 
 CSV_FIELDS = (
     "n",
@@ -200,8 +203,10 @@ def _require(ok: bool, detail: object) -> None:
         raise AssertionError(detail)
 
 
-def _payload_digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+def _cache_digest(payload: dict) -> str:
+    blob = json.dumps(
+        {"algorithm": ALGORITHM_VERSION, "payload": payload}, sort_keys=True, separators=(",", ":")
+    ).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -215,8 +220,10 @@ def _load_cache(path: Path) -> dict:
     doc = json.loads(path.read_text(encoding="utf-8"))
     if doc.get("format") != 1:
         raise RuntimeError(f"unsupported census cache format in {path}")
+    if doc.get("algorithm") != ALGORITHM_VERSION:
+        return {}  # filled by other code: a miss, overwritten by the next store
     payload = doc.get("payload", {})
-    if doc.get("sha256") != _payload_digest(payload):
+    if doc.get("sha256") != _cache_digest(payload):
         raise RuntimeError(f"census cache file corrupt (checksum mismatch): {path}")
     return payload
 
@@ -224,10 +231,11 @@ def _load_cache(path: Path) -> dict:
 def _store_cache(path: Path, n: int, ell: int, payload: dict) -> None:
     doc = {
         "format": 1,
+        "algorithm": ALGORITHM_VERSION,
         "n": n,
         "ell": ell,
         "payload": payload,
-        "sha256": _payload_digest(payload),
+        "sha256": _cache_digest(payload),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp name of its own per writer, so overlapping runs never share one

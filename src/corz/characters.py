@@ -2,35 +2,22 @@
 
 Strips are removed on the beta-set bitmask of the row (see partitions): a
 strip of length k moves a bead from b down to an empty position b - k, and
-its height is the number of beads strictly between the two.  One generator
-of these moves serves border_strips and the Murnaghan-Nakayama evaluator.
+its height is the number of beads strictly between the two.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .partitions import (
     Partition,
     PartitionLike,
+    bead_positions,
     beta_mask,
     canonical_mask,
-    hook_mask,
-    hook_multiset,
-    mask_parts,
     strip_ends,
 )
-
-
-@dataclass(frozen=True)
-class BorderStrip:
-    """One removable rim strip: its length, height, and what remains."""
-
-    length: int
-    height: int
-    remainder: Partition
 
 
 def _strips(mask: int, k: int) -> Iterator[tuple[int, int]]:
@@ -43,17 +30,6 @@ def _strips(mask: int, k: int) -> Iterator[tuple[int, int]]:
         top = end << k
         # the landing position is empty, so beads in [end, top) lie strictly between
         yield canonical_mask(mask ^ top ^ end), (mask & (top - end)).bit_count()
-
-
-def border_strips(lam: PartitionLike, length: int) -> list[BorderStrip]:
-    """All removable border strips of the given length, longest-beta first."""
-    lam = Partition.of(lam)
-    if length < 1:
-        raise ValueError("strip length must be positive")
-    return [
-        BorderStrip(length, height, Partition._from_desc(mask_parts(rest)))
-        for rest, height in _strips(beta_mask(lam.parts), length)
-    ]
 
 
 class ColumnEvaluator:
@@ -102,17 +78,18 @@ def mn_character(lam: PartitionLike, mu: PartitionLike) -> int:
     return ColumnEvaluator(Partition.of(mu)).value(lam)
 
 
-def quick_vanish(lam: PartitionLike, mu: PartitionLike) -> bool:
-    """True when some part of mu is not a hook length of lam, which forces
-    chi_lam(mu) = 0.  False promises nothing."""
-    hooks = hook_mask(beta_mask(Partition.of(lam).parts))
-    return any(not hooks >> p & 1 for p in Partition.of(mu).parts)
-
-
 def dimension(lam: PartitionLike) -> int:
-    """Degree of the irreducible labeled by lam: n! over the hook product."""
+    """Degree of the irreducible labeled by lam, by Frobenius' formula on its
+    beta numbers b_1 < ... < b_r: n! prod_{i<j} (b_j - b_i) / prod_i b_i!."""
     lam = Partition.of(lam)
-    return math.factorial(lam.n) // hook_multiset(lam).product()
+    beads = list(bead_positions(beta_mask(lam.parts)))
+    num = math.factorial(lam.n)
+    den = 1
+    for j, b in enumerate(beads):
+        den *= math.factorial(b)
+        for a in beads[:j]:
+            num *= b - a
+    return num // den
 
 
 def centralizer_order(mu: PartitionLike) -> int:

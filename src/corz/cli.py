@@ -39,9 +39,14 @@ _COUNT_QUANTITIES = {
     "n-ell": (("ell",), n_ell),
     "z-all": (("n",), None),
 }
-# largest n for the p(n) table behind `count p | p-regular | cores`; the
-# table and a count there take 0.5-1.1 s end to end on a 2-core x86 VM
+# largest n for the p(n) table behind `count p | p-regular | cores`, `census`
+# and `asymptotics`; the table and a count there take 0.5-1.1 s end to end on
+# a 2-core x86 VM
 COUNT_N_MAX = 20000
+# largest modulus for `census --ell` and every `count` argument named ell: the
+# core enumeration recurses once per abacus column, and `count inv-alpha`
+# grows about as ell^3 (0.24 s at 499, 8.9 s at 1601 on the same VM)
+ELL_MAX = 500
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,9 +110,14 @@ def _cmd_count(opts: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if opts.quantity in ("p", "p-regular", "cores") and opts.args[0] > COUNT_N_MAX:
-        print(f"corz count {opts.quantity}: n must be at most {COUNT_N_MAX}", file=sys.stderr)
-        return 2
+    bounds = {"ell": ELL_MAX}
+    if opts.quantity in ("p", "p-regular", "cores"):
+        bounds["n"] = COUNT_N_MAX
+    for name, value in zip(names, opts.args):
+        if name in bounds and value > bounds[name]:
+            print(f"corz count {opts.quantity}: {name} must be at most {bounds[name]}",
+                  file=sys.stderr)
+            return 2
     if opts.quantity == "z-all":
         value = z_all_exact(opts.args[0], cap=opts.cap_exact)
     else:
@@ -122,8 +132,11 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     except ValueError:
         print(f"cannot parse --ell {opts.ell!r}", file=sys.stderr)
         return 2
-    if any(ell < 2 for ell in ells):
-        print(f"--ell moduli must be at least 2, got {opts.ell!r}", file=sys.stderr)
+    if any(not 2 <= ell <= ELL_MAX for ell in ells):
+        print(f"--ell moduli must be between 2 and {ELL_MAX}, got {opts.ell!r}", file=sys.stderr)
+        return 2
+    if opts.n_max > COUNT_N_MAX:
+        print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
     cpus = os.cpu_count() or 1
     if not 1 <= opts.jobs <= cpus:
@@ -181,6 +194,9 @@ def _cmd_verify(opts: argparse.Namespace) -> int:
 def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.step < 1 or opts.n_min < 1:
         print("need n-min >= 1 and step >= 1", file=sys.stderr)
+        return 2
+    if opts.n_max > COUNT_N_MAX:
+        print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
     rows = []
     for n in range(opts.n_min, opts.n_max + 1, opts.step):

@@ -102,14 +102,6 @@ def bernoulli_number(m: int) -> Fraction:
     return _BERNOULLI[m]
 
 
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_j C(k, j) B_j x^(k-j)."""
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += math.comb(k, j) * bernoulli_number(j) * x ** (k - j)
-    return acc
-
-
 def generalized_bernoulli(k: int, ell: int) -> Fraction:
     """Generalized Bernoulli number B_{k,chi} for the quadratic character
     mod ell: ell^(k-1) * sum_a chi(a) B_k(a/ell).

@@ -9,9 +9,7 @@ mixed into exact results.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 
 
 class Partition:
@@ -72,52 +70,6 @@ class Partition:
 
 
 PartitionLike = Partition | Iterable[int]
-
-
-@dataclass
-class HookMultiset:
-    """Multiset of hook lengths of a partition, with its total cell count."""
-
-    counts: Counter = field(default_factory=Counter)
-    total: int = 0
-
-    def __contains__(self, h: int) -> bool:
-        return h in self.counts
-
-    def product(self) -> int:
-        return math.prod(h ** m for h, m in self.counts.items())
-
-    def sorted_values(self) -> list[int]:
-        """All hook lengths, with multiplicity, in decreasing order."""
-        out: list[int] = []
-        for h in sorted(self.counts, reverse=True):
-            out.extend([h] * self.counts[h])
-        return out
-
-
-def conjugate(lam: PartitionLike) -> Partition:
-    """Transpose of the Young diagram (column lengths become parts)."""
-    parts = Partition.of(lam).parts
-    if not parts:
-        return Partition._from_desc(())
-    conj = [0] * parts[0]
-    for p in parts:
-        for j in range(p):
-            conj[j] += 1
-    return Partition._from_desc(tuple(conj))
-
-
-def hook_multiset(lam: PartitionLike) -> HookMultiset:
-    """Multiset of hook lengths h(k, j) = (lam_k - k) + (lam'_j - j) + 1."""
-    lam = Partition.of(lam)
-    parts = lam.parts
-    conj = conjugate(lam).parts
-    counts: Counter = Counter()
-    for k, row in enumerate(parts, start=1):
-        base = row - k
-        for j in range(1, row + 1):
-            counts[base + conj[j - 1] - j + 1] += 1
-    return HookMultiset(counts, lam.n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,17 @@ from corz.abacus import (
     Abacus,
     abacus_size,
     bead_jump_witness,
-    canonicalize,
     count_cores,
     enumerate_cores,
     extremal_abacus,
     from_abacus,
     n_ell,
     search_max_regular_core,
-    structure_numbers,
     swap_columns,
     to_abacus,
 )
-from corz.partitions import Partition, count_p, enumerate_partitions, is_core, is_regular
+from corz.partitions import bead_positions, beta_mask, enumerate_partitions, is_core, is_regular
+from reference import hook_lengths
 
 
 def test_abacus_validation():
@@ -33,22 +32,13 @@ def test_abacus_validation():
     assert not Abacus(3, (1, 0, 0)).canonical
 
 
-def test_structure_numbers_examples():
-    # B_i = lam_i - i + s, strictly decreasing
-    assert structure_numbers([4, 2, 1]) == (6, 3, 1)
-    assert structure_numbers([1]) == (1,)
-    assert structure_numbers([]) == ()
-    assert structure_numbers([3, 3, 3]) == (5, 4, 3)
-
-
 def test_structure_numbers_are_first_column_hooks():
-    from corz.partitions import hook_multiset
-
+    # the beads of the beta-set mask, B_i = lam_i - i + s, are hook lengths
     for n in range(16):
         for lam in enumerate_partitions(n):
-            bs = structure_numbers(lam)
-            assert list(bs) == sorted(bs, reverse=True)
-            assert all(b in hook_multiset(lam).counts for b in bs)
+            bs = list(bead_positions(beta_mask(lam.parts)))
+            assert bs == sorted(set(bs))
+            assert all(b in hook_lengths(lam) for b in bs)
 
 
 def test_to_abacus_examples():
@@ -73,40 +63,6 @@ def test_roundtrip_all_small_cores():
         for n in range(41):
             for lam in enumerate_cores(n, ell):
                 assert from_abacus(to_abacus(lam, ell)) == lam
-
-
-def test_canonicalize_idempotent():
-    ab = Abacus(3, (2, 0, 1))
-    can = canonicalize(ab)
-    assert can == Abacus(3, (0, 1, 1))
-    assert can.canonical
-    assert canonicalize(can) == can
-    assert from_abacus(can) == Partition([1, 1])
-    assert canonicalize(Abacus(2, (0, 5))) == Abacus(2, (0, 5))
-
-
-def test_rotation_preserves_partition():
-    rng_cases = [
-        (3, (0, 2, 4)),
-        (3, (0, 5, 1)),
-        (5, (0, 1, 2, 3, 4)),
-        (2, (0, 3)),
-    ]
-    for ell, cols in rng_cases:
-        ab = Abacus(ell, cols)
-        rotated = Abacus(ell, (cols[-1] + 1,) + cols[:-1])
-        assert from_abacus(canonicalize(rotated)) == from_abacus(canonicalize(ab))
-
-
-@given(st.integers(min_value=2, max_value=7), st.data())
-@settings(max_examples=150, deadline=None)
-def test_rotation_property(ell, data):
-    cols = tuple(
-        data.draw(st.integers(min_value=0, max_value=9)) for _ in range(ell)
-    )
-    ab = Abacus(ell, cols)
-    rotated = Abacus(ell, (cols[-1] + 1,) + cols[:-1])
-    assert from_abacus(canonicalize(rotated)) == from_abacus(canonicalize(ab))
 
 
 def test_abacus_size_matches_partition():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from collections import Counter
@@ -298,6 +299,27 @@ def test_unsupported_cache_version_is_rejected(tmp_path):
     (cache / "census-3-6.json").write_text('{"format": 99, "payload": {}}')
     with pytest.raises(RuntimeError, match="format"):
         build_record(6, 3, cache_dir=cache)
+
+
+def test_cache_from_other_code_is_recomputed(tmp_path, monkeypatch):
+    # a valid checksum is not enough: a file stamped by other code (or by code
+    # from before the stamp) is a miss, and the store overwrites it
+    cache = tmp_path / "cache"
+    right = build_record(6, 5, cache_dir=cache).z_star_exact
+    path = cache / "census-5-6.json"
+    fresh = path.read_text()
+    payload = dict(json.loads(fresh)["payload"], z_star_exact=right + 1)
+    with monkeypatch.context() as old_code:
+        old_code.setattr(census, "ALGORITHM_VERSION", census.ALGORITHM_VERSION - 1)
+        _store_cache(path, 6, 5, payload)
+    stamped = path.read_text()
+    unstamped = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    before_stamps = {"format": 1, "n": 6, "ell": 5, "payload": payload,
+                     "sha256": hashlib.sha256(unstamped).hexdigest()}
+    for stale in (stamped, json.dumps(before_stamps, sort_keys=True) + "\n"):
+        path.write_text(stale)
+        assert build_record(6, 5, cache_dir=cache).z_star_exact == right
+        assert path.read_text() == fresh
 
 
 def test_concurrent_cache_stores_leave_one_valid_file(tmp_path):

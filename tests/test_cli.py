@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from corz import census, cli
-from corz.cli import COUNT_N_MAX, main
+from corz.cli import COUNT_N_MAX, ELL_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -43,13 +43,18 @@ def test_count_domain_error(capsys):
 
 
 def test_count_series_bound(capsys):
-    for argv in (("p", "1000000"), ("p-regular", "1000000", "2"), ("cores", "1000000", "5"),
-                 ("cores", str(COUNT_N_MAX + 1), "5")):
+    n_args = (("p", "1000000"), ("p-regular", "1000000", "2"), ("cores", "1000000", "5"),
+              ("cores", str(COUNT_N_MAX + 1), "5"))
+    ell_args = (("cores", "10", str(ELL_MAX + 1)), ("sigma", "100000000000000", "997"),
+                ("delta", "505"), ("inv-alpha", "503"), ("n-ell", "501"))
+    for argv in n_args + ell_args:
         code, out, err = run_cli(capsys, "count", *argv)
         assert code == 2 and out == "", argv
-        assert f"at most {COUNT_N_MAX}" in err, argv
+        assert f"at most {ELL_MAX if argv in ell_args else COUNT_N_MAX}" in err, argv
     code, out, err = run_cli(capsys, "count", "p", str(COUNT_N_MAX))
     assert code == 0 and out.strip().isdigit()
+    code, out, err = run_cli(capsys, "count", "cores", "10", "499")
+    assert code == 0 and out.strip() == "42"
 
 
 def test_count_z_all_cap(capsys):
@@ -101,10 +106,27 @@ def test_census_rejects_small_moduli(capsys, monkeypatch):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(cli, "run_census", no_sweep)
-    for ell in ("1", "0", "5,1"):
-        code, out, err = run_cli(capsys, "census", "--ell", ell)
+    # and those above ELL_MAX, where the core enumeration would recurse too deep
+    n_zero = ("--n-min", "0", "--n-max", "0")
+    for ell in ("1", "0", "5,1", str(ELL_MAX + 1), "991", "5,501"):
+        code, out, err = run_cli(capsys, "census", "--ell", ell, *n_zero)
         assert code == 2 and out == "", ell
-        assert "--ell" in err and "a must" not in err, ell
+        assert f"--ell moduli must be between 2 and {ELL_MAX}" in err, ell
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "census", "--ell", "499", *n_zero)
+    assert code == 0 and out.splitlines()[1].startswith("0,499,1,1,1,0,0,0,,")
+
+
+def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "run_census", no_work)
+    monkeypatch.setattr(cli, "count_p", no_work)
+    for command in ("census", "asymptotics"):
+        code, out, err = run_cli(capsys, command, "--n-max", str(COUNT_N_MAX + 1))
+        assert code == 2 and out == "", command
+        assert f"--n-max must be at most {COUNT_N_MAX}" in err, command
 
 
 def test_census_json_format(capsys):

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +10,6 @@ from corz.abacus import count_cores
 from corz.numtheory import (
     _dirichlet_l_numeric,
     bernoulli_number,
-    bernoulli_polynomial,
     c2_closed,
     c3_closed,
     core_lower_bound_ok,
@@ -22,6 +20,7 @@ from corz.numtheory import (
     legendre,
     sigma_twisted,
 )
+from reference import bernoulli_polynomial
 
 
 def test_legendre_small_tables():
