@@ -16,6 +16,7 @@ import os
 import random
 import tempfile
 import time
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from .partitions import (
     Partition,
     _iter_partition_buffers,
     beta_mask,
+    conjugate_mask,
     count_cores,
     count_p,
     count_p_regular,
@@ -87,17 +89,28 @@ def z_lower_bound(n: int, ell: int) -> int:
 def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> list[int]:
     # zeros chi_row(column) per column, in column order.  A pair vanishes
     # without MN when some part of the column is not a hook length of the row.
+    # chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation keeps hook lengths, so
+    # a row and its conjugate vanish together: rows are grouped into conjugate
+    # orbits keyed on the smaller mask, each orbit is evaluated once, and a
+    # zero counts once per row of the orbit present in rows (1 or 2).
     if not rows:
         return [0 for _ in columns]
-    hooks = [hook_mask(beta_mask(lam.parts)) for lam in rows]
+    reps: dict[int, Partition] = {}
+    sizes: Counter[int] = Counter()
+    for lam in rows:
+        mask = beta_mask(lam.parts)
+        key = min(mask, conjugate_mask(mask))
+        reps.setdefault(key, lam)
+        sizes[key] += 1
+    orbits = [(lam, hook_mask(key), sizes[key]) for key, lam in reps.items()]
     out = []
     for mu in columns:
         col = ColumnEvaluator(mu)
         needed = sum(1 << p for p in set(mu.parts))
         zeros = 0
-        for lam, hset in zip(rows, hooks):
+        for lam, hset, size in orbits:
             if needed & ~hset or col.value(lam) == 0:
-                zeros += 1
+                zeros += size
         out.append(zeros)
     return out
 

@@ -41,7 +41,8 @@ _COUNT_QUANTITIES = {
 }
 # largest n for the p(n) table behind `count p | p-regular | cores`, `census`
 # and `asymptotics`; the table and a count there take 0.5-1.1 s end to end on
-# a 2-core x86 VM
+# a 2-core x86 VM.  It also bounds `count sigma`, whose divisor sum
+# trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
 # largest modulus for `census --ell` and every `count` argument named ell: the
 # core enumeration recurses once per abacus column, and `count inv-alpha`
@@ -110,13 +111,14 @@ def _cmd_count(opts: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # ell is checked before n, so an argument list with both too large names ell
     bounds = {"ell": ELL_MAX}
-    if opts.quantity in ("p", "p-regular", "cores"):
+    if opts.quantity in ("p", "p-regular", "cores", "sigma"):
         bounds["n"] = COUNT_N_MAX
-    for name, value in zip(names, opts.args):
-        if name in bounds and value > bounds[name]:
-            print(f"corz count {opts.quantity}: {name} must be at most {bounds[name]}",
-                  file=sys.stderr)
+    given = dict(zip(names, opts.args))
+    for name, bound in bounds.items():
+        if given.get(name, 0) > bound:
+            print(f"corz count {opts.quantity}: {name} must be at most {bound}", file=sys.stderr)
             return 2
     if opts.quantity == "z-all":
         value = z_all_exact(opts.args[0], cap=opts.cap_exact)

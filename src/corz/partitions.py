@@ -93,6 +93,18 @@ def canonical_mask(mask: int) -> int:
     return mask >> (((mask + 1) & ~mask).bit_length() - 1)
 
 
+def conjugate_mask(mask: int) -> int:
+    """Canonical beta-set of the conjugate partition.
+
+    Within the bead range 0..L-1, L = mask.bit_length(), the empty positions
+    reversed are the beta-set of the conjugate (Macdonald, Symmetric
+    Functions, I.1.7).  The top bead becomes the empty bit 0, so the result
+    is canonical.
+    """
+    width = mask.bit_length()
+    return int(format(~mask & ((1 << width) - 1), f"0{width}b")[::-1], 2)
+
+
 def bead_positions(mask: int) -> Iterator[int]:
     """Bead positions of a beta-set mask, lowest first."""
     while mask:

@@ -7,8 +7,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corz.abacus import count_cores, n_ell
+from corz.abacus import count_cores, enumerate_cores, n_ell
 from corz import census
 from corz.census import (
     CensusConfig,
@@ -26,9 +28,10 @@ from corz.census import (
     z_star_closed,
     z_star_exact,
 )
-from corz.characters import mn_character
+from corz.characters import ColumnEvaluator, mn_character
 from corz.numtheory import core_main_term
 from corz.partitions import Partition, count_p, count_p_regular, enumerate_partitions, is_core
+from reference import conjugate, frobenius_character
 
 
 def brute_zeros(n, ell=None, rows_cores=False, cols_cores=False):
@@ -80,6 +83,71 @@ def test_z_star_exact_matches_brute_force():
 def test_z_all_exact_matches_brute_force():
     for n in range(9):
         assert z_all_exact(n) == brute_zeros(n), n
+
+
+def naive_count_zeros(rows, columns):
+    """Zeros per column by MN on every row, one row at a time: no prefilter
+    and no conjugate orbits."""
+    out = []
+    for mu in columns:
+        col = ColumnEvaluator(mu)
+        out.append(sum(1 for lam in rows if col.value(lam) == 0))
+    return out
+
+
+def test_count_zeros_matches_naive_loop():
+    for n in range(13):
+        lams = list(enumerate_partitions(n))
+        # one row of each conjugate pair: rows not closed under conjugation
+        halves = [lam for lam in lams if lam.parts >= conjugate(lam).parts]
+        row_sets = [lams, halves, lams[::-1]]
+        row_sets += [list(enumerate_cores(n, ell)) for ell in (2, 3, 5, 7)]
+        for rows in row_sets:
+            want = naive_count_zeros(rows, lams)
+            assert census._count_zeros(rows, lams) == want, (n, [lam.parts for lam in rows])
+
+
+@given(st.integers(min_value=0, max_value=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
+    lams = list(enumerate_partitions(n))
+    rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
+    columns = data.draw(st.lists(st.sampled_from(lams)))
+    assert census._count_zeros(rows, columns) == naive_count_zeros(rows, columns)
+
+
+def test_count_zeros_evaluates_one_row_per_conjugate_pair(monkeypatch):
+    calls = {}
+    value = ColumnEvaluator.value
+
+    def logged(self, lam):
+        calls.setdefault(self.parts, []).append(Partition.of(lam))
+        return value(self, lam)
+
+    monkeypatch.setattr(ColumnEvaluator, "value", logged)
+    got = z_star_exact(26, 5)
+    monkeypatch.undo()
+    cores = list(enumerate_cores(26, 5))
+    assert calls and got == sum(naive_count_zeros(cores, cores))
+    for mu, rows in calls.items():
+        assert len(set(rows)) == len(rows), mu
+        for lam in rows:
+            conj = conjugate(lam)
+            assert conj == lam or conj not in rows, (mu, lam.parts)
+
+
+def test_zero_counts_match_frobenius_oracle():
+    # Frobenius' formula removes no border strip, so this checks MN, the
+    # hook prefilter and the conjugate-orbit shortcut from outside
+    for n in range(13):
+        lams = list(enumerate_partitions(n))
+        zero = {(lam, mu) for lam in lams for mu in lams if frobenius_character(lam, mu) == 0}
+        assert z_all_exact(n) == len(zero), n
+        for ell in (2, 3, 5, 7):
+            cores = set(enumerate_cores(n, ell))
+            assert z_exact(n, ell) == sum(1 for lam, _ in zero if lam in cores), (n, ell)
+            star = sum(1 for lam, mu in zero if lam in cores and mu in cores)
+            assert z_star_exact(n, ell) == star, (n, ell)
 
 
 def test_z_exact_dominates_lower_bound():

@@ -22,7 +22,7 @@ from corz.partitions import (
     mask_parts,
 )
 from corz.abacus import enumerate_cores
-from reference import conjugate, hook_lengths
+from reference import conjugate, frobenius_character, hook_lengths
 
 
 # The tuple-based Murnaghan-Nakayama evaluator that preceded the bitmask one,
@@ -297,6 +297,18 @@ def test_two_column_orthogonality_sample():
             for j in range(i + 1, len(lams)):
                 dot = sum(cols[i].value(lam) * cols[j].value(lam) for lam in lams)
                 assert dot == 0, (lams[i].parts, lams[j].parts)
+
+
+def test_frobenius_oracle_matches_evaluator():
+    # the two share no code: the oracle expands a_delta * p_mu
+    assert frobenius_character((2, 1), (3,)) == -1
+    assert frobenius_character((), ()) == 1
+    for n in range(9):
+        lams = list(enumerate_partitions(n))
+        for mu in lams:
+            col = ColumnEvaluator(mu)
+            for lam in lams:
+                assert frobenius_character(lam, mu) == col.value(lam), (lam.parts, mu.parts)
 
 
 def test_row_orthogonality_sample():

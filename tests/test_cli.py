@@ -57,6 +57,16 @@ def test_count_series_bound(capsys):
     assert code == 0 and out.strip() == "42"
 
 
+def test_count_sigma_bounds_n(capsys):
+    # the twisted divisor sum trial-divides up to sqrt(n): a large prime n
+    # used to run for seconds before printing
+    code, out, err = run_cli(capsys, "count", "sigma", "10000000000000061", "5")
+    assert code == 2 and out == ""
+    assert f"n must be at most {COUNT_N_MAX}" in err
+    code, out, err = run_cli(capsys, "count", "sigma", str(COUNT_N_MAX), "5")
+    assert code == 0 and out.strip() == "13125"
+
+
 def test_count_z_all_cap(capsys):
     code, out, err = run_cli(capsys, "count", "z-all", "30")
     assert code == 2 and "cap" in err

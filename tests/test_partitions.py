@@ -11,6 +11,7 @@ from corz.partitions import (
     Partition,
     beta_mask,
     canonical_mask,
+    conjugate_mask,
     count_cores,
     count_p,
     count_p_regular,
@@ -59,6 +60,26 @@ def test_conjugate_is_involution_exhaustive():
     for n in range(31):
         for lam in enumerate_partitions(n):
             assert conjugate(conjugate(lam)) == lam
+
+
+def test_conjugate_mask_matches_reference():
+    self_conjugate = []
+    for n in range(21):
+        fixed = 0
+        for lam in enumerate_partitions(n):
+            mask = beta_mask(lam.parts)
+            conj = conjugate_mask(mask)
+            assert conj == beta_mask(conjugate(lam).parts), lam.parts
+            # extra beads at the bottom give the same partition and conjugate
+            assert conjugate_mask((mask << 3) | 0b111) == conj, lam.parts
+            fixed += conj == mask
+        self_conjugate.append(fixed)
+    assert conjugate_mask(0) == 0 and conjugate_mask(0b1) == 0
+    assert conjugate_mask(beta_mask((3, 2, 1))) == beta_mask((3, 2, 1))
+    assert conjugate_mask(beta_mask((4, 1, 1, 1))) == beta_mask((4, 1, 1, 1))
+    # self-conjugate partitions of n are as many as partitions of n into
+    # distinct odd parts (OEIS A000700)
+    assert self_conjugate == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 5, 5, 5, 6, 7]
 
 
 def test_hook_multiset_known_tables():
