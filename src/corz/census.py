@@ -95,21 +95,21 @@ def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> lis
     # zero counts once per row of the orbit present in rows (1 or 2).
     if not rows:
         return [0 for _ in columns]
-    reps: dict[int, Partition] = {}
+    reps: dict[int, int] = {}
     sizes: Counter[int] = Counter()
     for lam in rows:
         mask = beta_mask(lam.parts)
         key = min(mask, conjugate_mask(mask))
-        reps.setdefault(key, lam)
+        reps.setdefault(key, mask)
         sizes[key] += 1
-    orbits = [(lam, hook_mask(key), sizes[key]) for key, lam in reps.items()]
+    orbits = [(mask, hook_mask(key), sizes[key]) for key, mask in reps.items()]
     out = []
     for mu in columns:
         col = ColumnEvaluator(mu)
         needed = sum(1 << p for p in set(mu.parts))
         zeros = 0
-        for lam, hset, size in orbits:
-            if needed & ~hset or col.value(lam) == 0:
+        for mask, hset, size in orbits:
+            if needed & ~hset or col.value_mask(mask) == 0:
                 zeros += size
         out.append(zeros)
     return out

@@ -8,7 +8,7 @@ its height is the number of beads strictly between the two.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .partitions import (
     Partition,
@@ -16,20 +16,7 @@ from .partitions import (
     bead_positions,
     beta_mask,
     canonical_mask,
-    strip_ends,
 )
-
-
-def _strips(mask: int, k: int) -> Iterator[tuple[int, int]]:
-    # (canonical remaining beta-set, height) for every length-k strip,
-    # highest landing position first
-    ends = strip_ends(mask, k)
-    while ends:
-        end = 1 << (ends.bit_length() - 1)
-        ends ^= end
-        top = end << k
-        # the landing position is empty, so beads in [end, top) lie strictly between
-        yield canonical_mask(mask ^ top ^ end), (mask & (top - end)).bit_count()
 
 
 class ColumnEvaluator:
@@ -38,8 +25,10 @@ class ColumnEvaluator:
     Strips are removed for the parts of mu in the order given (a Partition
     supplies them largest first); the value is independent of that order.
     Results are memoized on the canonical beta-set of the remaining
-    partition; its size fixes how many parts were consumed.  One evaluator
-    thus amortizes work across many row labels of the same column.
+    partition; its size fixes how many parts were consumed.  The memo starts
+    with the empty partition, so a strip for the last part finds its value
+    there and makes no call.  One evaluator thus amortizes work across many
+    row labels of the same column.
     Evaluators share nothing, which keeps per-column work independent.
     """
 
@@ -49,7 +38,7 @@ class ColumnEvaluator:
             raise ValueError("cycle type parts must be positive")
         self.parts = parts
         self.size = sum(parts)
-        self._memo: dict[int, int] = {}
+        self._memo: dict[int, int] = {0: 1}
 
     def value(self, lam: PartitionLike) -> int:
         lam = Partition.of(lam)
@@ -57,19 +46,34 @@ class ColumnEvaluator:
             raise ValueError(
                 f"size mismatch: partition of {lam.n} against cycle type of {self.size}"
             )
-        return self._eval(beta_mask(lam.parts), 0)
+        return self.value_mask(beta_mask(lam.parts))
+
+    def value_mask(self, mask: int) -> int:
+        """chi_lam(mu) for the row lam given by a beta-set mask, with or
+        without extra beads at 0..t-1; lam must be a partition of self.size.
+        The empty cycle type gives 1."""
+        mask = canonical_mask(mask)
+        cached = self._memo.get(mask)
+        return self._eval(mask, 0) if cached is None else cached
 
     def _eval(self, mask: int, idx: int) -> int:
-        if idx == len(self.parts):
-            return 1
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
+        # a strip of length k lands at an empty position `end` from the bead
+        # at top = end << k; the beads strictly between give its height
+        k = self.parts[idx]
+        ends = (mask & ~(mask << k)) >> k
         total = 0
-        for rest, height in _strips(mask, self.parts[idx]):
-            term = self._eval(rest, idx + 1)
-            total += -term if height % 2 else term
-        self._memo[mask] = total
+        memo = self._memo
+        while ends:
+            end = ends & -ends
+            ends ^= end
+            top = end << k
+            rest = mask ^ top ^ end
+            rest >>= ((rest + 1) & ~rest).bit_length() - 1
+            term = memo.get(rest)
+            if term is None:
+                term = self._eval(rest, idx + 1)
+            total += -term if (mask & (top - end)).bit_count() & 1 else term
+        memo[mask] = total
         return total
 
 

@@ -134,6 +134,9 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     except ValueError:
         print(f"cannot parse --ell {opts.ell!r}", file=sys.stderr)
         return 2
+    if not ells:
+        print(f"--ell {opts.ell!r} names no modulus", file=sys.stderr)
+        return 2
     if any(not 2 <= ell <= ELL_MAX for ell in ells):
         print(f"--ell moduli must be between 2 and {ELL_MAX}, got {opts.ell!r}", file=sys.stderr)
         return 2

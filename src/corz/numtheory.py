@@ -77,6 +77,8 @@ def _require_core_prime(ell: int) -> None:
 
 def delta_ell(ell: int) -> int:
     """(ell^2 - 1) / 24, the cusp shift constant; integral for primes >= 5."""
+    if ell < 2:
+        raise ValueError("ell must be at least 2")
     q, r = divmod(ell * ell - 1, 24)
     if r:
         raise ValueError(f"(ell^2 - 1)/24 is not an integer for ell={ell}")

@@ -1,4 +1,5 @@
-"""Textbook definitions the tests compare corz against; none uses beta-sets."""
+"""Textbook definitions the tests compare corz against.  Only mask_strips,
+the strip generator the Murnaghan-Nakayama kernel inlines, uses beta-sets."""
 
 import math
 from collections import Counter
@@ -6,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from corz.numtheory import bernoulli_number
-from corz.partitions import Partition
+from corz.partitions import Partition, canonical_mask, strip_ends
 
 
 def conjugate(lam):
@@ -17,6 +18,18 @@ def conjugate(lam):
         for j in range(p):
             conj[j] += 1
     return Partition(conj)
+
+
+def mask_strips(mask, k):
+    """(canonical remaining beta-set, height) for every length-k border strip
+    of the beta-set mask, highest landing position first."""
+    ends = strip_ends(mask, k)
+    while ends:
+        end = 1 << (ends.bit_length() - 1)
+        ends ^= end
+        top = end << k
+        # the landing position is empty, so beads in [end, top) lie strictly between
+        yield canonical_mask(mask ^ top ^ end), (mask & (top - end)).bit_count()
 
 
 def hook_lengths(lam):

@@ -30,7 +30,14 @@ from corz.census import (
 )
 from corz.characters import ColumnEvaluator, mn_character
 from corz.numtheory import core_main_term
-from corz.partitions import Partition, count_p, count_p_regular, enumerate_partitions, is_core
+from corz.partitions import (
+    Partition,
+    count_p,
+    count_p_regular,
+    enumerate_partitions,
+    is_core,
+    mask_parts,
+)
 from reference import conjugate, frobenius_character
 
 
@@ -118,13 +125,13 @@ def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
 
 def test_count_zeros_evaluates_one_row_per_conjugate_pair(monkeypatch):
     calls = {}
-    value = ColumnEvaluator.value
+    value_mask = ColumnEvaluator.value_mask
 
-    def logged(self, lam):
-        calls.setdefault(self.parts, []).append(Partition.of(lam))
-        return value(self, lam)
+    def logged(self, mask):
+        calls.setdefault(self.parts, []).append(Partition(mask_parts(mask)))
+        return value_mask(self, mask)
 
-    monkeypatch.setattr(ColumnEvaluator, "value", logged)
+    monkeypatch.setattr(ColumnEvaluator, "value_mask", logged)
     got = z_star_exact(26, 5)
     monkeypatch.undo()
     cores = list(enumerate_cores(26, 5))

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corz.characters import (
-    ColumnEvaluator,
-    _strips,
-    centralizer_order,
-    dimension,
-    mn_character,
-)
+from corz.characters import ColumnEvaluator, centralizer_order, dimension, mn_character
 from corz.partitions import (
     Partition,
     beta_mask,
@@ -22,7 +16,7 @@ from corz.partitions import (
     mask_parts,
 )
 from corz.abacus import enumerate_cores
-from reference import conjugate, frobenius_character, hook_lengths
+from reference import conjugate, frobenius_character, hook_lengths, mask_strips
 
 
 # The tuple-based Murnaghan-Nakayama evaluator that preceded the bitmask one,
@@ -71,8 +65,8 @@ class _ReferenceEvaluator:
 
 
 def strips(lam, k):
-    # (height, remaining parts) for every length-k strip, as the evaluator sees them
-    return [(h, mask_parts(rest)) for rest, h in _strips(beta_mask(Partition.of(lam).parts), k)]
+    # (height, remaining parts) for every length-k strip, as the kernel removes them
+    return [(h, mask_parts(rest)) for rest, h in mask_strips(beta_mask(Partition.of(lam).parts), k)]
 
 
 def test_evaluator_and_strips_match_reference_exhaustively():
@@ -99,6 +93,38 @@ def test_evaluator_matches_reference_on_random_pairs(n, data):
     # any order of the cycle type's parts, which the memo key must not confuse
     order = data.draw(st.permutations(mu.parts))
     assert ColumnEvaluator(order).value(lam) == _ReferenceEvaluator(order).value(lam)
+
+
+def test_kernel_on_one_part_and_all_ones_columns():
+    # one strip per step: mu = (n) ends at the last part at once, and
+    # mu = (1^n) walks every standard tableau
+    for n in range(1, 13):
+        lams = list(enumerate_partitions(n))
+        cycle, ones = ColumnEvaluator([n]), ColumnEvaluator([1] * n)
+        ref_cycle, ref_ones = _ReferenceEvaluator([n]), _ReferenceEvaluator([1] * n)
+        for lam in lams:
+            mask = beta_mask(lam.parts)
+            assert cycle.value_mask(mask) == ref_cycle.value(lam), lam.parts
+            assert ones.value_mask(mask) == ref_ones.value(lam) == dimension(lam), lam.parts
+            if n <= 10:  # the oracle's a_delta * p_1^n expansion grows fast past 10
+                assert cycle.value_mask(mask) == frobenius_character(lam, (n,)), lam.parts
+                assert ones.value_mask(mask) == frobenius_character(lam, (1,) * n), lam.parts
+
+
+def test_value_mask_accepts_extra_low_beads():
+    # t extra beads at 0..t-1 shift the beta-set up and leave the partition alone
+    for n in range(9):
+        lams = list(enumerate_partitions(n))
+        for mu in lams:
+            padded_first, canonical_first = ColumnEvaluator(mu), ColumnEvaluator(mu)
+            for lam in lams:
+                want = frobenius_character(lam, mu)
+                mask = beta_mask(lam.parts)
+                for t in range(4):
+                    padded = mask << t | (1 << t) - 1
+                    assert padded_first.value_mask(padded) == want, (lam.parts, mu.parts, t)
+                    assert canonical_first.value_mask(mask) == want, (lam.parts, mu.parts)
+                    assert canonical_first.value_mask(padded) == want, (lam.parts, mu.parts, t)
 
 
 def test_border_strips_examples():
@@ -171,6 +197,9 @@ def test_hook_row_on_full_cycle():
 
 def test_mn_character_empty():
     assert mn_character([], []) == 1
+    col = ColumnEvaluator([])
+    assert col.value_mask(0) == col.value(Partition([])) == 1
+    assert _ReferenceEvaluator(()).value(()) == frobenius_character((), ()) == 1
 
 
 def test_size_mismatch_raises():
@@ -197,14 +226,16 @@ def test_column_evaluator_reuse_across_rows():
 
 def test_mn_invariant_under_part_reordering():
     rng = random.Random(11)
-    for n in range(2, 9):
+    for n in range(2, 11):
         for mu in enumerate_partitions(n):
             shuffled = list(mu.parts)
             rng.shuffle(shuffled)
             base = ColumnEvaluator(mu)
             perm = ColumnEvaluator(shuffled)
+            ref = _ReferenceEvaluator(shuffled)
             for lam in enumerate_partitions(n):
-                assert base.value(lam) == perm.value(lam), (lam.parts, shuffled)
+                got = perm.value_mask(beta_mask(lam.parts))
+                assert base.value(lam) == got == ref.value(lam), (lam.parts, shuffled)
 
 
 def prefilter_vanishes(lam, mu):

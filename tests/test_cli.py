@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,11 @@ def test_count_domain_error(capsys):
     code, out, err = run_cli(capsys, "count", "inv-alpha", "9")
     assert code == 2
     assert err.startswith("corz:")
+    # (ell^2 - 1)/24 is an integer at ell = 1, -1 and -5, which are no moduli
+    for argv in (("delta", "1"), ("delta", "-1"), ("delta", "-5"), ("n-ell", "1")):
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == 2 and out == "", argv
+        assert "ell must be at least 2" in err, argv
 
 
 def test_count_series_bound(capsys):
@@ -127,6 +133,25 @@ def test_census_rejects_small_moduli(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[1].startswith("0,499,1,1,1,0,0,0,,")
 
 
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+@pytest.mark.parametrize(
+    "ref, argv",
+    [
+        ("census-star-window.csv", ("--ell", "5,7", "--n-min", "26", "--n-max", "29")),
+        ("census-full-table.csv", ("--z-all", "--ell", "3,5,7", "--n-min", "10", "--n-max", "14")),
+    ],
+)
+def test_census_bytes_match_the_benchmark_references(ref, argv, tmp_path, capsys):
+    # cold cache, then warm: both print the reference CSV byte for byte
+    want = (REFS / ref).read_bytes()
+    for run in ("cold", "warm"):
+        code, out, err = run_cli(capsys, "census", *argv, "--cache-dir", str(tmp_path))
+        assert code == 0, err
+        assert out.encode() == want, run
+
+
 def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the work ran")
@@ -160,10 +185,19 @@ def test_census_env_cache_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cache" / "census-3-4.json").exists()
 
 
-def test_census_bad_ell_list(capsys):
+def test_census_bad_ell_list(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "census", "--ell", "2,x")
     assert code == 2
     assert "cannot parse --ell" in err
+
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_census", no_sweep)
+    for ell in (" ", ",", ", ,", ""):
+        code, out, err = run_cli(capsys, "census", "--ell", ell)
+        assert code == 2 and out == "", ell
+        assert "names no modulus" in err, ell
 
 
 def test_census_rejects_jobs_out_of_range(capsys, monkeypatch):

@@ -88,6 +88,9 @@ def test_delta_ell_values():
     assert delta_ell(13) == 7
     with pytest.raises(ValueError):
         delta_ell(6)
+    for ell in (1, 0, -1, -5):
+        with pytest.raises(ValueError, match="ell must be at least 2"):
+            delta_ell(ell)
 
 
 def test_bernoulli_numbers():
