@@ -50,11 +50,8 @@ from .numtheory import (
 from .census import (
     CensusConfig,
     CensusRecord,
-    Report,
-    available_suites,
     build_record,
     run_census,
-    verify,
     write_records,
     z_all_exact,
     z_exact,
@@ -62,6 +59,7 @@ from .census import (
     z_star_closed,
     z_star_exact,
 )
+from .suites import Report, available_suites, verify
 
 __version__ = "0.1.0"
 

@@ -18,12 +18,11 @@ from .census import (
     DEFAULT_CAP_EXACT,
     DEFAULT_CAP_STAR,
     CensusConfig,
-    available_suites,
     run_census,
-    verify,
     write_records,
     z_all_exact,
 )
+from .suites import available_suites, verify
 from .abacus import n_ell
 from .numtheory import delta_ell, inv_alpha, sigma_twisted
 from .partitions import count_cores, count_p, count_p_regular, hagis_estimate, hr_estimate

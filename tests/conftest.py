@@ -1,6 +1,6 @@
 import pytest
 
-from corz.census import verify
+from corz.suites import verify
 
 _reports = {}
 

@@ -5,6 +5,7 @@ from collections import Counter
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,8 @@ from corz.census import (
     CensusRecord,
     _load_cache,
     _store_cache,
-    available_suites,
     build_record,
     run_census,
-    verify,
     write_records,
     z_all_exact,
     z_exact,
@@ -30,6 +29,7 @@ from corz.census import (
 )
 from corz.characters import ColumnEvaluator, mn_character
 from corz.numtheory import core_main_term
+from corz.suites import available_suites, verify
 from corz.partitions import (
     Partition,
     count_p,
@@ -368,6 +368,49 @@ def test_corrupt_cache_is_detected(tmp_path):
         build_record(6, 3, cache_dir=cache)
 
 
+LIST_PAYLOAD = {"format": 1, "algorithm": census.ALGORITHM_VERSION, "payload": [1],
+                "sha256": census._cache_digest([1])}
+
+
+@pytest.mark.parametrize("text", ['{"format": 1, "payload": {"z_star', "[1,2]",
+                                  json.dumps(LIST_PAYLOAD)],
+                         ids=["truncated", "list", "list-payload"])
+def test_unreadable_cache_file_is_named(tmp_path, text):
+    # a truncated file, a non-object document, and a non-object payload that
+    # carries its own valid checksum
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "census-3-6.json"
+    path.write_text(text)
+    with pytest.raises(RuntimeError, match="census-3-6.json"):
+        _load_cache(path)
+    with pytest.raises(RuntimeError, match="census-3-6.json"):
+        build_record(6, 3, cache_dir=cache)
+
+
+def test_cache_is_not_read_above_both_caps(tmp_path, monkeypatch):
+    # a cell above cap_exact and cap_star has no cached count, so even a
+    # corrupt file there is never opened
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "census-3-30.json"
+    path.write_text("not json")
+    loaded = []
+    load = census._load_cache
+
+    def spy(where):
+        loaded.append(where)
+        return load(where)
+
+    monkeypatch.setattr(census, "_load_cache", spy)
+    rec = build_record(30, 3, cap_exact=12, cap_star=26, cache_dir=cache)
+    assert rec == build_record(30, 3, cap_exact=12, cap_star=26)
+    assert rec.z_exact is None and rec.z_star_exact is None
+    assert loaded == [] and path.read_text() == "not json"
+    build_record(26, 3, cap_exact=12, cap_star=26, cache_dir=cache)
+    assert loaded == [cache / "census-3-26.json"]
+
+
 def test_unsupported_cache_version_is_rejected(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -432,9 +475,10 @@ def test_result_guards_survive_optimize_flag():
     # build_record invariants must still fail on a wrong value
     script = """
 import corz.census as c
-c.inv_alpha = lambda ell: 0
+import corz.suites as s
+s.inv_alpha = lambda ell: 0
 assert False, "asserts are live"
-print(c.verify("constants").passed)
+print(s.verify("constants").passed)
 c.count_cores = lambda n, ell: -1
 try:
     c.build_record(17, 3, cap_exact=0)
@@ -551,6 +595,20 @@ def test_suites_pass(suite, suite_report):
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     assert rep.suite == suite
     assert all(c.seconds >= 0 for c in rep.checks)
+
+
+VERIFY_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "verify.json"
+
+
+def test_suite_verdicts_match_the_benchmark_reference(suite_report):
+    # check names, their order, verdicts and details, as the benchmark expects
+    refs = json.loads(VERIFY_REF.read_text(encoding="utf-8"))
+    assert sorted(refs) == list(available_suites())
+    for suite, want in refs.items():
+        rep = suite_report(suite)
+        got = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in rep.checks]
+        assert got == want["checks"], suite
+        assert rep.passed is want["passed"], suite
 
 
 def test_report_rendering(suite_report):

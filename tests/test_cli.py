@@ -185,6 +185,17 @@ def test_census_env_cache_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cache" / "census-3-4.json").exists()
 
 
+def test_census_unreadable_cache_file_exits_2(tmp_path, capsys):
+    # a truncated file and a non-object document each name the file
+    path = tmp_path / "census-3-6.json"
+    for text in ('{"format": 1, "payload": {"z_star', "[1,2]"):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "census", "--ell", "3", "--n-min", "6",
+                                 "--n-max", "6", "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "", text
+        assert err.startswith("corz: census cache file") and str(path) in err, text
+
+
 def test_census_bad_ell_list(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "census", "--ell", "2,x")
     assert code == 2
