@@ -2,9 +2,9 @@
 """Where does the core-by-core block of the character table go all-zero?
 
 Scans n upward and compares the exhaustive count of vanishing core pairs
-with the square of the core count.  Above the abacus bound the two agree;
-the script prints every n where they still differ and the largest such n
-found, which stays below the bound.
+with the square of the core count.  For prime ell the two agree above the
+abacus bound; the script prints every n where they still differ and the
+largest such n found, which for prime ell stays below the bound.
 """
 
 import argparse

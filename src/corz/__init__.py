@@ -24,8 +24,8 @@ from .abacus import (
     enumerate_cores,
     extremal_abacus,
     from_abacus,
+    max_regular_core,
     n_ell,
-    search_max_regular_core,
     swap_columns,
     to_abacus,
 )
@@ -96,10 +96,10 @@ __all__ = [
     "is_core",
     "is_regular",
     "legendre",
+    "max_regular_core",
     "mn_character",
     "n_ell",
     "run_census",
-    "search_max_regular_core",
     "sigma_twisted",
     "swap_columns",
     "to_abacus",

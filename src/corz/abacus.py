@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate, pairwise, permutations, product
 
+from .numtheory import _is_prime
 from .partitions import (
     Partition,
     PartitionLike,
@@ -165,21 +167,20 @@ def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:
     """A (column, part) pair certifying a part divisible by ell, if some row
     split leaves a column towering at least ell rows above it.
 
-    Scans split heights k upward; a split is valid when every column height
-    is <= k or >= k + ell with at least one of the latter.  The returned part
-    is divisible by ell and belongs to the lowest qualifying column.
+    A split height k is valid when every column height is <= k or >= k + ell
+    with at least one of the latter; the lowest is the lower height of the
+    first sorted jump of ell or more.  The returned part is divisible by ell
+    and belongs to the lowest qualifying column.  Prime ell only.
     """
     if not ab.canonical:
         raise ValueError("abacus is not canonical (first column must be empty)")
     ell = ab.ell
+    if not _is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
     cols = ab.cols
-    tallest = max(cols)
-    for k in range(0, tallest + 1):
-        high = [i for i, b in enumerate(cols) if b >= k + ell]
-        if not high:
-            continue
-        if all(b <= k or b >= k + ell for b in cols):
-            j = high[0]
+    for k, above in pairwise(sorted(cols)):
+        if above - k >= ell:
+            j = next(i for i, b in enumerate(cols) if b >= k + ell)
             mask = _bead_mask(ab)
             # beads of column j in rows k+1 .. k+ell cover every residue mod ell;
             # as in mask_parts, a part is its bead's position less the beads below
@@ -190,6 +191,15 @@ def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:
                     return (j, part)
             raise AssertionError("row window missed a multiple of ell")
     return None
+
+
+def _witness_free_abaci(ell: int) -> Iterator[Abacus]:
+    # the canonical abaci without a bead-jump split: sorted heights, b_0 = 0
+    # included, rise by less than ell at each step.  One sorted height list
+    # per gap vector, then its distinct arrangements over columns 1..ell-1.
+    for gaps in product(range(ell), repeat=ell - 1):
+        for cols in sorted(set(permutations(accumulate(gaps)))):
+            yield Abacus(ell, (0, *cols))
 
 
 def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
@@ -206,9 +216,10 @@ def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
 
 def n_ell(ell: int) -> int:
     """(ell^6 - 2 ell^5 + 2 ell^4 - 3 ell^2 + 2 ell) / 24, the size of the
-    extremal abacus: above it every ell-core has a part divisible by ell.
-    The bound is not attained: the largest ell-regular ell-cores have size 10
-    for ell = 3 (n_ell = 16) and 198 for ell = 5 (n_ell = 440)."""
+    extremal abacus: for prime ell, above it every ell-core has a part
+    divisible by ell.  The bound is not attained: max_regular_core gives 10
+    for ell = 3 (n_ell = 16) and 198 for ell = 5 (n_ell = 440).  It fails
+    for composite ell: 4-regular 4-cores of 108, 110 and 113 exceed n_4 = 105."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
     num = ell**6 - 2 * ell**5 + 2 * ell**4 - 3 * ell**2 + 2 * ell
@@ -219,21 +230,22 @@ def n_ell(ell: int) -> int:
 
 
 def extremal_abacus(ell: int) -> Abacus:
-    """Canonical abacus (0, ell-1, 2(ell-1), ..., (ell-1)^2), the largest one
-    with no bead-jump witness; its size is n_ell(ell).  Its core still has
-    parts divisible by ell: (6, 4, 2, 2, 1, 1) at ell = 3."""
+    """Canonical abacus (0, ell-1, 2(ell-1), ..., (ell-1)^2), for prime ell
+    the largest one with no bead-jump witness; its size is n_ell(ell).  Its
+    core still has parts divisible by ell: (6, 4, 2, 2, 1, 1) at ell = 3."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
     return Abacus(ell, tuple(i * (ell - 1) for i in range(ell)))
 
 
-def search_max_regular_core(ell: int, bound: int) -> int | None:
-    """Largest n <= bound carrying a partition that is both an ell-core and
-    ell-regular, by exhaustive descending scan; None if no such n >= 0."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    for n in range(bound, -1, -1):
-        for lam in enumerate_cores(n, ell):
-            if not any(p % ell == 0 for p in lam.parts):
-                return n
-    return None
+def max_regular_core(ell: int) -> int:
+    """R_ell, the largest size of an ell-core with no part divisible by ell,
+    for prime ell (0 is the empty partition).  A regular core has no bead-jump
+    witness, so scanning the finitely many witness-free abaci covers every n."""
+    if not _is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
+    return max(
+        abacus_size(ab)
+        for ab in _witness_free_abaci(ell)
+        if all(p % ell for p in mask_parts(_bead_mask(ab)))
+    )

@@ -121,7 +121,9 @@ def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
 
 def z_star_closed(n: int, ell: int) -> int:
     """c_ell(n)^2, the star count once every core row vanishes on every core
-    column; valid only above the regular-core bound n_ell."""
+    column; valid only for prime ell above the regular-core bound n_ell."""
+    if not _is_prime(ell):
+        raise ValueError(f"closed form needs a prime ell, got {ell}")
     bound = n_ell(ell)
     if n <= bound:
         raise ValueError(
@@ -285,7 +287,8 @@ def build_record(
         _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
     if n <= cap_star:
         rec.z_star_exact = lookup("z_star_exact", partial(z_star_exact, n, ell, cap=cap_star))
-    if n > n_ell(ell):
+    # Theorem 2 holds for primes only: composite ell has regular cores above n_ell
+    if _is_prime(ell) and n > n_ell(ell):
         rec.z_star_closed = c * c
         if rec.z_star_exact is not None:
             _require(rec.z_star_exact == rec.z_star_closed, (n, ell))

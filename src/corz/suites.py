@@ -15,13 +15,14 @@ from functools import partial
 
 from .abacus import (
     Abacus,
+    _witness_free_abaci,
     abacus_size,
     bead_jump_witness,
     enumerate_cores,
     extremal_abacus,
     from_abacus,
+    max_regular_core,
     n_ell,
-    search_max_regular_core,
     swap_columns,
     to_abacus,
 )
@@ -241,16 +242,14 @@ def _extremal_bound() -> None:
         # witness-free: the defining property of the maximizer
         _require(bead_jump_witness(ab) is None, f"ell={ell}")
         _require(to_abacus(lam, ell) == ab, f"ell={ell}")
-    # brute force at ell=3: no witness-free abacus beats the bound
-    for b1 in range(9):
-        for b2 in range(9):
-            ab = Abacus(3, (0, b1, b2))
-            if bead_jump_witness(ab) is None:
-                _require(abacus_size(ab) <= 16, f"{ab}")
+    # over the whole finite walk, no witness-free abacus beats the bound
+    for ell in (2, 3, 5):
+        best = max(abacus_size(ab) for ab in _witness_free_abaci(ell))
+        _require(best == n_ell(ell), f"ell={ell}: {best}")
 
 
 def _no_regular_core_above() -> None:
-    best = search_max_regular_core(3, 200)
+    best = max_regular_core(3)
     _require(best == 10, f"largest 3-regular 3-core at n={best}, expected 10")
 
 

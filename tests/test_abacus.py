@@ -1,17 +1,22 @@
+from collections import Counter
+from itertools import product
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz.abacus import (
     Abacus,
+    _witness_free_abaci,
     abacus_size,
     bead_jump_witness,
     count_cores,
     enumerate_cores,
     extremal_abacus,
     from_abacus,
+    max_regular_core,
     n_ell,
-    search_max_regular_core,
     swap_columns,
     to_abacus,
 )
@@ -159,6 +164,16 @@ def test_bead_jump_witness_examples():
     assert (j, part) == (1, 2)
 
 
+def test_bead_jump_witness_rejects_composite_moduli():
+    # (0,1,5,5) splits at k = 1, yet its 4-core (9,9,7,7,5,5,3,3,1,1,1) has
+    # no part divisible by 4: the witness claim needs a prime modulus
+    ab = Abacus(4, (0, 1, 5, 5))
+    assert is_core(from_abacus(ab), 4) and is_regular(from_abacus(ab), 4)
+    for ell, cols in ((4, (0, 1, 5, 5)), (4, (0, 0, 0, 0)), (6, (0, 7, 0, 0, 0, 0))):
+        with pytest.raises(ValueError, match="prime"):
+            bead_jump_witness(Abacus(ell, cols))
+
+
 def test_bead_jump_witness_names_actual_part():
     import random
 
@@ -196,13 +211,49 @@ def test_extremal_abacus_shape():
         assert bead_jump_witness(ab) is None
 
 
-def test_search_max_regular_core():
-    assert search_max_regular_core(3, 200) == 10
-    assert search_max_regular_core(3, 9) == 8  # (4,2,1,1) is a 3-regular 3-core
-    assert search_max_regular_core(2, 200) == 1
-    assert search_max_regular_core(2, 0) == 0  # empty partition qualifies
+def test_max_regular_core():
+    assert max_regular_core(2) == 1
+    assert max_regular_core(3) == 10
     # n_ell is a bound that is not attained: at ell = 5 it is 440
-    assert search_max_regular_core(5, n_ell(5)) == 198
+    assert max_regular_core(5) == 198
+    # smaller regular cores exist too, down to the empty partition
+    for lam in ((4, 2, 1, 1), ()):
+        assert is_core(lam, 3) and is_regular(lam, 3)
+    for ell in (-1, 0, 1, 4, 6, 9):
+        with pytest.raises(ValueError):
+            max_regular_core(ell)
+
+
+def _has_split(cols, ell):
+    # the definition: some k leaves every height <= k or >= k + ell, and one >= k + ell
+    return any(
+        all(b <= k or b >= k + ell for b in cols) and any(b >= k + ell for b in cols)
+        for k in range(max(cols) + 1)
+    )
+
+
+def test_witness_free_walk_counts_and_distinct_canonical_abaci():
+    for ell, want in ((2, 2), (3, 15), (5, 10845)):
+        # each gap vector's sorted heights h_1..h_{ell-1}, arranged over
+        # columns 1..ell-1 in (ell-1)!/prod(mult!) distinct ways
+        formula = 0
+        for gaps in product(range(ell), repeat=ell - 1):
+            heights = [sum(gaps[: i + 1]) for i in range(ell - 1)]
+            mults = Counter(heights).values()
+            formula += factorial(ell - 1) // prod(factorial(m) for m in mults)
+        walk = list(_witness_free_abaci(ell))
+        assert len(walk) == formula == want
+        assert len(set(walk)) == len(walk)
+        assert all(ab.canonical and ab.ell == ell for ab in walk)
+
+
+def test_witness_free_walk_is_exactly_the_split_free_abaci():
+    for ell, top in ((3, 9), (5, 6)):
+        walk = {ab.cols for ab in _witness_free_abaci(ell)}
+        for rest in product(range(top), repeat=ell - 1):
+            cols = (0, *rest)
+            assert (cols in walk) == (not _has_split(cols, ell)), cols
+            assert (bead_jump_witness(Abacus(ell, cols)) is None) == (cols in walk), cols
 
 
 def test_no_regular_core_between_bound_and_200():

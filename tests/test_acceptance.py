@@ -11,8 +11,8 @@ from fractions import Fraction
 from corz.abacus import (
     count_cores,
     enumerate_cores,
+    max_regular_core,
     n_ell,
-    search_max_regular_core,
 )
 from corz.numtheory import core_lower_bound_ok, core_main_term
 from corz.partitions import (
@@ -61,7 +61,7 @@ def test_criterion_03_two_and_three_core_closed_forms(suite_report):
 def test_criterion_04_regular_core_vanishing_bound():
     t0 = time.perf_counter()
     ok = n_ell(3) == 16
-    ok = ok and search_max_regular_core(3, 200) == 10
+    ok = ok and max_regular_core(3) == 10
     for n in range(11, 201):
         for lam in enumerate_cores(n, 3):
             ok = ok and not is_regular(lam, 3)

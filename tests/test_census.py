@@ -195,6 +195,19 @@ def test_z_star_closed_boundary():
     assert z_star_closed(2, 2) == 0  # c_2(2) = 0
 
 
+def test_star_closed_form_is_for_prime_moduli_only():
+    # above n_4 = 105 one of the 16 4-cores of 108 is 4-regular, and its
+    # column is nonzero on every core row: Z*_4(108) = 240, not 16^2
+    n, ell = 108, 4
+    assert n > n_ell(ell) and count_cores(n, ell) == 16
+    with pytest.raises(ValueError, match="prime"):
+        z_star_closed(n, ell)
+    assert z_star_exact(n, ell, cap=n) == 240
+    assert build_record(n, ell).z_star_closed is None
+    rec = build_record(n, ell, cap_star=120)
+    assert (rec.z_star_exact, rec.z_star_closed) == (240, None)
+
+
 def test_build_record_type_invariants():
     for ell in (2, 3, 5):
         for n in range(1, 15):

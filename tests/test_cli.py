@@ -232,6 +232,15 @@ def test_census_z_all_flag(capsys):
     assert lines[1].endswith(",1")
 
 
+def test_census_composite_modulus_has_no_star_closed_form(capsys):
+    # Theorem 2 is for primes: at (108, 4), past n_4 = 105, c^2 = 256 would be wrong
+    argv = ("census", "--ell", "4", "--n-min", "108", "--n-max", "108")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[1] == "108,4,483502844,46923664,16,6985266880,,,,,"
+    code, out, err = run_cli(capsys, *argv, "--cap-star", "120")
+    assert code == 0 and out.splitlines()[1] == "108,4,483502844,46923664,16,6985266880,,240,,,"
+
+
 def test_verify_text_output(capsys):
     code, out, err = run_cli(capsys, "verify", "constants")
     assert code == 0

@@ -11,7 +11,7 @@ PUBLIC_API = sorted("""
     Partition enumerate_partitions count_p count_p_regular count_cores is_core
     is_regular hr_estimate hagis_estimate
     Abacus to_abacus from_abacus abacus_size enumerate_cores bead_jump_witness
-    swap_columns extremal_abacus n_ell search_max_regular_core
+    swap_columns extremal_abacus n_ell max_regular_core
     ColumnEvaluator mn_character dimension centralizer_order
     legendre sigma_twisted delta_ell bernoulli_number generalized_bernoulli
     inv_alpha c2_closed c3_closed core_main_term core_lower_bound_ok
