@@ -38,14 +38,16 @@ _COUNT_QUANTITIES = {
     "n-ell": (("ell",), n_ell),
     "z-all": (("n",), None),
 }
-# largest n for the p(n) table behind `count p | p-regular | cores`, `census`
-# and `asymptotics`; the table and a count there take 0.5-1.1 s end to end on
-# a 2-core x86 VM.  It also bounds `count sigma`, whose divisor sum
-# trial-divides up to sqrt(n)
+# largest n for the p(n) and c_ell(n) tables behind `count p | p-regular |
+# cores`, `census` and `asymptotics`; the tables and a count there take
+# 0.2-0.45 s end to end on a 2-core x86 VM (one census modulus; each further
+# modulus adds its own c_ell table, about 0.1 s at ell = 97).  It also bounds
+# `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
 # largest modulus for `census --ell` and every `count` argument named ell: the
 # core enumeration recurses once per abacus column, and `count inv-alpha`
-# grows about as ell^3 (0.24 s at 499, 8.9 s at 1601 on the same VM)
+# grows about as ell^3 (0.23 s end to end at 499 on the same VM; inv_alpha(1601)
+# alone takes 8.0 s)
 ELL_MAX = 500
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath
 
@@ -122,17 +123,11 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
 
 
 def _window_bound(ell: int) -> int:
-    # max |sum of chi over any run of consecutive integers|; runs reduce to
-    # within-period windows because each full period sums to zero
-    vals = [legendre(a, ell) for a in range(ell)]
-    best = 0
-    for start in range(ell):
-        acc = 0
-        for off in range(ell):
-            acc += vals[(start + off) % ell]
-            if abs(acc) > best:
-                best = abs(acc)
-    return best
+    # max |sum of chi over any run of consecutive integers|.  A full period
+    # sums to zero, so every run sum is a difference of two prefix sums over
+    # one period, and the largest is the max prefix less the min prefix
+    prefix = list(accumulate((legendre(a, ell) for a in range(ell)), initial=0))
+    return max(prefix) - min(prefix)
 
 
 def _dirichlet_l_numeric(ell: int, s: int, tail: mpmath.mpf) -> mpmath.mpf:

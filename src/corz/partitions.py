@@ -1,15 +1,17 @@
 """Integer partitions: hooks, cores, regularity, and exact counting series.
 
 Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
-integers drawn from one p(n) table and sparse Euler products.  The two
-closed-form growth estimates at the bottom are advisory floats and are never
-mixed into exact results.
+integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
+recurrence, one for p and one per modulus for c_ell, and p_ell(n) from a short
+convolution with the p(n) table.  The two closed-form growth estimates at the
+bottom are advisory floats and are never mixed into exact results.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 
 class Partition:
@@ -155,25 +157,37 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 #     sum p(n) q^n = 1/E(q),   sum p_a(n) q^n = E(q^a)/E(q),
 #     sum c_ell(n) q^n = E(q^ell)^ell / E(q).
 # By the pentagonal number theorem E(q) = 1 + sum sign(g) q^g over the
-# generalized pentagonal numbers g, so it has O(sqrt N) terms up to q^N, and
-# each count is a short convolution with the one p(n) table.
+# generalized pentagonal numbers g, so it has O(sqrt N) terms up to q^N.
+# p(n) and c_ell(n) are tables grown in place by one recurrence, the
+# coefficients of E(q) times the series; p_a(n) is a short convolution with
+# the p(n) table.  Every sum runs over one list of the pentagonal numbers.
+
+# the generalized pentagonal numbers g = k(3k -+ 1)/2 for k = 1, 2, ...,
+# ascending, split by the sign (-1)^k of q^g in E(q): (minus, plus)
+_PENTAGONAL: tuple[list[int], list[int]] = ([], [])
 
 
-def _pentagonal(upto: int) -> Iterator[tuple[int, int]]:
-    # (g, sign) for the generalized pentagonal numbers 1 <= g <= upto,
-    # ascending: g = k(3k -+ 1)/2 with sign (-1)^k for k = 1, 2, ...
-    k = 1
-    while True:
-        sign = -1 if k % 2 else 1
-        g = k * (3 * k - 1) // 2
-        if g > upto:
-            return
-        yield g, sign
-        g += k
-        if g > upto:
-            return
-        yield g, sign
+def _pentagonal(upto: int) -> tuple[list[int], list[int]]:
+    # (minus, plus) cut to 1 <= g <= upto, extending the lists on demand
+    minus, plus = _PENTAGONAL
+    k = (len(minus) + len(plus)) // 2 + 1
+    while k * (3 * k - 1) // 2 <= upto:
+        (minus if k % 2 else plus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         k += 1
+    return minus[: bisect_right(minus, upto)], plus[: bisect_right(plus, upto)]
+
+
+def _extend_quotient(series: list[int], upto: int, top: Callable[[int], int]) -> list[int]:
+    # Grow series, the coefficients of F(q) = T(q)/E(q), in place through
+    # q^upto; top(m) is the coefficient of q^m in T(q).  The coefficient of
+    # q^m in E(q) F(q) = T(q) gives F_m = T_m - sum_g sign(g) F_{m-g}.
+    while len(series) <= upto:
+        m = len(series)
+        minus, plus = _pentagonal(m)
+        series.append(
+            top(m) + sum([series[m - g] for g in minus]) - sum([series[m - g] for g in plus])
+        )
+    return series
 
 
 _P_CACHE: list[int] = [1]
@@ -183,12 +197,7 @@ def count_p(n: int) -> int:
     """Number of partitions of n, by the pentagonal-number recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = _P_CACHE
-    while len(p) <= n:
-        m = len(p)
-        # E(q) * sum p(n) q^n = 1
-        p.append(-sum(sign * p[m - g] for g, sign in _pentagonal(m)))
-    return p[n]
+    return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
 
 
 def count_p_regular(n: int, a: int) -> int:
@@ -203,7 +212,8 @@ def count_p_regular(n: int, a: int) -> int:
         raise ValueError("a must be at least 2")
     count_p(n)
     p = _P_CACHE
-    return p[n] + sum(sign * p[n - a * g] for g, sign in _pentagonal(n // a))
+    minus, plus = _pentagonal(n // a)
+    return p[n] + sum([p[n - a * g] for g in plus]) - sum([p[n - a * g] for g in minus])
 
 
 _EULER_POWERS: dict[int, list[int]] = {}
@@ -216,25 +226,35 @@ def _euler_power(ell: int, upto: int) -> list[int]:
     e = _EULER_POWERS.setdefault(ell, [1])
     while len(e) <= upto:
         m = len(e)
-        total = sum(sign * ((ell + 1) * g - m) * e[m - g] for g, sign in _pentagonal(m))
+        minus, plus = _pentagonal(m)
+        total = sum([((ell + 1) * g - m) * e[m - g] for g in plus]) - sum(
+            [((ell + 1) * g - m) * e[m - g] for g in minus]
+        )
         e.append(total // m)
     return e
+
+
+_CORE_TABLES: dict[int, list[int]] = {}
 
 
 def count_cores(n: int, ell: int) -> int:
     """Number of ell-cores of n.
 
-    Coefficient of q^n in E(q^ell)^ell / E(q): the convolution
-    sum_m e_m p(n - ell m), where e_m is the coefficient of q^m in E(q)^ell.
+    Coefficient of q^n in E(q^ell)^ell / E(q), read from a table of c_ell
+    grown in place through n by the pentagonal recurrence
+    c_ell(m) = [ell | m] e_{m/ell} - sum_g sign(g) c_ell(m - g), where e_k is
+    the coefficient of q^k in E(q)^ell.  Each new entry costs O(sqrt m)
+    integer additions.  The table keeps one list of n + 1 integers per
+    modulus: about 0.7 MiB for ell = 5 and 1.5 MiB for ell = 499 at
+    n = 20000.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    count_p(n)
-    p = _P_CACHE
     e = _euler_power(ell, n // ell)
-    return sum(e[m] * p[n - ell * m] for m in range(n // ell + 1))
+    table = _CORE_TABLES.setdefault(ell, [1])
+    return _extend_quotient(table, n, lambda m: 0 if m % ell else e[m // ell])[n]
 
 
 def _iter_partition_buffers(n: int) -> Iterator[list[int]]:

@@ -1,13 +1,15 @@
 """Textbook definitions the tests compare corz against.  Only mask_strips,
-the strip generator the Murnaghan-Nakayama kernel inlines, uses beta-sets."""
+the strip generator the Murnaghan-Nakayama kernel inlines, uses beta-sets.
+The series convolutions and the window-bound scan are direct forms of what
+corz computes by recurrences and prefix sums."""
 
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from corz.numtheory import bernoulli_number
-from corz.partitions import Partition, canonical_mask, strip_ends
+from corz.numtheory import bernoulli_number, legendre
+from corz.partitions import Partition, canonical_mask, count_p, strip_ends
 
 
 def conjugate(lam):
@@ -111,3 +113,55 @@ def _power_sum_coefficient(parts, alpha):
                 left.append(v - m)
             total += alpha.count(v) * _power_sum_coefficient(rest, tuple(sorted(left)))
     return total
+
+
+def pentagonal_terms(upto):
+    """(g, sign) for the generalized pentagonal numbers 1 <= g <= upto,
+    ascending: g = k(3k -+ 1)/2 with sign (-1)^k for k = 1, 2, ...  E(q) is
+    1 + sum sign(g) q^g (Euler's pentagonal number theorem)."""
+    k = 1
+    while True:
+        sign = -1 if k % 2 else 1
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g > upto:
+                return
+            yield g, sign
+        k += 1
+
+
+def euler_power(ell, upto):
+    """Coefficients of E(q)^ell through q^upto, one sparse E(q) factor at a time."""
+    terms = list(pentagonal_terms(upto))
+    e = [1] + [0] * upto
+    for _ in range(ell):
+        e = [c + sum(sign * e[m - g] for g, sign in terms if g <= m) for m, c in enumerate(e)]
+    return e
+
+
+def cores_by_convolution(ell, upto):
+    """c_ell(n) for n <= upto as sum_m e_m p(n - ell m), the coefficient of q^n
+    in E(q^ell)^ell * 1/E(q), with e_m the coefficient of q^m in E(q)^ell."""
+    e = euler_power(ell, upto // ell)
+    return [sum(e[m] * count_p(n - ell * m) for m in range(n // ell + 1)) for n in range(upto + 1)]
+
+
+def regular_by_convolution(a, upto):
+    """p_a(n) for n <= upto as p(n) + sum sign(g) p(n - a g), the coefficient
+    of q^n in E(q^a) * 1/E(q)."""
+    return [
+        count_p(n) + sum(sign * count_p(n - a * g) for g, sign in pentagonal_terms(n // a))
+        for n in range(upto + 1)
+    ]
+
+
+def window_bound(ell):
+    """max |sum of (a / ell) over a run of consecutive a|, by trying every run
+    of length at most one period from every start (a full period sums to 0)."""
+    vals = [legendre(a, ell) for a in range(ell)]
+    best = 0
+    for start in range(ell):
+        acc = 0
+        for off in range(ell):
+            acc += vals[(start + off) % ell]
+            best = max(best, abs(acc))
+    return best

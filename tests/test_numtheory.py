@@ -9,6 +9,8 @@ from corz import numtheory
 from corz.abacus import count_cores
 from corz.numtheory import (
     _dirichlet_l_numeric,
+    _is_prime,
+    _window_bound,
     bernoulli_number,
     c2_closed,
     c3_closed,
@@ -20,7 +22,7 @@ from corz.numtheory import (
     legendre,
     sigma_twisted,
 )
-from reference import bernoulli_polynomial
+from reference import bernoulli_polynomial, window_bound
 
 
 def test_legendre_small_tables():
@@ -189,6 +191,14 @@ def test_inv_alpha_passes_dual_route_beyond_forty_digits():
     )
 
 
+def test_window_bound_is_the_largest_run_sum():
+    # prefix-sum form against every run of up to one period from every start
+    for ell in range(3, 500, 2):
+        if _is_prime(ell):
+            assert _window_bound(ell) == window_bound(ell), ell
+    assert [_window_bound(ell) for ell in (3, 5, 7, 11)] == [1, 2, 2, 3]
+
+
 def test_inv_alpha_rejects_bad_modulus():
     with pytest.raises(ValueError):
         inv_alpha(4)
@@ -196,8 +206,12 @@ def test_inv_alpha_rejects_bad_modulus():
         inv_alpha(3)
 
 
+# every n up to 500, then a sample up to the largest n the CLI accepts
+CLOSED_FORM_NS = [*range(501), *range(582, 20001, 97), 20000]
+
+
 def test_c2_closed_matches_series():
-    for n in range(501):
+    for n in CLOSED_FORM_NS:
         assert c2_closed(n) == count_cores(n, 2), n
 
 
@@ -207,7 +221,7 @@ def test_c2_closed_is_triangular_indicator():
 
 
 def test_c3_closed_matches_series():
-    for n in range(501):
+    for n in CLOSED_FORM_NS:
         assert c3_closed(n) == count_cores(n, 3), n
 
 
@@ -221,7 +235,8 @@ def test_c3_sparsity_trend():
 
 
 def test_core_main_term_exact_at_5():
-    for n in range(301):
+    # c_5(n) = sigma_5(n + 1), since inv_alpha(5) = 1 and delta_5 = 1
+    for n in CLOSED_FORM_NS:
         assert core_main_term(n, 5) == count_cores(n, 5), n
 
 

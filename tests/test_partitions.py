@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corz import partitions
 from corz.characters import dimension
 from corz.partitions import (
     Partition,
@@ -23,7 +24,7 @@ from corz.partitions import (
     is_regular,
     mask_parts,
 )
-from reference import conjugate, hook_lengths
+from reference import conjugate, cores_by_convolution, hook_lengths, regular_by_convolution
 
 
 def test_partition_normalizes_input():
@@ -238,6 +239,49 @@ def test_series_match_dense_products():
             if power == 0:
                 assert series == [count_p_regular(n, a) for n in range(SERIES_N + 1)], a
         assert series == [count_cores(n, a) for n in range(SERIES_N + 1)], a
+
+
+def test_series_match_convolutions():
+    # the direct convolutions, over their own pentagonal generator and
+    # E(q)^ell built factor by factor
+    upto = 3000
+    for ell in (2, 3, 4, 5, 7, 11, 97, 499):
+        assert [count_cores(n, ell) for n in range(upto + 1)] == cores_by_convolution(ell, upto), ell
+    for a in (2, 3, 5, 7, 50):
+        assert [count_p_regular(n, a) for n in range(upto + 1)] == regular_by_convolution(a, upto), a
+
+
+def test_cores_below_the_modulus_are_all_partitions():
+    # no hook of a partition of n < ell can have length ell
+    for ell in (2, 3, 5, 13, 97, 499):
+        assert [count_cores(n, ell) for n in range(ell)] == [count_p(n) for n in range(ell)], ell
+
+
+def _fresh_series_tables(monkeypatch):
+    monkeypatch.setattr(partitions, "_PENTAGONAL", ([], []))
+    monkeypatch.setattr(partitions, "_P_CACHE", [1])
+    monkeypatch.setattr(partitions, "_EULER_POWERS", {})
+    monkeypatch.setattr(partitions, "_CORE_TABLES", {})
+
+
+def _series_at(cells):
+    # count_cores first, so that one large n grows its table before p(n)'s
+    return {(n, ell): (count_cores(n, ell), count_p_regular(n, ell), count_p(n)) for n, ell in cells}
+
+
+def test_series_do_not_depend_on_table_growth_order(monkeypatch):
+    ells = (2, 3, 5, 7, 11, 97)
+    cells = [(n, ell) for ell in ells for n in range(1201)]
+    _fresh_series_tables(monkeypatch)
+    want = _series_at(cells)
+    orders = (
+        sorted(cells, key=lambda cell: -cell[0]),  # descending n
+        sorted(cells),  # moduli interleaved at each n
+        [(1200, ell) for ell in ells] + cells,  # one large n first
+    )
+    for order in orders:
+        _fresh_series_tables(monkeypatch)
+        assert _series_at(order) == want
 
 
 def test_series_reject_negative_n():
