@@ -1,9 +1,9 @@
 """Exact counting of zero entries in symmetric-group character tables
 restricted to rows indexed by ell-core partitions.
 
-Everything here computes over exact integers and rationals; the handful of
-floating-point estimates are clearly named as estimates and never feed back
-into a count.
+Everything here computes over exact integers and rationals.  Floating point
+appears only in the numeric cross-check of inv_alpha and in the rounding of
+ratios that `corz asymptotics` prints; neither feeds back into a count.
 """
 
 from .partitions import (
@@ -12,8 +12,6 @@ from .partitions import (
     count_p,
     count_p_regular,
     enumerate_partitions,
-    hagis_estimate,
-    hr_estimate,
     is_core,
     is_regular,
 )
@@ -90,8 +88,6 @@ __all__ = [
     "extremal_abacus",
     "from_abacus",
     "generalized_bernoulli",
-    "hagis_estimate",
-    "hr_estimate",
     "inv_alpha",
     "is_core",
     "is_regular",

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: count (single exact values), census (sweeps to CSV or JSON),
-verify (named self-check suites), asymptotics (estimate-vs-exact tables).
+verify (named self-check suites), asymptotics (exact counts against the
+paper's main term alpha_ell sigma_ell(n + delta_ell), as exact ratios).
 Exit codes: 0 success, 1 failed verification, 2 bad usage or input.
 """
 
@@ -24,8 +25,8 @@ from .census import (
 )
 from .suites import available_suites, verify
 from .abacus import n_ell
-from .numtheory import delta_ell, inv_alpha, sigma_twisted
-from .partitions import count_cores, count_p, count_p_regular, hagis_estimate, hr_estimate
+from .numtheory import _is_prime, core_main_term, delta_ell, inv_alpha, sigma_twisted
+from .partitions import count_cores, count_p, count_p_regular
 
 _COUNT_QUANTITIES = {
     # name -> (argument names, callable)
@@ -41,13 +42,14 @@ _COUNT_QUANTITIES = {
 # largest n for the p(n) and c_ell(n) tables behind `count p | p-regular |
 # cores`, `census` and `asymptotics`; the tables and a count there take
 # 0.2-0.45 s end to end on a 2-core x86 VM (one census modulus; each further
-# modulus adds its own c_ell table, about 0.1 s at ell = 97).  It also bounds
-# `count sigma`, whose divisor sum trial-divides up to sqrt(n)
+# modulus adds its own c_ell table, about 0.1 s at ell = 97).  The widest
+# `asymptotics` table, every n up to here at ell = 499, takes 2.0 s on the same
+# VM.  It also bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
-# largest modulus for `census --ell` and every `count` argument named ell: the
-# core enumeration recurses once per abacus column, and `count inv-alpha`
-# grows about as ell^3 (0.23 s end to end at 499 on the same VM; inv_alpha(1601)
-# alone takes 8.0 s)
+# largest modulus for `census --ell`, `asymptotics --ell` and every `count`
+# argument named ell: the core enumeration recurses once per abacus column,
+# and `count inv-alpha` grows about as ell^3 (0.23 s end to end at 499 on the
+# same VM; inv_alpha(1601) alone takes 8.0 s)
 ELL_MAX = 500
 
 
@@ -93,8 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", help="suite name, or 'all'")
     pv.add_argument("--format", choices=("text", "json"), default="text")
 
-    pa = sub.add_parser("asymptotics", help="estimate-vs-exact tables")
-    pa.add_argument("--ell", type=int, default=3, help="modulus for the regular count")
+    pa = sub.add_parser(
+        "asymptotics", help="core and zero-bound counts over the paper's exact main term"
+    )
+    pa.add_argument("--ell", type=int, default=5, help=f"prime modulus from 5 to {ELL_MAX}")
     pa.add_argument("--n-min", type=int, default=50)
     pa.add_argument("--n-max", type=int, default=500)
     pa.add_argument("--step", type=int, default=50)
@@ -201,33 +205,34 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.step < 1 or opts.n_min < 1:
         print("need n-min >= 1 and step >= 1", file=sys.stderr)
         return 2
+    # the main term alpha_ell sigma_ell(n + delta_ell) is stated for primes >= 5
+    if not (5 <= opts.ell <= ELL_MAX and _is_prime(opts.ell)):
+        print(f"--ell must be a prime from 5 to {ELL_MAX}, got {opts.ell}", file=sys.stderr)
+        return 2
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
-    rows = []
+    header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
+    rows = [header]
     for n in range(opts.n_min, opts.n_max + 1, opts.step):
         p = count_p(n)
-        pa = count_p_regular(n, opts.ell)
-        hr = hr_estimate(n)
-        hg = hagis_estimate(n, opts.ell)
-        rows.append((n, p, hr, hr / p, pa, hg, hg / pa))
-    header = ("n", "p_n", "hr_estimate", "hr_ratio", "p_ell_n", "hagis_estimate", "hagis_ratio")
+        p_ell = count_p_regular(n, opts.ell)
+        c = count_cores(n, opts.ell)
+        # exact ratios over the census's main term; it is never 0, since
+        # sigma_ell(n + delta_ell) > 0 for primes ell >= 5
+        main = core_main_term(n, opts.ell)
+        core_ratio = c / main
+        lower_ratio = (p - p_ell) * c / (main * p)
+        rows.append((str(n), str(p), str(p_ell), str(c),
+                     f"{float(core_ratio):.10f}", f"{float(lower_ratio):.10f}"))
     if opts.format == "csv":
-        print(",".join(header))
         for row in rows:
-            print(",".join(_fmt_cell(v) for v in row))
+            print(",".join(row))
     else:
-        cells = [header] + [tuple(_fmt_cell(v) for v in row) for row in rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-        for r in cells:
-            print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
     return 0
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return f"{v:.6g}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,13 +3,11 @@
 Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
 integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
 recurrence, one for p and one per modulus for c_ell, and p_ell(n) from a short
-convolution with the p(n) table.  The two closed-form growth estimates at the
-bottom are advisory floats and are never mixed into exact results.
+convolution with the p(n) table.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -289,32 +287,3 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     for buf in _iter_partition_buffers(n):
         yield Partition._from_desc(tuple(buf))
 
-
-# ---------------------------------------------------------------------------
-# advisory growth estimates (floats; never used in exact counts)
-
-
-def hr_estimate(n: int) -> float:
-    """Leading-order partition growth exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * n * math.sqrt(3))
-
-
-def hagis_estimate(n: int, a: int) -> float:
-    """Main-term size of count_p_regular(n, a) for large n.
-
-    C_a (24 n - 1 + a)^(-3/4) exp(C sqrt((a-1)/a (n + (a-1)/24))) with
-    C = pi sqrt(2/3) and C_a = sqrt(12) a^(-3/4) (a-1)^(1/4).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if a < 2:
-        raise ValueError("a must be at least 2")
-    c = math.pi * math.sqrt(2.0 / 3.0)
-    c_a = math.sqrt(12.0) * a ** -0.75 * (a - 1) ** 0.25
-    return (
-        c_a
-        * (24 * n - 1 + a) ** -0.75
-        * math.exp(c * math.sqrt((a - 1) / a * (n + (a - 1) / 24)))
-    )

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,7 +134,9 @@ def test_census_rejects_small_moduli(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[1].startswith("0,499,1,1,1,0,0,0,,")
 
 
-REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+ROOT = Path(__file__).resolve().parents[1]
+REFS = ROOT / "perfbench" / "refs"
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -156,12 +159,17 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the work ran")
 
-    monkeypatch.setattr(cli, "run_census", no_work)
-    monkeypatch.setattr(cli, "count_p", no_work)
+    for name in ("run_census", "count_p", "count_p_regular", "count_cores", "core_main_term"):
+        monkeypatch.setattr(cli, name, no_work)
     for command in ("census", "asymptotics"):
         code, out, err = run_cli(capsys, command, "--n-max", str(COUNT_N_MAX + 1))
         assert code == 2 and out == "", command
         assert f"--n-max must be at most {COUNT_N_MAX}" in err, command
+    # the main term is stated for primes 5 <= ell, and ell is bounded like census's
+    for ell in ("3", "4", "9", str(ELL_MAX + 3)):
+        code, out, err = run_cli(capsys, "asymptotics", "--ell", ell)
+        assert code == 2 and out == "", ell
+        assert f"--ell must be a prime from 5 to {ELL_MAX}, got {ell}" in err, ell
 
 
 def test_census_json_format(capsys):
@@ -265,27 +273,53 @@ def test_verify_unknown_suite(capsys):
 
 def test_asymptotics_table(capsys):
     code, out, err = run_cli(
-        capsys, "asymptotics", "--ell", "5", "--n-min", "100", "--n-max", "200",
+        capsys, "asymptotics", "--ell", "7", "--n-min", "100", "--n-max", "300",
         "--step", "100",
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == [
-        "n", "p_n", "hr_estimate", "hr_ratio", "p_ell_n", "hagis_estimate",
-        "hagis_ratio",
+    assert [line.split() for line in lines] == [
+        ["n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio"],
+        ["100", "190569292", "76548423", "1440", "1.0000000000", "0.5983171150"],
+        ["200", "3972999029388", "849096202659", "6375", "1.0000000000", "0.7862833098"],
+        ["300", "9253082936723602", "1186721644858540", "14354", "1.0072098939",
+         "0.8780337274"],
     ]
-    assert len(lines) == 3
-    assert lines[1].split()[1] == "190569292"
+    # right-aligned columns
+    assert len({len(line) for line in lines}) == 1
 
 
 def test_asymptotics_csv(capsys):
-    code, out, err = run_cli(
-        capsys, "asymptotics", "--n-min", "50", "--n-max", "50", "--format", "csv"
-    )
+    argv = ("asymptotics", "--n-min", "50", "--n-max", "400", "--step", "350",
+            "--format", "csv")
+    header = "n,p_n,p_ell_n,c_ell_n,core_ratio,lower_ratio"
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("n,p_n,")
-    assert lines[1].startswith("50,204226,")
+    # the default modulus is 5, where c_5(n) is the main term exactly
+    assert out.splitlines() == [
+        header,
+        "50,204226,79888,32,1.0000000000,0.6088255168",
+        "400,6727090051741041926,128113373974013629,402,1.0000000000,0.9809556029",
+    ]
+    code, out, err = run_cli(capsys, *argv, "--ell", "11")
+    assert code == 0
+    assert out.splitlines() == [
+        header,
+        "50,204226,169323,7238,1.0068938534,0.1720819884",
+        "400,6727090051741041926,1872895522648327325,21399135,0.9999930067,0.7215840051",
+    ]
+
+
+def test_readme_asymptotics_example_is_its_real_output(capsys):
+    # every line the README shows under `$ corz asymptotics ...`, up to the
+    # next command or the end of the block
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^\$ corz asymptotics (.*?)\n(.*?)^(?:\$|```)", text, re.M | re.S)
+    shown = block.group(2).rstrip("\n").splitlines()
+    code, out, err = run_cli(capsys, "asymptotics", *block.group(1).split())
+    assert code == 0, err
+    assert out.splitlines() == shown
+    assert len(shown) > 1
 
 
 def test_asymptotics_rejects_bad_range(capsys):

@@ -17,9 +17,7 @@ from corz.partitions import (
     count_p,
     count_p_regular,
     enumerate_partitions,
-    hagis_estimate,
     hook_mask,
-    hr_estimate,
     is_core,
     is_regular,
     mask_parts,
@@ -304,24 +302,3 @@ def test_conjugate_involution_property(parts):
 def test_largest_hook_spans_diagram(parts):
     lam = Partition(parts)
     assert max(hook_lengths(lam)) == lam[0] + len(lam) - 1
-
-
-def test_hr_estimate_tracks_p():
-    # ratio tightens as n grows
-    r50 = hr_estimate(50) / count_p(50)
-    r400 = hr_estimate(400) / count_p(400)
-    assert abs(r400 - 1) < abs(r50 - 1)
-    assert 0.9 < r400 < 1.1
-
-
-def test_hagis_estimate_tracks_regular_count():
-    for a in (3, 5, 7):
-        r50 = hagis_estimate(50, a) / count_p_regular(50, a)
-        r400 = hagis_estimate(400, a) / count_p_regular(400, a)
-        assert abs(r400 - 1) < abs(r50 - 1), a
-        assert 0.9 < r400 < 1.1, a
-
-
-def test_hagis_estimate_monotone_in_n():
-    values = [hagis_estimate(n, 5) for n in range(10, 200, 10)]
-    assert all(b > a for a, b in zip(values, values[1:]))

@@ -9,7 +9,7 @@ import corz
 # verify suites import, and what those names call; by module as listed there
 PUBLIC_API = sorted("""
     Partition enumerate_partitions count_p count_p_regular count_cores is_core
-    is_regular hr_estimate hagis_estimate
+    is_regular
     Abacus to_abacus from_abacus abacus_size enumerate_cores bead_jump_witness
     swap_columns extremal_abacus n_ell max_regular_core
     ColumnEvaluator mn_character dimension centralizer_order

@@ -22,8 +22,6 @@ def run_script(name, *args):
 
 
 @pytest.mark.parametrize("name, args, summary", [
-    ("main_term_drift.py", ("--n-max", "200"),
-     "  mean |ratio - 1| per block: 1.43e-02, 1.16e-03, 3.73e-04, 2.03e-04"),
     ("star_window_scan.py", ("--n-max", "20"),
      "largest n with a nonvanishing core pair: 10 (bound predicts none above 16)"),
 ])
