@@ -7,6 +7,15 @@ zero counts over full columns or over core-by-core blocks.  Output is
 deterministic: CSV or JSON lines, byte-identical across reruns, with an
 optional per-(n, ell) cache that never changes results.  The self-checks of
 the paper's statements live in `suites`; this module holds none.
+
+The three exhaustive counts read nested blocks of the table of one n: core
+rows by core columns, core rows by all columns, and the whole table.  One
+zero loop serves them and keeps its verdicts for the current n in a
+module-level store (a bit per conjugate orbit of rows; per column, the orbits
+decided and the orbits that vanish), so each pair is decided once per n.
+The store lives for one n per process: a call for another n drops it, and
+each worker of a --jobs pool keeps its own.  It holds one entry per column
+of n, about 7 MiB at n = 38.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,32 +72,78 @@ def z_lower_bound(n: int, ell: int) -> int:
     return (count_p(n) - count_p_regular(n, ell)) * count_cores(n, ell)
 
 
+class _Verdicts:
+    """Zero verdicts of the character table of one n, kept between calls.
+
+    Each conjugate orbit of rows, keyed on its smaller beta-set mask, gets a
+    bit.  Each column, keyed on its parts, holds two ints over those bits:
+    the orbits already decided and the orbits that vanish.
+    """
+
+    def __init__(self) -> None:
+        self.reset(-1)
+
+    def reset(self, n: int) -> None:
+        self.n = n
+        self.orbits: dict[int, tuple[int, int]] = {}  # key -> (bit, hook set)
+        self.columns: dict[tuple[int, ...], tuple[int, int]] = {}  # parts -> (decided, zero)
+
+
+# the verdicts of the latest n in this process; a call for another n resets it
+_verdicts = _Verdicts()
+
+
 def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> list[int]:
-    # zeros chi_row(column) per column, in column order.  A pair vanishes
-    # without MN when some part of the column is not a hook length of the row.
-    # chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation keeps hook lengths, so
-    # a row and its conjugate vanish together: rows are grouped into conjugate
-    # orbits keyed on the smaller mask, each orbit is evaluated once, and a
-    # zero counts once per row of the orbit present in rows (1 or 2).
+    # zeros chi_row(column) per column, in column order, for distinct rows.
+    # A pair vanishes without MN when some part of the column is not a hook
+    # length of the row.  chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation
+    # keeps hook lengths, so a row and its conjugate vanish together: rows are
+    # grouped into conjugate orbits, each orbit is decided once per column of
+    # n and the verdict kept in _verdicts, and a zero counts once per row of
+    # the orbit present in rows.
     if not rows:
         return [0 for _ in columns]
-    reps: dict[int, int] = {}
-    sizes: Counter[int] = Counter()
+    store = _verdicts
+    if store.n != rows[0].n:
+        store.reset(rows[0].n)
+    lower = upper = 0
+    orbits: dict[int, tuple[int, int]] = {}  # bit -> (row mask, hook set), in row order
     for lam in rows:
         mask = beta_mask(lam.parts)
-        key = min(mask, conjugate_mask(mask))
-        reps.setdefault(key, mask)
-        sizes[key] += 1
-    orbits = [(mask, hook_mask(key), sizes[key]) for key, mask in reps.items()]
+        conj = conjugate_mask(mask)
+        key = min(mask, conj)
+        orbit = store.orbits.get(key)
+        if orbit is None:
+            orbit = store.orbits[key] = (1 << len(store.orbits), hook_mask(key))
+        bit, hooks = orbit
+        orbits.setdefault(bit, (mask, hooks))
+        if mask == key:
+            lower |= bit
+        else:
+            upper |= bit
+    # ones: orbits with a row here; twos: orbits with both conjugates here
+    ones, twos = lower | upper, lower & upper
     out = []
     for mu in columns:
-        col = ColumnEvaluator(mu)
-        needed = sum(1 << p for p in set(mu.parts))
-        zeros = 0
-        for mask, hset, size in orbits:
-            if needed & ~hset or col.value_mask(mask) == 0:
-                zeros += size
-        out.append(zeros)
+        decided, zero = store.columns.get(mu.parts, (0, 0))
+        if ones & ~decided:
+            needed = sum(1 << p for p in set(mu.parts))
+            col = None
+            for bit, (mask, hooks) in orbits.items():
+                if decided & bit:
+                    continue
+                if needed & ~hooks:
+                    zero |= bit
+                    continue
+                if col is None:
+                    col = ColumnEvaluator(mu)
+                if col.value_mask(mask) == 0:
+                    zero |= bit
+            # a fresh column keeps `ones` itself, not an equal copy: the store
+            # holds an entry for every column of n
+            store.columns[mu.parts] = (decided | ones if decided else ones, zero)
+        zero &= ones
+        out.append(zero.bit_count() + (zero & twos).bit_count())
     return out
 
 
@@ -282,6 +336,9 @@ def build_record(
             computed.append(key)
         return payload[key]
 
+    # the full table first: its verdicts decide the core blocks below
+    if with_z_all and n <= cap_exact:
+        rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
     if n <= cap_exact:
         rec.z_exact = sum(lookup("z_exact_columns", partial(_z_exact_columns, n, ell)))
         _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
@@ -297,8 +354,6 @@ def build_record(
         main = core_main_term(n, ell) * p
         rec.main_term_num = main.numerator
         rec.main_term_den = main.denominator
-    if with_z_all and n <= cap_exact:
-        rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
     if path is not None and computed:
         _store_cache(path, n, ell, payload)
     return rec

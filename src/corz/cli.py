@@ -145,6 +145,9 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     if any(not 2 <= ell <= ELL_MAX for ell in ells):
         print(f"--ell moduli must be between 2 and {ELL_MAX}, got {opts.ell!r}", file=sys.stderr)
         return 2
+    if opts.n_min < 0:
+        print(f"--n-min must be nonnegative, got {opts.n_min}", file=sys.stderr)
+        return 2
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2

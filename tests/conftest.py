@@ -1,5 +1,6 @@
 import pytest
 
+from corz import census
 from corz.suites import verify
 
 _reports = {}
@@ -16,3 +17,11 @@ def suite_report():
         return _reports[name]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def fresh_zero_verdicts():
+    """Each test starts from an empty zero-verdict store.  The store outlives
+    a test, as the _z_all cache does, so without this a test that expects MN
+    to run at some n would pass or fail with the n the previous test left."""
+    census._verdicts.reset(-1)

@@ -32,6 +32,7 @@ from corz.numtheory import core_main_term
 from corz.suites import available_suites, verify
 from corz.partitions import (
     Partition,
+    conjugate_mask,
     count_p,
     count_p_regular,
     enumerate_partitions,
@@ -121,6 +122,38 @@ def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
     rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
     columns = data.draw(st.lists(st.sampled_from(lams)))
     assert census._count_zeros(rows, columns) == naive_count_zeros(rows, columns)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_count_zeros_sequence_matches_naive_loop(data):
+    # the verdict store lives across calls: n switches back and forth, row
+    # sets are arbitrary (mostly not closed under conjugation) and columns
+    # repeat, within a call and across calls
+    census._verdicts.reset(-1)
+    for n in data.draw(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=8)):
+        lams = list(enumerate_partitions(n))
+        rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
+        columns = data.draw(st.lists(st.sampled_from(lams), max_size=2 * len(lams)))
+        got = census._count_zeros(rows, columns)
+        assert got == naive_count_zeros(rows, columns), (n, [lam.parts for lam in rows])
+
+
+def test_census_decides_each_pair_once(monkeypatch):
+    # z_all runs first and decides every pair of n = 12; z_exact and z_star
+    # of the three moduli then read their blocks from the store
+    seen = []
+    value_mask = ColumnEvaluator.value_mask
+
+    def logged(self, mask):
+        seen.append((self.parts, min(mask, conjugate_mask(mask))))
+        return value_mask(self, mask)
+
+    monkeypatch.setattr(ColumnEvaluator, "value_mask", logged)
+    census._z_all.cache_clear()
+    records = run_census(CensusConfig(n_min=12, n_max=12, ells=(3, 5, 7), with_z_all=True))
+    assert len(seen) == len(set(seen)) == 2353
+    assert [r.z_all for r in records] == [2230] * 3
 
 
 def test_count_zeros_evaluates_one_row_per_conjugate_pair(monkeypatch):
@@ -304,9 +337,10 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
     assert rec.z_exact == 0 and rec.z_star_exact == 0
     cached = json.loads((tmp_path / "census-2-4.json").read_text())
     assert cached["payload"]["z_exact_columns"] == [0] * count_p(4)
-    # with rows, every column still gets its evaluator
+    # with rows, only the columns that MN must decide get an evaluator: the
+    # hooks of (2, 2) are 1, 2, 3, so the prefilter settles column (4)
     assert census._count_zeros([Partition((2, 2))], enumerate_partitions(4)) == [1, 0, 0, 1, 0]
-    assert len(built) == count_p(4)
+    assert [mu.parts for mu in built] == [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_record_csv_row_empty_cells():

@@ -172,6 +172,16 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
         assert f"--ell must be a prime from 5 to {ELL_MAX}, got {ell}" in err, ell
 
 
+def test_census_rejects_negative_n_min(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_census", no_work)
+    code, out, err = run_cli(capsys, "census", "--n-min", "-3")
+    assert code == 2 and out == ""
+    assert err == "--n-min must be nonnegative, got -3\n"
+
+
 def test_census_json_format(capsys):
     code, out, err = run_cli(
         capsys, "census", "--ell", "5", "--n-min", "6", "--n-max", "6",
