@@ -25,7 +25,6 @@ import json
 import os
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -367,6 +366,8 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     process per grid cell; workers share nothing and map keeps grid order, so
     output does not depend on scheduling.  With with_z_all, each process
     walks the full table of a given n once, whatever the number of moduli.
+    The process pool, and multiprocessing with it, is imported only when more
+    than one worker runs, so a serial census starts without them.
     """
     task = partial(
         build_record,
@@ -381,6 +382,8 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     ells = [ell for _, ell in grid]
     workers = min(config.jobs, len(grid))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, ns, ells))
     return list(map(task, ns, ells))

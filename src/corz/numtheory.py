@@ -5,9 +5,12 @@ on two genuinely independent routes, and the two must agree:
 
 - exact: a rational through the generalized Bernoulli number B_{k,chi},
   formed from k+1 terms with integer power sums of the character;
-- numeric: a partial sum of the Dirichlet series L(chi, k) in integer fixed
-  point.  Its length comes from the Abel tail bound W (N+1)^(-k), and the
-  N rounded terms together err by under 2^-(prec+8), far below that tail.
+- numeric: a partial sum of the Dirichlet series L(chi, k), times
+  (k-1)! ell^k sqrt(ell) / (2 pi)^k, all in integer fixed point.  Its length
+  comes from the Abel tail bound W (N+1)^(-k), and inv_alpha's docstring
+  bounds every rounding error next to that tail.
+
+The module uses the standard library only.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-
-import mpmath
 
 from .partitions import count_cores
 
@@ -130,24 +131,59 @@ def _window_bound(ell: int) -> int:
     return max(prefix) - min(prefix)
 
 
-def _dirichlet_l_numeric(ell: int, s: int, tail: mpmath.mpf) -> mpmath.mpf:
-    # partial sum of L(chi, s); Abel summation bounds the remainder after N
-    # terms by W (N+1)^(-s) with W the window bound, so pick N from that.
-    # The sum runs in integer fixed point with `bits` fraction bits: each
-    # floor(one / m^s) errs by under one unit, so the N terms together err by
-    # under N * 2^-bits < 2^-(prec+8), far below the tail; the one conversion
-    # to mpf at the end rounds at the working precision.
-    w = _window_bound(ell)
-    n_terms = int(mpmath.ceil((w / tail) ** (1.0 / s))) + ell
-    bits = mpmath.mp.prec + n_terms.bit_length() + 8
+def _dirichlet_l_numeric(ell: int, s: int, n_terms: int, bits: int) -> int:
+    # sum over m <= n_terms of chi(m) floor(2^bits / m^s): the partial sum of
+    # L(chi, s) in fixed point with `bits` fraction bits, each floor off by
+    # under one unit, so the whole within n_terms units.  Abel summation bounds
+    # what the partial sum leaves out by W (N+1)^(-s), W the window bound.
+    # One sum per residue class keeps the loop free of branches.
     one = 1 << bits
-    chi = [legendre(a, ell) for a in range(ell)]
     acc = 0
-    for m in range(1, n_terms + 1):
-        c = chi[m % ell]
-        if c:
-            acc += c * (one // m**s)
-    return mpmath.ldexp(mpmath.mpf(acc), -bits)
+    for r in range(1, ell):
+        part = sum(one // m**s for m in range(r, n_terms + 1, ell))
+        acc += part if legendre(r, ell) > 0 else -part
+    return acc
+
+
+def _pi_fixed(bits: int) -> int:
+    # pi 2^bits within 2 units, by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+    # Each series term floor(2^(bits+g) / ((2j+1) x^(2j+1))) errs by under one
+    # unit, and the dropped tail by under one.  atan(1/5) takes under
+    # (bits+g)/4 + 2 terms and atan(1/239) under (bits+g)/15 + 2, so the
+    # weighted sum errs by under 5 (bits+g) + 64 < 2^(g-1) units before the
+    # shift by the g guard bits
+    guard = bits.bit_length() + 8
+    one = 1 << (bits + guard)
+
+    def atan_inv(x: int) -> int:
+        total = term = one // x
+        j = 1
+        while term:
+            term //= x * x
+            j += 2
+            total += term // j if j % 4 == 1 else -(term // j)
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> guard
+
+
+def _iroot_ceil(x: int, k: int) -> int:
+    """Least r >= 1 with r**k >= x, for integers x >= 1 and k >= 1."""
+    lo, hi = 0, 1 << -(-x.bit_length() // k)  # lo**k < x <= hi**k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k < x:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _fixed_str(v: int, bits: int) -> str:
+    # v / 2^bits as a decimal, truncated to 12 places; values reach hundreds
+    # of digits, beyond a float
+    whole, frac = divmod(abs(v), 1 << bits)
+    return f"{'-' if v < 0 else ''}{whole}.{(frac * 10**12) >> bits:012d}"
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +194,26 @@ def inv_alpha(ell: int) -> int:
     and the Gauss sum sqrt(ell) (or i sqrt(ell)), to
     (-1)^(1+(k-d)/2) * ell * B_{k,chi} / (ell - 1) with k = (ell-1)/2 and
     d = 0 or 1 matching the parity of the character; all pi and sqrt(ell)
-    factors cancel symbolically.  A fixed-point Dirichlet-series evaluation,
-    with a proven tail bound and a rounding bound below it, must confirm the
-    integer to 1e-6.
+    factors cancel symbolically.
+
+    Numeric route, in integers at B fraction bits: the value is F L with
+    F = M sqrt(ell) / (2 pi)^k, M = (k-1)! ell^k exact and L = L(chi, k).
+    Since pi > 3.14159, F^2 < M^2 ell / 6.28318^(2k), which fixes h with
+    F < 2^h and the least N with W (N+1)^(-k) F <= 1e-9, by an exact 2k-th
+    root.  Then B = h + bitlen(20k + N) + 41, and the errors are:
+
+    - sqrt(ell) as isqrt(ell 2^(2B)): under one unit, relative 2^-B;
+    - (2 pi)^k as k fixed-point products of 2 pi, each within 4 units:
+      relative error at most 4k 2^-B;
+    - F from those, then floored: within (10k F + 1) 2^-B;
+    - L as the N floored terms: within N 2^-B, and |L| < zeta(2) < 2;
+    - the N-term tail of L, times F: at most 1e-9 by the choice of N;
+    - the product F L, floored: within 2^-B.
+
+    All but the tail sum to under (F (20k + N) + 3) 2^-B <= 2^-40, so the
+    numeric value is within 1.001e-9 of the true one, three orders below
+    the 1e-6 bar it must meet against the exact integer.  The route uses no
+    Bernoulli number and stays independent of the exact one.
     """
     _require_core_prime(ell)
     k = (ell - 1) // 2
@@ -171,24 +224,30 @@ def inv_alpha(ell: int) -> int:
         raise ArithmeticError(
             f"L-value computation inconsistent at ell={ell}: exact route gave {exact}"
         )
-    # 20 digits beyond the value's own keep rounding far below the 1e-6 bar
-    with mpmath.workdps(len(str(exact)) + 20):
-        factor = (
-            mpmath.factorial(k - 1)
-            * mpmath.power(ell, mpmath.mpf(ell) / 2)
-            / (2 * mpmath.pi) ** k
-        )
-        # keep factor * tail three orders below the 1e-6 agreement bar; the
-        # fixed-point rounding adds under 2^-(prec+8) to the L-value on top
-        lval = _dirichlet_l_numeric(ell, k, mpmath.mpf("1e-9") / factor)
-        numeric = factor * lval
-        drift = abs(numeric - int(exact))
-    if drift > 1e-6:
+    exact = int(exact)
+    m = math.factorial(k - 1) * ell**k
+    # F^2 < num / den with 100000 / 628318 = 1 / (2 * 3.14159) > 1 / (2 pi)
+    num, den = m * m * ell * 100000 ** (2 * k), 628318 ** (2 * k)
+    h = ((num // den).bit_length() + 1) // 2
+    w = _window_bound(ell)
+    # (N+1)^(2k) >= W^2 1e18 F^2 gives W (N+1)^(-k) F <= 1e-9
+    n_terms = _iroot_ceil(-(-w * w * 10**18 * num // den), 2 * k) - 1
+    bits = h + (20 * k + n_terms).bit_length() + 41
+    one = 1 << bits
+    two_pi = 2 * _pi_fixed(bits)
+    power = one
+    for _ in range(k):
+        power = power * two_pi >> bits
+    factor = (m * math.isqrt(ell << 2 * bits) << bits) // power
+    numeric = factor * _dirichlet_l_numeric(ell, k, n_terms, bits) >> bits
+    drift = abs(numeric - (exact << bits))
+    if drift * 10**6 > one:
         raise ArithmeticError(
             f"L-value computation inconsistent at ell={ell}: "
-            f"exact {int(exact)} vs numeric {numeric} (|diff|={drift})"
+            f"exact {exact} vs numeric {_fixed_str(numeric, bits)} "
+            f"(|diff|={_fixed_str(drift, bits)})"
         )
-    return int(exact)
+    return exact
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -559,7 +560,7 @@ def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     run_census(CensusConfig(n_min=4, n_max=4, ells=(3,), jobs=64))
     assert started == []
     records = run_census(CensusConfig(n_min=3, n_max=4, ells=(2, 3, 5), jobs=64))

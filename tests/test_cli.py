@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 import subprocess
@@ -165,6 +166,16 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
         code, out, err = run_cli(capsys, command, "--n-max", str(COUNT_N_MAX + 1))
         assert code == 2 and out == "", command
         assert f"--n-max must be at most {COUNT_N_MAX}" in err, command
+    # an empty range is refused too, rather than printing a bare header
+    cases = [
+        (("census", "--n-min", "5", "--n-max", "3"), "3", "5"),
+        (("census", "--n-max", "-1"), "-1", "0"),
+        (("asymptotics", "--ell", "5", "--n-min", "9", "--n-max", "3"), "3", "9"),
+    ]
+    for argv, n_max, n_min in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"--n-max {n_max} is below --n-min {n_min}: no n to sweep\n", argv
     # the main term is stated for primes 5 <= ell, and ell is bounded like census's
     for ell in ("3", "4", "9", str(ELL_MAX + 3)):
         code, out, err = run_cli(capsys, "asymptotics", "--ell", ell)
@@ -233,7 +244,7 @@ def test_census_rejects_jobs_out_of_range(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for jobs in ("0", "-1", str(10**6)):
         code, out, err = run_cli(capsys, "census", "--jobs", jobs)
         assert code == 2 and out == "", jobs
@@ -351,3 +362,35 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5604"
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_cli_imports_neither_mpmath_nor_the_process_pool():
+    proc = run_python(
+        "import sys, corz.cli\n"
+        "print(sorted(m for m in ('mpmath', 'concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_inv_alpha_and_constants_suite_run_without_mpmath():
+    # a None entry makes any import of mpmath raise ImportError
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from corz.cli import main\n"
+        "sys.exit(main(['count', 'inv-alpha', '97']) or main(['verify', 'constants']))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == (
+        "28738426215735700206612747962060062876615950867121179884879478439659"
+        "82325182444922611891396374889675099441520471783906"
+    )
+    assert lines[-1].startswith("suite constants passed")

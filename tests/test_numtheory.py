@@ -9,7 +9,9 @@ from corz import numtheory
 from corz.abacus import count_cores
 from corz.numtheory import (
     _dirichlet_l_numeric,
+    _iroot_ceil,
     _is_prime,
+    _pi_fixed,
     _window_bound,
     bernoulli_number,
     c2_closed,
@@ -142,12 +144,29 @@ def test_generalized_bernoulli_matches_per_residue_definition():
 def test_dirichlet_l_numeric_within_tail_and_rounding():
     for ell in (5, 7, 13, 97):
         s = (ell - 1) // 2
-        with mpmath.workdps(40):
-            tail = mpmath.mpf("1e-12")
-            got = _dirichlet_l_numeric(ell, s, tail)
+        # the least N whose Abel tail W (N+1)^(-s) is at most 1e-12
+        n_terms = _iroot_ceil(_window_bound(ell) * 10**12, s) - 1
+        prec = 133  # 40 decimal digits
+        bits = prec + n_terms.bit_length() + 8
+        got = _dirichlet_l_numeric(ell, s, n_terms, bits)
+        with mpmath.workprec(bits + 64):
             want = mpmath.dirichlet(s, [legendre(a, ell) for a in range(ell)])
-            # the fixed-point sum errs by under 2^-(prec+8) on top of the tail
-            assert abs(got - want) <= tail + mpmath.ldexp(1, -mpmath.mp.prec - 8), ell
+            # the N floored terms err by under N 2^-bits < 2^-(prec+8) on top of the tail
+            err = abs(mpmath.ldexp(got, -bits) - want)
+            assert err <= mpmath.mpf("1e-12") + mpmath.ldexp(1, -prec - 8), ell
+
+
+def test_pi_fixed_within_two_units():
+    for bits in (1, 2, 7, 53, 64, 200, 1000, 3300):
+        with mpmath.workprec(bits + 64):
+            assert abs(_pi_fixed(bits) - mpmath.ldexp(mpmath.pi, bits)) < 2, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**400), st.integers(1, 300))
+def test_iroot_ceil_is_the_least_root(x, k):
+    r = _iroot_ceil(x, k)
+    assert r >= 1 and r**k >= x > (r - 1) ** k
 
 
 def test_inv_alpha_rejects_a_wrong_exact_route(monkeypatch):
@@ -161,7 +180,9 @@ def test_inv_alpha_rejects_a_wrong_exact_route(monkeypatch):
     monkeypatch.setattr(numtheory, "generalized_bernoulli", off_by_one)
     inv_alpha.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="exact 1276 vs numeric"):
+        # both values and their difference, to 12 places, within 1e-9 of 1275 and 1
+        message = r"exact 1276 vs numeric 127[45]\.\d{12} \(\|diff\|=[01]\.\d{12}\)"
+        with pytest.raises(ArithmeticError, match=message):
             inv_alpha(11)
     finally:
         inv_alpha.cache_clear()
