@@ -9,13 +9,18 @@ optional per-(n, ell) cache that never changes results.  The self-checks of
 the paper's statements live in `suites`; this module holds none.
 
 The three exhaustive counts read nested blocks of the table of one n: core
-rows by core columns, core rows by all columns, and the whole table.  One
-zero loop serves them and keeps its verdicts for the current n in a
-module-level store (a bit per conjugate orbit of rows; per column, the orbits
-decided and the orbits that vanish), so each pair is decided once per n.
-The store lives for one n per process: a call for another n drops it, and
-each worker of a --jobs pool keeps its own.  It holds one entry per column
-of n, about 7 MiB at n = 38.
+rows by core columns, core rows by all columns, and the whole table.  Their
+verdicts for the current n live in a module-level store (a bit per conjugate
+orbit of rows; per column, the orbits decided and the orbits that vanish),
+so each pair is decided once per n.  The whole table comes from the
+row-side kernel of `characters`, which decides every pair of n at once and
+fills the store; a record computes it first, so its core blocks then read
+their verdicts from the store.  Without it the core blocks go through one
+zero loop: the hook prefilter, then MN per column for the pairs the store
+lacks.  The store lives for one n per process: a call for another n drops
+it, and each worker of a --jobs pool keeps its own.  It holds one entry per
+column of n: about 7 MiB at n = 38 for the core rows, and under 1 MiB at
+n = 24 once the kernel has decided every orbit.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -31,7 +37,7 @@ from pathlib import Path
 from typing import IO
 
 from .abacus import enumerate_cores, n_ell
-from .characters import ColumnEvaluator
+from .characters import ColumnEvaluator, _lane_width, _zero_table
 from .numtheory import _is_prime, core_main_term
 from .partitions import (
     Partition,
@@ -86,6 +92,37 @@ class _Verdicts:
         self.n = n
         self.orbits: dict[int, tuple[int, int]] = {}  # key -> (bit, hook set)
         self.columns: dict[tuple[int, ...], tuple[int, int]] = {}  # parts -> (decided, zero)
+
+    def fill(self, n: int) -> int:
+        """Decide every pair of n by the whole-table kernel, and return the
+        zero count of the table.  Orbits already here keep their bits; new
+        ones get theirs in the order _count_zeros gives them over the rows
+        of enumerate_partitions(n)."""
+        if self.n != n:
+            self.reset(n)
+        width = _lane_width(n)
+        # orbit bit j of group g moves the kernel's lane flag, bit width - 1,
+        # to bit j, so a group of 64 orbits fills the low word of each lane
+        groups: dict[int, int] = {}
+        count = 0
+        for key, lanes in _zero_table(n):
+            orbit = self.orbits.get(key)
+            if orbit is None:
+                orbit = self.orbits[key] = (1 << len(self.orbits), hook_mask(key))
+            g, j = divmod(orbit[0].bit_length() - 1, 64)
+            groups[g] = groups.get(g, 0) | lanes >> (width - 1 - j)
+            zeros = lanes.bit_count()
+            count += zeros if conjugate_mask(key) == key else 2 * zeros
+        # kernel lanes run in ascending lex order, the reverse of enumerate_partitions
+        columns = [mu.parts for mu in enumerate_partitions(n)][::-1]
+        zero = [0] * len(columns)
+        words = len(columns) * width // 64
+        for g, acc in groups.items():
+            low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
+            zero = [z | w << 64 * g for z, w in zip(zero, low)]
+        decided = (1 << len(self.orbits)) - 1
+        self.columns = {parts: (decided, z) for parts, z in zip(columns, zero)}
+        return count
 
 
 # the verdicts of the latest n in this process; a call for another n resets it
@@ -162,13 +199,20 @@ def z_exact(n: int, ell: int, cap: int = DEFAULT_CAP_EXACT) -> int:
 
 def _z_exact_columns(n: int, ell: int) -> list[int]:
     # zeros per column of n over the core rows; build_record caches this list
-    return _count_zeros(list(enumerate_cores(n, ell)), enumerate_partitions(n))
+    return _count_zeros(_cores(n, ell), enumerate_partitions(n))
+
+
+@lru_cache(maxsize=1)
+def _cores(n: int, ell: int) -> tuple[Partition, ...]:
+    # a record asks for the cores of its (n, ell) twice in a row: once for
+    # z_exact and once for z_star_exact
+    return tuple(enumerate_cores(n, ell))
 
 
 def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
     """Exhaustive count of zeros over ordered pairs of ell-cores of n."""
     _check_cap(n, cap, "exact star", "--cap-star")
-    cores = list(enumerate_cores(n, ell))
+    cores = _cores(n, ell)
     return sum(_count_zeros(cores, cores))
 
 
@@ -194,9 +238,9 @@ def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
 
 @lru_cache(maxsize=None)
 def _z_all(n: int) -> int:
-    # the table does not depend on ell, so a sweep over moduli walks it once per n
-    lams = list(enumerate_partitions(n))
-    return sum(_count_zeros(lams, lams))
+    # the table does not depend on ell, so a sweep over moduli computes it
+    # once per n; its verdicts decide the core blocks of n in the store
+    return _verdicts.fill(n)
 
 
 # ---------------------------------------------------------------------------

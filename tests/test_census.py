@@ -33,7 +33,6 @@ from corz.numtheory import core_main_term
 from corz.suites import available_suites, verify
 from corz.partitions import (
     Partition,
-    conjugate_mask,
     count_p,
     count_p_regular,
     enumerate_partitions,
@@ -141,20 +140,68 @@ def test_count_zeros_sequence_matches_naive_loop(data):
 
 
 def test_census_decides_each_pair_once(monkeypatch):
-    # z_all runs first and decides every pair of n = 12; z_exact and z_star
-    # of the three moduli then read their blocks from the store
+    # z_all runs first and its kernel decides every pair of n = 12; z_exact
+    # and z_star of the three moduli then read their blocks from the store,
+    # and no column needs MN
+    want = [build_record(12, ell) for ell in (3, 5, 7)]
+    census._verdicts.reset(-1)
     seen = []
     value_mask = ColumnEvaluator.value_mask
 
     def logged(self, mask):
-        seen.append((self.parts, min(mask, conjugate_mask(mask))))
+        seen.append((self.parts, mask))
         return value_mask(self, mask)
 
     monkeypatch.setattr(ColumnEvaluator, "value_mask", logged)
     census._z_all.cache_clear()
     records = run_census(CensusConfig(n_min=12, n_max=12, ells=(3, 5, 7), with_z_all=True))
-    assert len(seen) == len(set(seen)) == 2353
+    assert seen == []
     assert [r.z_all for r in records] == [2230] * 3
+    for rec, plain in zip(records, want):
+        rec.z_all = None
+        assert rec == plain
+
+
+def zero_keys(store):
+    # per column, the orbit keys decided and the orbit keys that vanish
+    keys = {bit: key for key, (bit, _) in store.orbits.items()}
+
+    def named(bits):
+        return frozenset(key for bit, key in keys.items() if bits & bit)
+
+    return {parts: (named(decided), named(zero)) for parts, (decided, zero) in store.columns.items()}
+
+
+# n = 16 has 118 orbits: two groups of 64 in the fill
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_z_all_fills_the_store_as_the_zero_loop_does(n):
+    lams = list(enumerate_partitions(n))
+    want = sum(census._count_zeros(lams, lams))
+    orbits, columns = census._verdicts.orbits, census._verdicts.columns
+    census._verdicts.reset(-1)
+    census._z_all.cache_clear()
+    assert census._z_all(n) == want
+    assert census._verdicts.n == n
+    assert census._verdicts.orbits == orbits
+    assert census._verdicts.columns == columns
+    # orbits already in the store keep their bits, and the verdicts agree
+    census._verdicts.reset(-1)
+    census._z_all.cache_clear()
+    z_exact(n, 3)
+    core_orbits = dict(census._verdicts.orbits)
+    assert census._z_all(n) == want
+    assert census._verdicts.orbits.items() >= core_orbits.items()
+    assert len(census._verdicts.orbits) == len(orbits)
+    full = census._Verdicts()
+    full.orbits, full.columns = orbits, columns
+    assert zero_keys(census._verdicts) == zero_keys(full)
+
+
+def test_z_all_pinned_values():
+    # the whole table of S_n, up to n = 24
+    census._z_all.cache_clear()
+    got = [z_all_exact(n, cap=n) for n in (16, 18, 20, 22, 24)]
+    assert got == [20615, 57980, 155176, 395473, 970294]
 
 
 def test_count_zeros_evaluates_one_row_per_conjugate_pair(monkeypatch):
@@ -300,26 +347,31 @@ def test_each_count_is_computed_once(monkeypatch):
 
         return wrapper
 
-    for name in ("count_p_regular", "count_cores"):
+    for name in ("count_p_regular", "count_cores", "enumerate_cores"):
         monkeypatch.setattr(census, name, counted(name))
+    census._cores.cache_clear()
     for ell in (2, 3, 5, 7):
         for n in (0, 6, 17, 25, 441):
             calls.clear()
             build_record(n, ell, cap_exact=10, cap_star=20)
-            assert calls == {"count_p_regular": 1, "count_cores": 1}, (n, ell)
+            # z_exact and z_star_exact share one enumeration of the cores
+            want = {"count_p_regular": 1, "count_cores": 1}
+            if n <= 20:
+                want["enumerate_cores"] = 1
+            assert calls == want, (n, ell)
 
-    count_zeros = census._count_zeros
+    zero_table = census._zero_table
 
-    def logged(rows, columns):
-        walked.append(len(rows))
-        return count_zeros(rows, columns)
+    def logged(n):
+        walked.append(n)
+        return zero_table(n)
 
-    # the full table does not depend on ell: one walk of it per n
-    monkeypatch.setattr(census, "_count_zeros", logged)
+    # the full table does not depend on ell: one kernel run per n
+    monkeypatch.setattr(census, "_zero_table", logged)
     census._z_all.cache_clear()
-    records = run_census(CensusConfig(n_min=10, n_max=10, ells=(3, 5, 7), with_z_all=True))
-    assert walked.count(count_p(10)) == 1
-    assert [r.z_all for r in records] == [brute_zeros(10)] * 3
+    records = run_census(CensusConfig(n_min=9, n_max=10, ells=(3, 5, 7), with_z_all=True))
+    assert walked == [9, 10]
+    assert [r.z_all for r in records] == [brute_zeros(9)] * 3 + [brute_zeros(10)] * 3
 
 
 def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corz.characters import ColumnEvaluator, centralizer_order, dimension, mn_character
+from corz.characters import (
+    ColumnEvaluator,
+    _lane_ones,
+    _lane_width,
+    _row_vectors,
+    _truncate,
+    _zero_lanes,
+    _zero_table,
+    centralizer_order,
+    dimension,
+    mn_character,
+)
 from corz.partitions import (
     Partition,
     beta_mask,
@@ -365,3 +376,88 @@ def test_conjugate_row_twists_by_sign(n, data):
     mu = data.draw(st.sampled_from(lams))
     sign = -1 if (n - len(mu.parts)) % 2 else 1
     assert mn_character(conjugate(lam), mu) == sign * mn_character(lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# the whole-table kernel: rows packed as signed W-bit lanes
+
+
+def pack(values, width):
+    return sum(v << (k * width) for k, v in enumerate(values))
+
+
+def unpack(x, width, lanes):
+    # lane by lane, the way the kernel never reads them
+    out = []
+    for _ in range(lanes):
+        v = x & ((1 << width) - 1)
+        if v >> (width - 1):
+            v -= 1 << width
+        out.append(v)
+        x = (x - v) >> width
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_lane_packing_truncation_and_zero_lanes(data):
+    width = data.draw(st.sampled_from([64, 128]))
+    bound = (1 << (width - 2)) - 1
+    lane = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.sampled_from([bound, -bound]),
+        st.integers(-bound, bound),
+    )
+    values = data.draw(st.lists(lane, min_size=1, max_size=40))
+    x = pack(values, width)
+    assert unpack(x, width, len(values)) == values
+    cut = data.draw(st.integers(1, len(values)))
+    assert _truncate(x, (1 << (width * cut)) - 1) == pack(values[:cut], width)
+    flags = sum(1 << (k * width + width - 1) for k, v in enumerate(values) if v == 0)
+    assert _zero_lanes(x, width, _lane_ones(width, len(values))) == flags
+
+
+def test_lane_width_is_the_least_that_holds_every_character():
+    # |chi| <= f^lam <= sqrt(n!), and W must keep sqrt(n!) < 2^(W - 2)
+    for n in range(80):
+        width = _lane_width(n)
+        assert width % 64 == 0
+        assert math.factorial(n) < 1 << (2 * width - 4), n
+        assert width == 64 or math.factorial(n) >= 1 << (2 * width - 132), n
+    assert [_lane_width(n) for n in (33, 34, 56, 57)] == [64, 128, 128, 192]
+
+
+def orbit_keys(n):
+    # smaller beta-set mask of each conjugate orbit, in enumerate_partitions order
+    keys = {}
+    for lam in enumerate_partitions(n):
+        mask = beta_mask(lam.parts)
+        keys.setdefault(min(mask, beta_mask(conjugate(lam).parts)), None)
+    return list(keys)
+
+
+def test_kernel_rows_match_evaluator():
+    for n in range(15):
+        columns = list(enumerate_partitions(n))[::-1]  # ascending lex
+        evaluators = [ColumnEvaluator(mu) for mu in columns]
+        width = _lane_width(n)
+        rows = list(_row_vectors(n))
+        assert [key for key, _ in rows] == orbit_keys(n), n
+        for key, row in rows:
+            got = unpack(row, width, len(columns))
+            assert row == pack(got, width), (n, key)
+            want = [col.value_mask(key) for col in evaluators]
+            assert got == want, (n, mask_parts(key))
+
+
+def test_kernel_zeros_match_frobenius_oracle():
+    for n in range(11):
+        columns = list(enumerate_partitions(n))[::-1]
+        width = _lane_width(n)
+        for key, flags in _zero_table(n):
+            lam = mask_parts(key)
+            want = {k for k, mu in enumerate(columns) if frobenius_character(lam, mu) == 0}
+            got = {k for k in range(len(columns)) if flags >> (k * width + width - 1) & 1}
+            assert got == want, (n, lam)
+            assert flags.bit_count() == len(want)
