@@ -17,10 +17,13 @@ row-side kernel of `characters`, which decides every pair of n at once and
 fills the store; a record computes it first, so its core blocks then read
 their verdicts from the store.  Without it the core blocks go through one
 zero loop: the hook prefilter, then MN per column for the pairs the store
-lacks.  The store lives for one n per process: a call for another n drops
-it, and each worker of a --jobs pool keeps its own.  It holds one entry per
-column of n: about 7 MiB at n = 38 for the core rows, and under 1 MiB at
-n = 24 once the kernel has decided every orbit.
+lacks.  That loop visits those columns in order of their reversed parts, so
+that each shares its smallest parts, and the MN memo levels of those, with
+the one before it; it returns counts in the caller's column order, which the
+cached per-column lists keep.  The store lives for one n per process: a call
+for another n drops it, and each worker of a --jobs pool keeps its own.  It
+holds one entry per column of n: about 7 MiB at n = 38 for the core rows,
+and under 1 MiB at n = 24 once the kernel has decided every orbit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 from typing import IO
 
 from .abacus import enumerate_cores, n_ell
-from .characters import ColumnEvaluator, _lane_width, _zero_table
+from .characters import _lane_width, _SuffixLevels, _zero_table
 from .numtheory import _is_prime, core_main_term
 from .partitions import (
     Partition,
@@ -136,7 +139,9 @@ def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> lis
     # keeps hook lengths, so a row and its conjugate vanish together: rows are
     # grouped into conjugate orbits, each orbit is decided once per column of
     # n and the verdict kept in _verdicts, and a zero counts once per row of
-    # the orbit present in rows.
+    # the orbit present in rows.  MN visits the columns in its own order (see
+    # below), but the counts come back in the caller's: build_record caches
+    # z_exact as the list over enumerate_partitions(n), so its bytes stay put.
     if not rows:
         return [0 for _ in columns]
     store = _verdicts
@@ -159,11 +164,25 @@ def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> lis
             upper |= bit
     # ones: orbits with a row here; twos: orbits with both conjugates here
     ones, twos = lower | upper, lower & upper
-    out = []
+    zeros = []  # per column, in the caller's order: the orbits that vanish
+    todo = []  # (reversed parts, index) of the columns with an orbit undecided
     for mu in columns:
         decided, zero = store.columns.get(mu.parts, (0, 0))
         if ones & ~decided:
-            needed = sum(1 << p for p in set(mu.parts))
+            todo.append((mu.parts[::-1], len(zeros)))
+        zeros.append(zero)
+    # MN visits the open columns by their reversed parts: a column then shares
+    # its smallest parts, and the memo levels of those, with the one before.
+    # They are popped from the end, so each entry is freed once visited.
+    levels = _SuffixLevels()
+    todo.sort(reverse=True)
+    while todo:
+        tail, i = todo.pop()
+        parts = tail[::-1]
+        decided, zero = store.columns.get(parts, (0, 0))
+        # a column given twice is decided by its first visit
+        if ones & ~decided:
+            needed = sum(1 << p for p in set(parts))
             col = None
             for bit, (mask, hooks) in orbits.items():
                 if decided & bit:
@@ -172,15 +191,14 @@ def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> lis
                     zero |= bit
                     continue
                 if col is None:
-                    col = ColumnEvaluator(mu)
+                    col = levels.evaluator(parts)
                 if col.value_mask(mask) == 0:
                     zero |= bit
             # a fresh column keeps `ones` itself, not an equal copy: the store
             # holds an entry for every column of n
-            store.columns[mu.parts] = (decided | ones if decided else ones, zero)
-        zero &= ones
-        out.append(zero.bit_count() + (zero & twos).bit_count())
-    return out
+            store.columns[parts] = (decided | ones if decided else ones, zero)
+        zeros[i] = zero
+    return [(zero & ones).bit_count() + (zero & twos).bit_count() for zero in zeros]
 
 
 def _check_cap(n: int, cap: int, kind: str = "exact", flag: str = "--cap-exact") -> None:
@@ -232,6 +250,8 @@ def z_star_closed(n: int, ell: int) -> int:
 
 def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Zeros over the whole character table of S_n (no core restriction)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     _check_cap(n, cap)
     return _z_all(n)
 

@@ -5,15 +5,18 @@ strip of length k moves a bead from b down to an empty position b - k, and
 its height is the number of beads strictly between the two.
 
 Two kernels share that step.  ColumnEvaluator fixes a column and memoises
-the rows it meets; the census block counts and verify use it.  The
-whole-table kernel (_zero_table) works row-side: it builds each row of n as
-one vector over every column of n, from the vectors of the partitions left
-after removing a strip, and reports the zero columns of each conjugate orbit
-of rows.  Its vectors are Python ints with W signed bits per column, where W
-is the least multiple of 64 with sqrt(n!) < 2^(W - 2), a bound on every
-character value of n; so every value is exact and no dependency is needed.
-Its memo keeps each vector only as far as a parent reads it, about 4 MiB at
-n = 24 and 40 MiB at n = 30.
+the rows it meets, one memo level per part removed; verify uses it alone.
+The census block counts get theirs from _SuffixLevels, which hands the
+levels of a column's smallest parts on to the next column that ends in the
+same parts: chi_nu(remaining parts) does not depend on the parts already
+removed.  The whole-table kernel (_zero_table) works row-side: it builds
+each row of n as one vector over every column of n, from the vectors of the
+partitions left after removing a strip, and reports the zero columns of each
+conjugate orbit of rows.  Its vectors are Python ints with W signed bits
+per column, where W is the least multiple of 64 with sqrt(n!) < 2^(W - 2),
+a bound on every character value of n; so every value is exact and no
+dependency is needed.  Its memo keeps each vector only as far as a parent
+reads it, about 4 MiB at n = 24 and 40 MiB at n = 30.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ class ColumnEvaluator:
 
     Strips are removed for the parts of mu in the order given (a Partition
     supplies them largest first); the value is independent of that order.
-    Results are memoized on the canonical beta-set of the remaining
-    partition; its size fixes how many parts were consumed.  The memo starts
-    with the empty partition, so a strip for the last part finds its value
-    there and makes no call.  One evaluator thus amortizes work across many
-    row labels of the same column.
-    Evaluators share nothing, which keeps per-column work independent.
+    Memo level i holds chi_nu(parts[i:]) for the rows nu met after parts[:i]
+    are removed, keyed on the canonical beta-set of nu.  The last level holds
+    the empty partition, so a strip for the last part finds its value there
+    and makes no call.  One evaluator thus amortizes work across many row
+    labels of the same column.  A fresh evaluator starts on fresh levels;
+    the ones _SuffixLevels hands out share the levels of their common
+    smallest parts with the columns visited before them.
     """
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
@@ -52,7 +56,7 @@ class ColumnEvaluator:
             raise ValueError("cycle type parts must be positive")
         self.parts = parts
         self.size = sum(parts)
-        self._memo: dict[int, int] = {0: 1}
+        self._memos: list[dict[int, int]] = [{} for _ in parts] + [{0: 1}]
 
     def value(self, lam: PartitionLike) -> int:
         lam = Partition.of(lam)
@@ -67,7 +71,7 @@ class ColumnEvaluator:
         without extra beads at 0..t-1; lam must be a partition of self.size.
         The empty cycle type gives 1."""
         mask = canonical_mask(mask)
-        cached = self._memo.get(mask)
+        cached = self._memos[0].get(mask)
         return self._eval(mask, 0) if cached is None else cached
 
     def _eval(self, mask: int, idx: int) -> int:
@@ -76,19 +80,50 @@ class ColumnEvaluator:
         k = self.parts[idx]
         ends = (mask & ~(mask << k)) >> k
         total = 0
-        memo = self._memo
+        memos = self._memos
+        below = memos[idx + 1]
         while ends:
             end = ends & -ends
             ends ^= end
             top = end << k
             rest = mask ^ top ^ end
             rest >>= ((rest + 1) & ~rest).bit_length() - 1
-            term = memo.get(rest)
+            term = below.get(rest)
             if term is None:
                 term = self._eval(rest, idx + 1)
             total += -term if (mask & (top - end)).bit_count() & 1 else term
-        memo[mask] = total
+        memos[idx][mask] = total
         return total
+
+
+class _SuffixLevels:
+    """The memo levels of the latest column, indexed by suffix length: level
+    k holds chi_nu of the column's last k parts, for the rows nu of their
+    size met so far.  Those values are the same for every column that ends
+    in these k parts, so a column keeps the levels of the suffix it shares
+    with the previous one and starts the rest empty.  Columns visited in
+    order of their reversed parts share the longest suffixes; only the
+    current column's chain of levels is kept."""
+
+    def __init__(self) -> None:
+        self.parts: tuple[int, ...] = ()
+        self.levels: list[dict[int, int]] = [{0: 1}]
+
+    def evaluator(self, parts: tuple[int, ...]) -> ColumnEvaluator:
+        """An evaluator for the cycle type parts, on the levels it shares
+        with the previous column."""
+        shared = 0
+        for a, b in zip(reversed(parts), reversed(self.parts)):
+            if a != b:
+                break
+            shared += 1
+        levels = self.levels
+        del levels[shared + 1 :]
+        levels.extend({} for _ in range(len(parts) - shared))
+        self.parts = parts
+        col = ColumnEvaluator(parts)
+        col._memos = levels[::-1]
+        return col
 
 
 # ---------------------------------------------------------------------------

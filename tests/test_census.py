@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import random
 from collections import Counter
 import subprocess
 import sys
@@ -197,6 +198,25 @@ def test_z_all_fills_the_store_as_the_zero_loop_does(n):
     assert zero_keys(census._verdicts) == zero_keys(full)
 
 
+def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
+    # MN visits the columns by their reversed parts whatever order they come
+    # in, and sharing memo levels between them changes no count
+    lams = list(enumerate_partitions(16))
+    rng = random.Random(16)
+    for ell in (2, 3, 5, 7):
+        cores = list(enumerate_cores(16, ell))
+        columns = lams[:]
+        rng.shuffle(columns)
+        census._verdicts.reset(-1)
+        assert census._count_zeros(cores, columns) == naive_count_zeros(cores, columns), ell
+
+
+def test_core_counts_pinned_values():
+    # one z_exact cell through the shared-level loop, and one star cell
+    assert z_exact(26, 7, cap=26) == 154395
+    assert z_star_exact(40, 7) == 34771
+
+
 def test_z_all_pinned_values():
     # the whole table of S_n, up to n = 24
     census._z_all.cache_clear()
@@ -251,6 +271,9 @@ def test_caps_raise_with_guidance():
         z_star_exact(61, 3)
     with pytest.raises(ValueError, match="exact census cap exceeded"):
         z_all_exact(19)
+    # a negative n is refused as such, before the kernel sizes its lanes
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        z_all_exact(-1)
     # raising the cap unlocks the computation
     assert z_exact(19, 3, cap=19) >= z_lower_bound(19, 3)
 
@@ -376,13 +399,13 @@ def test_each_count_is_computed_once(monkeypatch):
 
 def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
     built = []
-    evaluator = census.ColumnEvaluator
+    evaluator = census._SuffixLevels.evaluator
 
-    def counted(mu):
-        built.append(mu)
-        return evaluator(mu)
+    def counted(self, parts):
+        built.append(parts)
+        return evaluator(self, parts)
 
-    monkeypatch.setattr(census, "ColumnEvaluator", counted)
+    monkeypatch.setattr(census._SuffixLevels, "evaluator", counted)
     # 4 is not triangular, so it has no 2-cores: no row, one zero count per column
     assert census._count_zeros([], enumerate_partitions(4)) == [0] * count_p(4)
     rec = build_record(4, 2, cache_dir=tmp_path)
@@ -391,9 +414,10 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
     cached = json.loads((tmp_path / "census-2-4.json").read_text())
     assert cached["payload"]["z_exact_columns"] == [0] * count_p(4)
     # with rows, only the columns that MN must decide get an evaluator: the
-    # hooks of (2, 2) are 1, 2, 3, so the prefilter settles column (4)
+    # hooks of (2, 2) are 1, 2, 3, so the prefilter settles column (4).  MN
+    # visits them by their reversed parts; the counts keep the caller's order
     assert census._count_zeros([Partition((2, 2))], enumerate_partitions(4)) == [1, 0, 0, 1, 0]
-    assert [mu.parts for mu in built] == [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert built == [(1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2)]
 
 
 def test_record_csv_row_empty_cells():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corz.characters import (
     ColumnEvaluator,
+    _SuffixLevels,
     _lane_ones,
     _lane_width,
     _row_vectors,
@@ -104,6 +105,31 @@ def test_evaluator_matches_reference_on_random_pairs(n, data):
     # any order of the cycle type's parts, which the memo key must not confuse
     order = data.draw(st.permutations(mu.parts))
     assert ColumnEvaluator(order).value(lam) == _ReferenceEvaluator(order).value(lam)
+
+
+def test_suffix_levels_match_reference_in_adversarial_order():
+    # a shared prefix with different tails, a repeat, a proper suffix of the
+    # previous column, the empty column, and a shared tail after a long
+    # unrelated column, whose levels of 1s the next column keeps
+    columns = [
+        (5, 3, 2, 1, 1), (5, 3, 2, 2), (5, 3, 3, 1), (5, 3, 3, 1), (3, 3, 1), (3, 1), (),
+        (4, 2, 1, 1), (1,) * 12, (6, 2, 1, 1), (4, 3, 1, 1), (9, 2, 1, 1, 1, 1), (2, 1, 1),
+    ]
+    rng = random.Random(7)
+    levels = _SuffixLevels()
+    seen = []
+    for parts in columns:
+        col = levels.evaluator(parts)
+        ref = _ReferenceEvaluator(parts)
+        lams = list(enumerate_partitions(sum(parts)))
+        rng.shuffle(lams)
+        for lam in lams:
+            assert col.value(lam) == ref.value(lam), (parts, lam.parts)
+        seen.append((col, ref, lams))
+    # an evaluator keeps its own chain of levels: later columns change none of its values
+    for col, ref, lams in seen:
+        for lam in lams:
+            assert col.value(lam) == ref.value(lam), (col.parts, lam.parts)
 
 
 def test_kernel_on_one_part_and_all_ones_columns():

@@ -48,6 +48,10 @@ def test_count_domain_error(capsys):
         code, out, err = run_cli(capsys, "count", *argv)
         assert code == 2 and out == "", argv
         assert "ell must be at least 2" in err, argv
+    for argv in (("p", "-1"), ("z-all", "-1")):
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == 2 and out == "", argv
+        assert err == "corz: n must be nonnegative\n", argv
 
 
 def test_count_series_bound(capsys):
