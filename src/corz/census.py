@@ -9,21 +9,18 @@ optional per-(n, ell) cache that never changes results.  The self-checks of
 the paper's statements live in `suites`; this module holds none.
 
 The three exhaustive counts read nested blocks of the table of one n: core
-rows by core columns, core rows by all columns, and the whole table.  Their
-verdicts for the current n live in a module-level store (a bit per conjugate
-orbit of rows; per column, the orbits decided and the orbits that vanish),
-so each pair is decided once per n.  The whole table comes from the
-row-side kernel of `characters`, which decides every pair of n at once and
-fills the store; a record computes it first, so its core blocks then read
-their verdicts from the store.  Without it the core blocks go through one
-zero loop: the hook prefilter, then MN per column for the pairs the store
-lacks.  That loop visits those columns in order of their reversed parts, so
-that each shares its smallest parts, and the MN memo levels of those, with
-the one before it; it returns counts in the caller's column order, which the
-cached per-column lists keep.  The store lives for one n per process: a call
-for another n drops it, and each worker of a --jobs pool keeps its own.  It
-holds one entry per column of n: about 7 MiB at n = 38 for the core rows,
-and under 1 MiB at n = 24 once the kernel has decided every orbit.
+rows by core columns, core rows by all columns, and the whole table.  One
+zero loop serves the core blocks: the hook prefilter, then MN per column
+for the pairs it leaves open.  It visits the columns in order of their
+reversed parts, so that each shares its smallest parts, and the MN memo
+levels of those, with the one before it; it returns counts in the caller's
+column order, which the cached per-column lists keep.  It keeps nothing
+from one call to the next.  A record within cap_exact takes z_star_exact
+from its per-column z_exact list, as the core columns' share of it.  The
+whole table comes from the row-side kernel of `characters`, which decides
+every pair of n at once; the process keeps the table of its latest n as
+one value, from which a record with_z_all reads its core rows' counts with
+no MN.
 """
 
 from __future__ import annotations
@@ -33,11 +30,11 @@ import json
 import os
 import struct
 import tempfile
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _lane_width, _SuffixLevels, _zero_table
@@ -80,125 +77,55 @@ def z_lower_bound(n: int, ell: int) -> int:
     return (count_p(n) - count_p_regular(n, ell)) * count_cores(n, ell)
 
 
-class _Verdicts:
-    """Zero verdicts of the character table of one n, kept between calls.
-
-    Each conjugate orbit of rows, keyed on its smaller beta-set mask, gets a
-    bit.  Each column, keyed on its parts, holds two ints over those bits:
-    the orbits already decided and the orbits that vanish.
-    """
-
-    def __init__(self) -> None:
-        self.reset(-1)
-
-    def reset(self, n: int) -> None:
-        self.n = n
-        self.orbits: dict[int, tuple[int, int]] = {}  # key -> (bit, hook set)
-        self.columns: dict[tuple[int, ...], tuple[int, int]] = {}  # parts -> (decided, zero)
-
-    def fill(self, n: int) -> int:
-        """Decide every pair of n by the whole-table kernel, and return the
-        zero count of the table.  Orbits already here keep their bits; new
-        ones get theirs in the order _count_zeros gives them over the rows
-        of enumerate_partitions(n)."""
-        if self.n != n:
-            self.reset(n)
-        width = _lane_width(n)
-        # orbit bit j of group g moves the kernel's lane flag, bit width - 1,
-        # to bit j, so a group of 64 orbits fills the low word of each lane
-        groups: dict[int, int] = {}
-        count = 0
-        for key, lanes in _zero_table(n):
-            orbit = self.orbits.get(key)
-            if orbit is None:
-                orbit = self.orbits[key] = (1 << len(self.orbits), hook_mask(key))
-            g, j = divmod(orbit[0].bit_length() - 1, 64)
-            groups[g] = groups.get(g, 0) | lanes >> (width - 1 - j)
-            zeros = lanes.bit_count()
-            count += zeros if conjugate_mask(key) == key else 2 * zeros
-        # kernel lanes run in ascending lex order, the reverse of enumerate_partitions
-        columns = [mu.parts for mu in enumerate_partitions(n)][::-1]
-        zero = [0] * len(columns)
-        words = len(columns) * width // 64
-        for g, acc in groups.items():
-            low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
-            zero = [z | w << 64 * g for z, w in zip(zero, low)]
-        decided = (1 << len(self.orbits)) - 1
-        self.columns = {parts: (decided, z) for parts, z in zip(columns, zero)}
-        return count
+def _orbits(rows: Iterable[Partition]) -> dict[int, list[int]]:
+    # the conjugate orbits of distinct rows, keyed on the smaller beta-set
+    # mask: the mask of the orbit's first row, and its rows here (1 or 2)
+    orbits: dict[int, list[int]] = {}
+    for lam in rows:
+        mask = beta_mask(lam.parts)
+        key = min(mask, conjugate_mask(mask))
+        if key in orbits:
+            orbits[key][1] = 2
+        else:
+            orbits[key] = [mask, 1]
+    return orbits
 
 
-# the verdicts of the latest n in this process; a call for another n resets it
-_verdicts = _Verdicts()
-
-
-def _count_zeros(rows: Sequence[Partition], columns: Iterable[Partition]) -> list[int]:
+def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> list[int]:
     # zeros chi_row(column) per column, in column order, for distinct rows.
     # A pair vanishes without MN when some part of the column is not a hook
     # length of the row.  chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation
-    # keeps hook lengths, so a row and its conjugate vanish together: rows are
-    # grouped into conjugate orbits, each orbit is decided once per column of
-    # n and the verdict kept in _verdicts, and a zero counts once per row of
-    # the orbit present in rows.  MN visits the columns in its own order (see
-    # below), but the counts come back in the caller's: build_record caches
-    # z_exact as the list over enumerate_partitions(n), so its bytes stay put.
-    if not rows:
-        return [0 for _ in columns]
-    store = _verdicts
-    if store.n != rows[0].n:
-        store.reset(rows[0].n)
-    lower = upper = 0
-    orbits: dict[int, tuple[int, int]] = {}  # bit -> (row mask, hook set), in row order
-    for lam in rows:
-        mask = beta_mask(lam.parts)
-        conj = conjugate_mask(mask)
-        key = min(mask, conj)
-        orbit = store.orbits.get(key)
-        if orbit is None:
-            orbit = store.orbits[key] = (1 << len(store.orbits), hook_mask(key))
-        bit, hooks = orbit
-        orbits.setdefault(bit, (mask, hooks))
-        if mask == key:
-            lower |= bit
-        else:
-            upper |= bit
-    # ones: orbits with a row here; twos: orbits with both conjugates here
-    ones, twos = lower | upper, lower & upper
-    zeros = []  # per column, in the caller's order: the orbits that vanish
-    todo = []  # (reversed parts, index) of the columns with an orbit undecided
-    for mu in columns:
-        decided, zero = store.columns.get(mu.parts, (0, 0))
-        if ones & ~decided:
-            todo.append((mu.parts[::-1], len(zeros)))
-        zeros.append(zero)
-    # MN visits the open columns by their reversed parts: a column then shares
-    # its smallest parts, and the memo levels of those, with the one before.
-    # They are popped from the end, so each entry is freed once visited.
+    # keeps hook lengths, so a row and its conjugate vanish together: each
+    # conjugate orbit is decided once per column, and a zero counts once per
+    # row of the orbit present in rows.
+    orbits = [(mask, hook_mask(key), here) for key, (mask, here) in _orbits(rows).items()]
+    # MN visits the columns by their reversed parts: a column then shares its
+    # smallest parts, and the memo levels of those, with the one before.  The
+    # counts come back in the caller's order: build_record caches z_exact as
+    # the list over enumerate_partitions(n), so its bytes stay put.  Entries
+    # are popped from the end, so each is freed once visited.
+    todo = [(mu.parts[::-1], i) for i, mu in enumerate(columns)]
+    counts = [0] * len(todo)
+    if not orbits:
+        return counts
     levels = _SuffixLevels()
     todo.sort(reverse=True)
     while todo:
         tail, i = todo.pop()
         parts = tail[::-1]
-        decided, zero = store.columns.get(parts, (0, 0))
-        # a column given twice is decided by its first visit
-        if ones & ~decided:
-            needed = sum(1 << p for p in set(parts))
-            col = None
-            for bit, (mask, hooks) in orbits.items():
-                if decided & bit:
-                    continue
-                if needed & ~hooks:
-                    zero |= bit
-                    continue
-                if col is None:
-                    col = levels.evaluator(parts)
-                if col.value_mask(mask) == 0:
-                    zero |= bit
-            # a fresh column keeps `ones` itself, not an equal copy: the store
-            # holds an entry for every column of n
-            store.columns[parts] = (decided | ones if decided else ones, zero)
-        zeros[i] = zero
-    return [(zero & ones).bit_count() + (zero & twos).bit_count() for zero in zeros]
+        needed = sum(1 << p for p in set(parts))
+        col = None
+        count = 0
+        for mask, hooks, here in orbits:
+            if needed & ~hooks:
+                count += here
+                continue
+            if col is None:
+                col = levels.evaluator(parts)
+            if col.value_mask(mask) == 0:
+                count += here
+        counts[i] = count
+    return counts
 
 
 def _check_cap(n: int, cap: int, kind: str = "exact", flag: str = "--cap-exact") -> None:
@@ -212,25 +139,13 @@ def z_exact(n: int, ell: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Exhaustive count of zeros chi_lam(mu) = 0 with lam an ell-core of n,
     over all columns mu of n."""
     _check_cap(n, cap)
-    return sum(_z_exact_columns(n, ell))
-
-
-def _z_exact_columns(n: int, ell: int) -> list[int]:
-    # zeros per column of n over the core rows; build_record caches this list
-    return _count_zeros(_cores(n, ell), enumerate_partitions(n))
-
-
-@lru_cache(maxsize=1)
-def _cores(n: int, ell: int) -> tuple[Partition, ...]:
-    # a record asks for the cores of its (n, ell) twice in a row: once for
-    # z_exact and once for z_star_exact
-    return tuple(enumerate_cores(n, ell))
+    return sum(_count_zeros(enumerate_cores(n, ell), enumerate_partitions(n)))
 
 
 def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
     """Exhaustive count of zeros over ordered pairs of ell-cores of n."""
     _check_cap(n, cap, "exact star", "--cap-star")
-    cores = _cores(n, ell)
+    cores = tuple(enumerate_cores(n, ell))
     return sum(_count_zeros(cores, cores))
 
 
@@ -253,14 +168,50 @@ def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_cap(n, cap)
-    return _z_all(n)
+    return _whole_table(n).count
 
 
-@lru_cache(maxsize=None)
-def _z_all(n: int) -> int:
+class _WholeTable(NamedTuple):
+    """The zero verdicts of the whole character table of one n."""
+
+    count: int  # zeros in the table
+    bits: dict[int, int]  # conjugate orbit of rows, keyed on its smaller mask -> its bit
+    zeros: tuple[int, ...]  # per column of enumerate_partitions(n): the orbits that vanish
+
+
+@lru_cache(maxsize=1)
+def _whole_table(n: int) -> _WholeTable:
     # the table does not depend on ell, so a sweep over moduli computes it
-    # once per n; its verdicts decide the core blocks of n in the store
-    return _verdicts.fill(n)
+    # once per n.  Orbits get their bits in the order the kernel gives them.
+    width = _lane_width(n)
+    # orbit bit j of group g moves the kernel's lane flag, bit width - 1,
+    # to bit j, so a group of 64 orbits fills the low word of each lane
+    bits: dict[int, int] = {}
+    groups: dict[int, int] = {}
+    count = 0
+    for key, lanes in _zero_table(n):
+        g, j = divmod(len(bits), 64)
+        bits[key] = 1 << len(bits)
+        groups[g] = groups.get(g, 0) | lanes >> (width - 1 - j)
+        zeros = lanes.bit_count()
+        count += zeros if conjugate_mask(key) == key else 2 * zeros
+    zero = [0] * count_p(n)
+    words = len(zero) * width // 64
+    for g, acc in groups.items():
+        low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
+        zero = [z | w << 64 * g for z, w in zip(zero, low)]
+    # kernel lanes run in ascending lex order, the reverse of enumerate_partitions
+    return _WholeTable(count, bits, tuple(zero[::-1]))
+
+
+def _table_counts(table: _WholeTable, rows: Iterable[Partition]) -> list[int]:
+    # _count_zeros(rows, enumerate_partitions(n)), read from the whole table
+    # of n with no MN.  ones: orbits with a row here; twos: orbits with both
+    # conjugates here
+    orbits = _orbits(rows)
+    ones = sum(table.bits[key] for key in orbits)
+    twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
+    return [(z & ones).bit_count() + (z & twos).bit_count() for z in table.zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +320,48 @@ def _store_cache(path: Path, n: int, ell: int, payload: dict) -> None:
         raise
 
 
+def _exhaustive_counts(
+    rec: CensusRecord, payload: dict, cap_exact: int, cap_star: int, with_z_all: bool
+) -> list[str]:
+    # z_all, z_exact and z_star_exact of rec within their caps, each read from
+    # the cache payload or computed into it; returns the keys computed.  The
+    # cores are enumerated once, and only if a count is not cached.
+    n, ell = rec.n, rec.ell
+    computed: list[str] = []
+
+    def lookup(key: str, compute: Callable[[], object]):
+        if payload.get(key) is None:
+            payload[key] = compute()
+            computed.append(key)
+        return payload[key]
+
+    cores = cache(lambda: tuple(enumerate_cores(n, ell)))
+    columns: list[int] | None = None  # the z_exact list, within cap_exact
+
+    def exact_columns() -> list[int]:
+        # with the whole table at hand, its verdicts give the core rows' counts
+        if with_z_all:
+            return _table_counts(_whole_table(n), cores())
+        return _count_zeros(cores(), enumerate_partitions(n))
+
+    def star() -> int:
+        # the core columns' share of the z_exact list, when there is one
+        if columns is None:
+            return sum(_count_zeros(cores(), cores()))
+        core_parts = {lam.parts for lam in cores()}
+        return sum(z for mu, z in zip(enumerate_partitions(n), columns) if mu.parts in core_parts)
+
+    if with_z_all and n <= cap_exact:
+        rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
+    if n <= cap_exact:
+        columns = lookup("z_exact_columns", exact_columns)
+        rec.z_exact = sum(columns)
+        _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
+    if n <= cap_star:
+        rec.z_star_exact = lookup("z_star_exact", star)
+    return computed
+
+
 def build_record(
     n: int,
     ell: int,
@@ -386,27 +379,14 @@ def build_record(
     rec = CensusRecord(n=n, ell=ell, p_n=p, p_ell_n=p_ell, c_ell_n=c, z_lower=(p - p_ell) * c)
     payload: dict = {}
     path: Path | None = None
-    # above both caps a record holds no cached count, so no file is read
-    if cache_dir is not None and n <= max(cap_exact, cap_star):
-        path = _cache_path(cache_dir, n, ell)
-        payload = _load_cache(path)
     computed: list[str] = []
-
-    def lookup(key: str, compute: Callable[[], object]):
-        # the cached value, or a fresh one that the store below writes back
-        if payload.get(key) is None:
-            payload[key] = compute()
-            computed.append(key)
-        return payload[key]
-
-    # the full table first: its verdicts decide the core blocks below
-    if with_z_all and n <= cap_exact:
-        rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
-    if n <= cap_exact:
-        rec.z_exact = sum(lookup("z_exact_columns", partial(_z_exact_columns, n, ell)))
-        _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
-    if n <= cap_star:
-        rec.z_star_exact = lookup("z_star_exact", partial(z_star_exact, n, ell, cap=cap_star))
+    # above both caps a record holds no exhaustive count: no file is read, and
+    # nothing is set up for one
+    if n <= max(cap_exact, cap_star):
+        if cache_dir is not None:
+            path = _cache_path(cache_dir, n, ell)
+            payload = _load_cache(path)
+        computed = _exhaustive_counts(rec, payload, cap_exact, cap_star, with_z_all)
     # Theorem 2 holds for primes only: composite ell has regular cores above n_ell
     if _is_prime(ell) and n > n_ell(ell):
         rec.z_star_closed = c * c

@@ -1,6 +1,5 @@
 import pytest
 
-from corz import census
 from corz.suites import verify
 
 _reports = {}
@@ -18,10 +17,3 @@ def suite_report():
 
     return get
 
-
-@pytest.fixture(autouse=True)
-def fresh_zero_verdicts():
-    """Each test starts from an empty zero-verdict store.  The store outlives
-    a test, as the _z_all cache does, so without this a test that expects MN
-    to run at some n would pass or fail with the n the previous test left."""
-    census._verdicts.reset(-1)

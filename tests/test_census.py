@@ -128,10 +128,9 @@ def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_zeros_sequence_matches_naive_loop(data):
-    # the verdict store lives across calls: n switches back and forth, row
-    # sets are arbitrary (mostly not closed under conjugation) and columns
-    # repeat, within a call and across calls
-    census._verdicts.reset(-1)
+    # no call leaves state for the next: n switches back and forth, row sets
+    # are arbitrary (mostly not closed under conjugation) and columns repeat,
+    # within a call and across calls
     for n in data.draw(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=8)):
         lams = list(enumerate_partitions(n))
         rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
@@ -140,12 +139,8 @@ def test_count_zeros_sequence_matches_naive_loop(data):
         assert got == naive_count_zeros(rows, columns), (n, [lam.parts for lam in rows])
 
 
-def test_census_decides_each_pair_once(monkeypatch):
-    # z_all runs first and its kernel decides every pair of n = 12; z_exact
-    # and z_star of the three moduli then read their blocks from the store,
-    # and no column needs MN
-    want = [build_record(12, ell) for ell in (3, 5, 7)]
-    census._verdicts.reset(-1)
+def counted_value_mask(monkeypatch):
+    """Patch ColumnEvaluator.value_mask to log (column, mask) per call."""
     seen = []
     value_mask = ColumnEvaluator.value_mask
 
@@ -154,7 +149,16 @@ def test_census_decides_each_pair_once(monkeypatch):
         return value_mask(self, mask)
 
     monkeypatch.setattr(ColumnEvaluator, "value_mask", logged)
-    census._z_all.cache_clear()
+    return seen
+
+
+def test_census_decides_each_pair_once(monkeypatch):
+    # z_all runs first and its kernel decides every pair of n = 12; z_exact
+    # and z_star of the three moduli then read their blocks from the whole
+    # table, and no column needs MN
+    want = [build_record(12, ell) for ell in (3, 5, 7)]
+    seen = counted_value_mask(monkeypatch)
+    census._whole_table.cache_clear()
     records = run_census(CensusConfig(n_min=12, n_max=12, ells=(3, 5, 7), with_z_all=True))
     assert seen == []
     assert [r.z_all for r in records] == [2230] * 3
@@ -163,39 +167,25 @@ def test_census_decides_each_pair_once(monkeypatch):
         assert rec == plain
 
 
-def zero_keys(store):
-    # per column, the orbit keys decided and the orbit keys that vanish
-    keys = {bit: key for key, (bit, _) in store.orbits.items()}
-
-    def named(bits):
-        return frozenset(key for bit, key in keys.items() if bits & bit)
-
-    return {parts: (named(decided), named(zero)) for parts, (decided, zero) in store.columns.items()}
-
-
-# n = 16 has 118 orbits: two groups of 64 in the fill
+# n = 16 has 118 orbits: two groups of 64 in the table
 @pytest.mark.parametrize("n", [10, 12, 16])
-def test_z_all_fills_the_store_as_the_zero_loop_does(n):
+def test_whole_table_verdicts_match_the_zero_loop(n):
     lams = list(enumerate_partitions(n))
-    want = sum(census._count_zeros(lams, lams))
-    orbits, columns = census._verdicts.orbits, census._verdicts.columns
-    census._verdicts.reset(-1)
-    census._z_all.cache_clear()
-    assert census._z_all(n) == want
-    assert census._verdicts.n == n
-    assert census._verdicts.orbits == orbits
-    assert census._verdicts.columns == columns
-    # orbits already in the store keep their bits, and the verdicts agree
-    census._verdicts.reset(-1)
-    census._z_all.cache_clear()
-    z_exact(n, 3)
-    core_orbits = dict(census._verdicts.orbits)
-    assert census._z_all(n) == want
-    assert census._verdicts.orbits.items() >= core_orbits.items()
-    assert len(census._verdicts.orbits) == len(orbits)
-    full = census._Verdicts()
-    full.orbits, full.columns = orbits, columns
-    assert zero_keys(census._verdicts) == zero_keys(full)
+    census._whole_table.cache_clear()
+    table = census._whole_table(n)
+    assert table.count == sum(census._count_zeros(lams, lams)) == z_all_exact(n, cap=n)
+    assert sorted(table.bits.values()) == [1 << j for j in range(len(table.bits))]
+    assert len(table.zeros) == len(lams)
+    # per orbit, the columns where its bit is set are those where the zero
+    # loop finds its row vanishing
+    for key, bit in table.bits.items():
+        row = Partition(mask_parts(key))
+        want = census._count_zeros([row], lams)
+        assert [int(bool(z & bit)) for z in table.zeros] == want, row.parts
+    assert census._table_counts(table, lams) == census._count_zeros(lams, lams)
+    for ell in (2, 3, 5, 7):
+        cores = list(enumerate_cores(n, ell))
+        assert census._table_counts(table, cores) == census._count_zeros(cores, lams), ell
 
 
 def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
@@ -207,8 +197,44 @@ def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
         cores = list(enumerate_cores(16, ell))
         columns = lams[:]
         rng.shuffle(columns)
-        census._verdicts.reset(-1)
         assert census._count_zeros(cores, columns) == naive_count_zeros(cores, columns), ell
+
+
+def test_record_star_is_the_core_columns_share_of_z_exact():
+    # build_record takes Z* from its z_exact list, or from the whole table's;
+    # z_star_exact runs the zero loop on cores x cores
+    for n in range(19):
+        for ell in (2, 3, 5, 7, 11):
+            want = z_star_exact(n, ell)
+            assert build_record(n, ell).z_star_exact == want, (n, ell)
+            assert build_record(n, ell, with_z_all=True).z_star_exact == want, (n, ell)
+
+
+@pytest.mark.parametrize("n, ell", [(14, 3), (16, 5), (18, 7)])
+def test_record_star_adds_no_mn(monkeypatch, n, ell):
+    seen = counted_value_mask(monkeypatch)
+    z_exact(n, ell)
+    alone = len(seen)
+    seen.clear()
+    rec = build_record(n, ell)
+    assert alone and len(seen) == alone
+    assert rec.z_star_exact is not None
+
+
+def test_cache_completion_fills_star_without_mn(monkeypatch, tmp_path):
+    # a record cached with cap_star below n <= cap_exact holds the z_exact
+    # list alone; the default caps then fill z_star_exact from that list
+    for ell in (3, 5):
+        part = build_record(14, ell, cap_star=12, cache_dir=tmp_path / "part")
+        assert part.z_star_exact is None
+        seen = counted_value_mask(monkeypatch)
+        rec = build_record(14, ell, cache_dir=tmp_path / "part")
+        monkeypatch.undo()
+        assert seen == []
+        fresh = build_record(14, ell, cache_dir=tmp_path / "fresh")
+        assert rec == fresh and rec.z_star_exact == z_star_exact(14, ell)
+        name = f"census-{ell}-14.json"
+        assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_core_counts_pinned_values():
@@ -219,7 +245,6 @@ def test_core_counts_pinned_values():
 
 def test_z_all_pinned_values():
     # the whole table of S_n, up to n = 24
-    census._z_all.cache_clear()
     got = [z_all_exact(n, cap=n) for n in (16, 18, 20, 22, 24)]
     assert got == [20615, 57980, 155176, 395473, 970294]
 
@@ -372,12 +397,12 @@ def test_each_count_is_computed_once(monkeypatch):
 
     for name in ("count_p_regular", "count_cores", "enumerate_cores"):
         monkeypatch.setattr(census, name, counted(name))
-    census._cores.cache_clear()
     for ell in (2, 3, 5, 7):
         for n in (0, 6, 17, 25, 441):
             calls.clear()
             build_record(n, ell, cap_exact=10, cap_star=20)
-            # z_exact and z_star_exact share one enumeration of the cores
+            # z_exact and z_star_exact share one enumeration of the cores;
+            # above both caps there is none
             want = {"count_p_regular": 1, "count_cores": 1}
             if n <= 20:
                 want["enumerate_cores"] = 1
@@ -391,7 +416,7 @@ def test_each_count_is_computed_once(monkeypatch):
 
     # the full table does not depend on ell: one kernel run per n
     monkeypatch.setattr(census, "_zero_table", logged)
-    census._z_all.cache_clear()
+    census._whole_table.cache_clear()
     records = run_census(CensusConfig(n_min=9, n_max=10, ells=(3, 5, 7), with_z_all=True))
     assert walked == [9, 10]
     assert [r.z_all for r in records] == [brute_zeros(9)] * 3 + [brute_zeros(10)] * 3
