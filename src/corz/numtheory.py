@@ -4,11 +4,15 @@ The headline operation is inv_alpha, the integer 1/alpha_ell.  It is computed
 on two genuinely independent routes, and the two must agree:
 
 - exact: a rational through the generalized Bernoulli number B_{k,chi},
-  formed from k+1 terms with integer power sums of the character;
-- numeric: a partial sum of the Dirichlet series L(chi, k), times
-  (k-1)! ell^k sqrt(ell) / (2 pi)^k, all in integer fixed point.  Its length
-  comes from the Abel tail bound W (N+1)^(-k), and inv_alpha's docstring
-  bounds every rounding error next to that tail.
+  formed from k+1 terms with integer power sums of the character, summed in
+  integers over one common denominator; the Bernoulli numbers come from
+  tangent numbers, in integers;
+- numeric: a partial sum of the Dirichlet series L(chi, k) plus the leading
+  term of its tail, times (k-1)! ell^k sqrt(ell) / (2 pi)^k, all in integer
+  fixed point.  Summing the tail by parts twice bounds what is left by
+  V k (N+1)^(-k-1), V a window bound of the character's partial sums; that
+  fixes the length N, and inv_alpha's docstring proves the bound and bounds
+  every rounding error next to it.
 
 The module uses the standard library only.
 """
@@ -19,6 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .partitions import count_cores
 
@@ -88,22 +93,45 @@ def delta_ell(ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli machinery (exact rationals)
+# Bernoulli machinery (exact rationals from integer arithmetic)
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+_EVEN_BERNOULLI: list[Fraction] = []  # B_2, B_4, ..., as far as computed
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    # T_1 .. T_n with T_j the (2j-1)-th derivative of tan at 0, by the
+    # in-place integer recurrences of Brent and Harvey (2011): O(n^2) small
+    # multiplications and additions, no division
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli_number(m: int) -> Fraction:
-    """Bernoulli number B_m with B_1 = -1/2."""
+    """Bernoulli number B_m with B_1 = -1/2.
+
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) with T_j the tangent number
+    tan^(2j-1)(0); the even ones are cached, the cache at least doubling
+    when it grows.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    while len(_BERNOULLI) <= m:
-        k = len(_BERNOULLI)
-        acc = Fraction(0)
-        for j, bj in enumerate(_BERNOULLI):
-            acc += math.comb(k + 1, j) * bj
-        _BERNOULLI.append(-acc / (k + 1))
-    return _BERNOULLI[m]
+    if m < 2:
+        return Fraction(1) if m == 0 else Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    j = m // 2
+    if j > len(_EVEN_BERNOULLI):
+        tangents = _tangent_numbers(max(j, 2 * len(_EVEN_BERNOULLI)))
+        _EVEN_BERNOULLI[:] = [
+            Fraction((-1) ** (i - 1) * 2 * i * t, 4**i * (4**i - 1))
+            for i, t in enumerate(tangents, 1)
+        ]
+    return _EVEN_BERNOULLI[j - 1]
 
 
 def generalized_bernoulli(k: int, ell: int) -> Fraction:
@@ -112,37 +140,61 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
 
     Expanding B_k(a/ell) and swapping the sums gives
     sum_j C(k, j) B_j ell^(j-1) S_(k-j) with the integer power sums
-    S_i = sum_a chi(a) a^i, so only k+1 rational terms are formed.
+    S_i = sum_a chi(a) a^i, built by running products.  The k+1 terms are
+    summed in integers over the least common denominator D of B_0 .. B_k,
+    and one Fraction is formed from the total over ell D.
     """
     _check_odd_prime(ell)
-    chi = [legendre(a, ell) for a in range(1, ell)]
-    power_sums = [sum(c * a**i for a, c in enumerate(chi, 1)) for i in range(k + 1)]
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += math.comb(k, j) * bernoulli_number(j) * Fraction(ell) ** (j - 1) * power_sums[k - j]
-    return acc
+    residues = [a for a in range(1, ell) if legendre(a, ell) > 0]
+    nonresidues = [a for a in range(1, ell) if legendre(a, ell) < 0]
+    up, down = [1] * len(residues), [1] * len(nonresidues)
+    power_sums = []
+    for _ in range(k + 1):
+        power_sums.append(sum(up) - sum(down))
+        up = list(map(mul, up, residues))
+        down = list(map(mul, down, nonresidues))
+    bern = [bernoulli_number(j) for j in range(k + 1)]
+    den = math.lcm(*(b.denominator for b in bern))
+    acc = 0
+    ell_power = 1
+    for j, b in enumerate(bern):
+        if b:
+            acc += math.comb(k, j) * b.numerator * (den // b.denominator) * ell_power * power_sums[k - j]
+        ell_power *= ell
+    return Fraction(acc, ell * den)
 
 
-def _window_bound(ell: int) -> int:
-    # max |sum of chi over any run of consecutive integers|.  A full period
-    # sums to zero, so every run sum is a difference of two prefix sums over
-    # one period, and the largest is the max prefix less the min prefix
-    prefix = list(accumulate((legendre(a, ell) for a in range(ell)), initial=0))
-    return max(prefix) - min(prefix)
+def _partial_sums(ell: int) -> list[int]:
+    # S(x) = sum of chi(m) over 1 <= m <= x, for x = 0 .. ell-1; S has period ell
+    return list(accumulate(legendre(a, ell) for a in range(ell)))
+
+
+def _window_bound(ell: int) -> Fraction:
+    # V = max |sum of S(x) - mu over any run of consecutive x|, with mu the
+    # mean of S over a period.  S - mu sums to zero over a period, so every
+    # run sum is a difference of two prefix sums over one period, and the
+    # largest is the max prefix less the min prefix
+    s = _partial_sums(ell)
+    total = sum(s)  # ell mu
+    prefix = list(accumulate((ell * v - total for v in s), initial=0))
+    return Fraction(max(prefix) - min(prefix), ell)
 
 
 def _dirichlet_l_numeric(ell: int, s: int, n_terms: int, bits: int) -> int:
-    # sum over m <= n_terms of chi(m) floor(2^bits / m^s): the partial sum of
-    # L(chi, s) in fixed point with `bits` fraction bits, each floor off by
-    # under one unit, so the whole within n_terms units.  Abel summation bounds
-    # what the partial sum leaves out by W (N+1)^(-s), W the window bound.
-    # One sum per residue class keeps the loop free of branches.
+    # L(chi, s) in fixed point with `bits` fraction bits: the sum over
+    # m <= N = n_terms of chi(m) floor(2^bits / m^s), plus the leading term
+    # (mu - S(N)) (N+1)^(-s) of the tail, floored.  Each floor is off by under
+    # one unit, so the whole is within N + 1 units of the corrected sum, which
+    # is within V s (N+1)^(-s-1) of L (see inv_alpha).  One sum per residue
+    # class keeps the loop free of branches.
     one = 1 << bits
     acc = 0
     for r in range(1, ell):
         part = sum(one // m**s for m in range(r, n_terms + 1, ell))
         acc += part if legendre(r, ell) > 0 else -part
-    return acc
+    partial = _partial_sums(ell)
+    lead = sum(partial) - ell * partial[n_terms % ell]  # ell (mu - S(N))
+    return acc + (lead << bits) // (ell * (n_terms + 1) ** s)
 
 
 def _pi_fixed(bits: int) -> int:
@@ -198,19 +250,33 @@ def inv_alpha(ell: int) -> int:
 
     Numeric route, in integers at B fraction bits: the value is F L with
     F = M sqrt(ell) / (2 pi)^k, M = (k-1)! ell^k exact and L = L(chi, k).
+
+    The tail of L is summed by parts twice.  Let S(x) be the sum of chi(m)
+    over 1 <= m <= x, which has period ell and mean mu over a period
+    (mu = 0 for even chi), f(x) = x^(-k), and D(m) = f(m) - f(m+1), which is
+    positive and decreasing because f is convex.  Then
+    sum_{m>N} chi(m) f(m) = (mu - S(N)) f(N+1) + sum_{m>N} (S(m) - mu) D(m).
+    The run sums G(m) of S - mu over N < x <= m are at most V in absolute
+    value, V the window bound (max prefix less min prefix of S - mu over a
+    period), and the last sum is sum_{m>N} G(m) (D(m) - D(m+1)), so its
+    absolute value is at most V D(N+1) <= V k (N+1)^(-k-1).  The route adds the first term to the
+    N-term partial sum and bounds the rest by V k (N+1)^(-k-1).
+
     Since pi > 3.14159, F^2 < M^2 ell / 6.28318^(2k), which fixes h with
-    F < 2^h and the least N with W (N+1)^(-k) F <= 1e-9, by an exact 2k-th
-    root.  Then B = h + bitlen(20k + N) + 41, and the errors are:
+    F < 2^h and the least N with V k (N+1)^(-k-1) F <= 1e-9, by an exact
+    (2k+2)-th root.  Then B = h + bitlen(20k + N + 1) + 41, and the errors
+    are:
 
     - sqrt(ell) as isqrt(ell 2^(2B)): under one unit, relative 2^-B;
     - (2 pi)^k as k fixed-point products of 2 pi, each within 4 units:
       relative error at most 4k 2^-B;
     - F from those, then floored: within (10k F + 1) 2^-B;
-    - L as the N floored terms: within N 2^-B, and |L| < zeta(2) < 2;
-    - the N-term tail of L, times F: at most 1e-9 by the choice of N;
+    - L as the N floored terms and the floored tail term: within
+      (N + 1) 2^-B, and |L| < zeta(2) < 2;
+    - the rest of the tail of L, times F: at most 1e-9 by the choice of N;
     - the product F L, floored: within 2^-B.
 
-    All but the tail sum to under (F (20k + N) + 3) 2^-B <= 2^-40, so the
+    All but the tail sum to under (F (20k + N + 1) + 3) 2^-B <= 2^-40, so the
     numeric value is within 1.001e-9 of the true one, three orders below
     the 1e-6 bar it must meet against the exact integer.  The route uses no
     Bernoulli number and stays independent of the exact one.
@@ -229,10 +295,11 @@ def inv_alpha(ell: int) -> int:
     # F^2 < num / den with 100000 / 628318 = 1 / (2 * 3.14159) > 1 / (2 pi)
     num, den = m * m * ell * 100000 ** (2 * k), 628318 ** (2 * k)
     h = ((num // den).bit_length() + 1) // 2
-    w = _window_bound(ell)
-    # (N+1)^(2k) >= W^2 1e18 F^2 gives W (N+1)^(-k) F <= 1e-9
-    n_terms = _iroot_ceil(-(-w * w * 10**18 * num // den), 2 * k) - 1
-    bits = h + (20 * k + n_terms).bit_length() + 41
+    v = _window_bound(ell)
+    # (N+1)^(2k+2) >= 1e18 k^2 V^2 F^2 gives V k (N+1)^(-k-1) F <= 1e-9
+    top = 10**18 * (k * v.numerator) ** 2 * num
+    n_terms = _iroot_ceil(-(-top // (v.denominator**2 * den)), 2 * k + 2) - 1
+    bits = h + (20 * k + n_terms + 1).bit_length() + 41
     one = 1 << bits
     two_pi = 2 * _pi_fixed(bits)
     power = one

@@ -1,14 +1,15 @@
 """Textbook definitions the tests compare corz against.  Only mask_strips,
 the strip generator the Murnaghan-Nakayama kernel inlines, uses beta-sets.
-The series convolutions and the window-bound scan are direct forms of what
-corz computes by recurrences and prefix sums."""
+The series convolutions, the Bernoulli recurrence and the window-bound scan
+are direct forms of what corz computes by recurrences, tangent numbers and
+prefix sums."""
 
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from corz.numtheory import bernoulli_number, legendre
+from corz.numtheory import legendre
 from corz.partitions import Partition, canonical_mask, count_p, strip_ends
 
 
@@ -43,6 +44,21 @@ def hook_lengths(lam):
         for k, row in enumerate(parts, start=1)
         for j in range(1, row + 1)
     )
+
+
+_BERNOULLI = [Fraction(1)]
+
+
+def bernoulli_number(m):
+    """B_m with B_1 = -1/2, by the recurrence sum_{j<=m} C(m+1, j) B_j = 0
+    for m >= 1, in Fractions."""
+    while len(_BERNOULLI) <= m:
+        k = len(_BERNOULLI)
+        acc = Fraction(0)
+        for j, bj in enumerate(_BERNOULLI):
+            acc += math.comb(k + 1, j) * bj
+        _BERNOULLI.append(-acc / (k + 1))
+    return _BERNOULLI[m]
 
 
 def bernoulli_polynomial(k, x):
@@ -155,13 +171,19 @@ def regular_by_convolution(a, upto):
 
 
 def window_bound(ell):
-    """max |sum of (a / ell) over a run of consecutive a|, by trying every run
-    of length at most one period from every start (a full period sums to 0)."""
-    vals = [legendre(a, ell) for a in range(ell)]
+    """max |sum of S(x) - mu over a run of consecutive x|, where S(x) sums
+    (a / ell) over 1 <= a <= x and mu is the mean of S over a period, by
+    trying every run of length at most one period from every start (S - mu
+    sums to 0 over a period)."""
+    chi = [legendre(a, ell) for a in range(ell)]
+    partial = [sum(chi[: x + 1]) for x in range(ell)]
+    # in units of 1/ell: ell (S(x) - mu) = ell S(x) - sum of S over a period
+    total = sum(partial)
+    vals = [ell * v - total for v in partial]
     best = 0
     for start in range(ell):
         acc = 0
         for off in range(ell):
             acc += vals[(start + off) % ell]
             best = max(best, abs(acc))
-    return best
+    return Fraction(best, ell)

@@ -24,6 +24,7 @@ from corz.numtheory import (
     legendre,
     sigma_twisted,
 )
+import reference
 from reference import bernoulli_polynomial, window_bound
 
 
@@ -104,6 +105,12 @@ def test_bernoulli_numbers():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
+def test_bernoulli_numbers_match_the_fraction_recurrence():
+    assert [bernoulli_number(m) for m in range(301)] == [
+        reference.bernoulli_number(m) for m in range(301)
+    ]
+
+
 def test_bernoulli_polynomial_identities():
     # B_k(x+1) - B_k(x) = k x^{k-1}
     for k in range(1, 8):
@@ -141,19 +148,58 @@ def test_generalized_bernoulli_matches_per_residue_definition():
             assert generalized_bernoulli(k, ell) == per_residue_bernoulli(k, ell), (ell, k)
 
 
+def _mpmath_l_value(ell, s):
+    return mpmath.dirichlet(s, [legendre(a, ell) for a in range(ell)])
+
+
 def test_dirichlet_l_numeric_within_tail_and_rounding():
     for ell in (5, 7, 13, 97):
         s = (ell - 1) // 2
-        # the least N whose Abel tail W (N+1)^(-s) is at most 1e-12
-        n_terms = _iroot_ceil(_window_bound(ell) * 10**12, s) - 1
+        v = _window_bound(ell)
+        # the least N whose tail bound V s (N+1)^(-s-1) is at most 1e-12
+        n_terms = _iroot_ceil(-(-v.numerator * s * 10**12 // v.denominator), s + 1) - 1
         prec = 133  # 40 decimal digits
-        bits = prec + n_terms.bit_length() + 8
+        bits = prec + (n_terms + 1).bit_length() + 8
         got = _dirichlet_l_numeric(ell, s, n_terms, bits)
         with mpmath.workprec(bits + 64):
-            want = mpmath.dirichlet(s, [legendre(a, ell) for a in range(ell)])
-            # the N floored terms err by under N 2^-bits < 2^-(prec+8) on top of the tail
+            want = _mpmath_l_value(ell, s)
+            # the N + 1 floors err by under (N + 1) 2^-bits < 2^-(prec+8) on top of the tail
             err = abs(mpmath.ldexp(got, -bits) - want)
             assert err <= mpmath.mpf("1e-12") + mpmath.ldexp(1, -prec - 8), ell
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13, 97])
+def test_dirichlet_l_numeric_within_the_second_order_tail_bound(ell):
+    # N on every residue class mod ell and off the multiples of ell, where
+    # S(N) and the leading tail term are not zero
+    s = (ell - 1) // 2
+    v = _window_bound(ell)
+    bits = 200
+    with mpmath.workprec(bits + 64):
+        want = _mpmath_l_value(ell, s)
+    for n_terms in (1, 2, ell - 1, ell, ell + 1, 2 * ell + ell // 2, *range(300, 300 + ell)):
+        got = _dirichlet_l_numeric(ell, s, n_terms, bits)
+        with mpmath.workprec(bits + 64):
+            err = abs(mpmath.ldexp(got, -bits) - want)
+            bound = mpmath.mpf(v.numerator) / v.denominator * s * mpmath.mpf(n_terms + 1) ** (-s - 1)
+            assert err <= bound + mpmath.ldexp(n_terms + 1, -bits), (ell, n_terms)
+
+
+def test_inv_alpha_at_five_sums_under_1500_terms(monkeypatch):
+    lengths = []
+    l_numeric = _dirichlet_l_numeric
+
+    def counted(ell, s, n_terms, bits):
+        lengths.append(n_terms)
+        return l_numeric(ell, s, n_terms, bits)
+
+    monkeypatch.setattr(numtheory, "_dirichlet_l_numeric", counted)
+    inv_alpha.cache_clear()
+    try:
+        assert inv_alpha(5) == 1
+    finally:
+        inv_alpha.cache_clear()
+    assert len(lengths) == 1 and lengths[0] <= 1500
 
 
 def test_pi_fixed_within_two_units():
@@ -217,7 +263,7 @@ def test_window_bound_is_the_largest_run_sum():
     for ell in range(3, 500, 2):
         if _is_prime(ell):
             assert _window_bound(ell) == window_bound(ell), ell
-    assert [_window_bound(ell) for ell in (3, 5, 7, 11)] == [1, 2, 2, 3]
+    assert [_window_bound(ell) for ell in (3, 5, 7, 11)] == [Fraction(2, 3), 1, 2, 4]
 
 
 def test_inv_alpha_rejects_bad_modulus():
