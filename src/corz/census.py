@@ -8,19 +8,19 @@ deterministic: CSV or JSON lines, byte-identical across reruns, with an
 optional per-(n, ell) cache that never changes results.  The self-checks of
 the paper's statements live in `suites`; this module holds none.
 
-The three exhaustive counts read nested blocks of the table of one n: core
-rows by core columns, core rows by all columns, and the whole table.  One
-zero loop serves the core blocks: the hook prefilter, then MN per column
-for the pairs it leaves open.  It visits the columns in order of their
-reversed parts, so that each shares its smallest parts, and the MN memo
-levels of those, with the one before it; it returns counts in the caller's
-column order, which the cached per-column lists keep.  It keeps nothing
-from one call to the next.  A record within cap_exact takes z_star_exact
-from its per-column z_exact list, as the core columns' share of it.  The
-whole table comes from the row-side kernel of `characters`, which decides
-every pair of n at once; the process keeps the table of its latest n as
-one value, from which a record with_z_all reads its core rows' counts with
-no MN.
+The three exhaustive counts are zeros over nested blocks of the table of
+one n, each a plain integer: Z* over core rows by core columns, Z over core
+rows by all columns, and the whole table.  A record computes Z* first, as
+the core-column block of Z, and Z as Z* plus the core rows' zeros on the
+other columns; so it adds no MN for Z*, and it caches both sums.  One zero
+loop serves the core blocks: the hook prefilter, then MN per column for the
+pairs it leaves open.  It visits the columns in order of their reversed
+parts, so that each shares its smallest parts, and the MN memo levels of
+those, with the one before it.  It keeps nothing from one call to the next.
+The whole table comes from the row-side kernel of `characters`, which
+decides every pair of n at once; the process keeps the table of its latest
+n as one value, from which a record with_z_all reads its core rows' zeros
+on any set of columns with no MN.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ DEFAULT_CAP_EXACT = 18
 DEFAULT_CAP_STAR = 60
 # written into each cache file under its checksum; bump it with any change
 # that can alter a cached count, so files from older code are recomputed
-ALGORITHM_VERSION = 1
+ALGORITHM_VERSION = 2
 
 CSV_FIELDS = (
     "n",
@@ -91,31 +91,26 @@ def _orbits(rows: Iterable[Partition]) -> dict[int, list[int]]:
     return orbits
 
 
-def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> list[int]:
-    # zeros chi_row(column) per column, in column order, for distinct rows.
-    # A pair vanishes without MN when some part of the column is not a hook
-    # length of the row.  chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation
-    # keeps hook lengths, so a row and its conjugate vanish together: each
+def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int:
+    # zeros chi_row(column) over distinct rows and the given columns.  A pair
+    # vanishes without MN when some part of the column is not a hook length
+    # of the row.  chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation keeps
+    # hook lengths, so a row and its conjugate vanish together: each
     # conjugate orbit is decided once per column, and a zero counts once per
     # row of the orbit present in rows.
     orbits = [(mask, hook_mask(key), here) for key, (mask, here) in _orbits(rows).items()]
-    # MN visits the columns by their reversed parts: a column then shares its
-    # smallest parts, and the memo levels of those, with the one before.  The
-    # counts come back in the caller's order: build_record caches z_exact as
-    # the list over enumerate_partitions(n), so its bytes stay put.  Entries
-    # are popped from the end, so each is freed once visited.
-    todo = [(mu.parts[::-1], i) for i, mu in enumerate(columns)]
-    counts = [0] * len(todo)
     if not orbits:
-        return counts
+        return 0
+    # MN visits the columns by their reversed parts: a column then shares its
+    # smallest parts, and the memo levels of those, with the one before.
+    # Entries are popped from the end, so each is freed once visited.
+    todo = sorted((mu.parts[::-1] for mu in columns), reverse=True)
     levels = _SuffixLevels()
-    todo.sort(reverse=True)
+    count = 0
     while todo:
-        tail, i = todo.pop()
-        parts = tail[::-1]
+        parts = todo.pop()[::-1]
         needed = sum(1 << p for p in set(parts))
         col = None
-        count = 0
         for mask, hooks, here in orbits:
             if needed & ~hooks:
                 count += here
@@ -124,8 +119,7 @@ def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> lis
                 col = levels.evaluator(parts)
             if col.value_mask(mask) == 0:
                 count += here
-        counts[i] = count
-    return counts
+    return count
 
 
 def _check_cap(n: int, cap: int, kind: str = "exact", flag: str = "--cap-exact") -> None:
@@ -139,14 +133,14 @@ def z_exact(n: int, ell: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Exhaustive count of zeros chi_lam(mu) = 0 with lam an ell-core of n,
     over all columns mu of n."""
     _check_cap(n, cap)
-    return sum(_count_zeros(enumerate_cores(n, ell), enumerate_partitions(n)))
+    return _count_zeros(enumerate_cores(n, ell), enumerate_partitions(n))
 
 
 def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
     """Exhaustive count of zeros over ordered pairs of ell-cores of n."""
     _check_cap(n, cap, "exact star", "--cap-star")
     cores = tuple(enumerate_cores(n, ell))
-    return sum(_count_zeros(cores, cores))
+    return _count_zeros(cores, cores)
 
 
 def z_star_closed(n: int, ell: int) -> int:
@@ -176,7 +170,7 @@ class _WholeTable(NamedTuple):
 
     count: int  # zeros in the table
     bits: dict[int, int]  # conjugate orbit of rows, keyed on its smaller mask -> its bit
-    zeros: tuple[int, ...]  # per column of enumerate_partitions(n): the orbits that vanish
+    zeros: dict[tuple[int, ...], int]  # column parts -> the orbits that vanish there
 
 
 @lru_cache(maxsize=1)
@@ -201,17 +195,20 @@ def _whole_table(n: int) -> _WholeTable:
         low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
         zero = [z | w << 64 * g for z, w in zip(zero, low)]
     # kernel lanes run in ascending lex order, the reverse of enumerate_partitions
-    return _WholeTable(count, bits, tuple(zero[::-1]))
+    columns = (mu.parts for mu in enumerate_partitions(n))
+    return _WholeTable(count, bits, dict(zip(columns, reversed(zero))))
 
 
-def _table_counts(table: _WholeTable, rows: Iterable[Partition]) -> list[int]:
-    # _count_zeros(rows, enumerate_partitions(n)), read from the whole table
-    # of n with no MN.  ones: orbits with a row here; twos: orbits with both
-    # conjugates here
+def _table_zeros(
+    table: _WholeTable, rows: Iterable[Partition], columns: Iterable[Partition]
+) -> int:
+    # _count_zeros(rows, columns), read from the whole table of n with no MN.
+    # ones: orbits with a row here; twos: orbits with both conjugates here
     orbits = _orbits(rows)
     ones = sum(table.bits[key] for key in orbits)
     twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
-    return [(z & ones).bit_count() + (z & twos).bit_count() for z in table.zeros]
+    zeros = [table.zeros[mu.parts] for mu in columns]
+    return sum([(z & ones).bit_count() + (z & twos).bit_count() for z in zeros])
 
 
 # ---------------------------------------------------------------------------
@@ -335,30 +332,29 @@ def _exhaustive_counts(
             computed.append(key)
         return payload[key]
 
-    cores = cache(lambda: tuple(enumerate_cores(n, ell)))
-    columns: list[int] | None = None  # the z_exact list, within cap_exact
+    # the cores in order, in a dict for their membership test
+    cores = cache(lambda: dict.fromkeys(enumerate_cores(n, ell)))
+    whole = with_z_all and n <= cap_exact
 
-    def exact_columns() -> list[int]:
-        # with the whole table at hand, its verdicts give the core rows' counts
-        if with_z_all:
-            return _table_counts(_whole_table(n), cores())
-        return _count_zeros(cores(), enumerate_partitions(n))
+    def zeros(columns: Iterable[Partition]) -> int:
+        # with the whole table at hand, its verdicts give the core rows' zeros
+        if whole:
+            return _table_zeros(_whole_table(n), cores(), columns)
+        return _count_zeros(cores(), columns)
 
-    def star() -> int:
-        # the core columns' share of the z_exact list, when there is one
-        if columns is None:
-            return sum(_count_zeros(cores(), cores()))
-        core_parts = {lam.parts for lam in cores()}
-        return sum(z for mu, z in zip(enumerate_partitions(n), columns) if mu.parts in core_parts)
+    def off_core() -> list[Partition]:
+        # Z is Z* plus the core rows' zeros on these columns
+        return [mu for mu in enumerate_partitions(n) if mu not in cores()]
 
-    if with_z_all and n <= cap_exact:
+    if whole:
         rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
+    # Z*, the core-column block of Z, is computed and cached whatever cap_star is
+    star = lookup("z_star_exact", lambda: zeros(cores()))
     if n <= cap_exact:
-        columns = lookup("z_exact_columns", exact_columns)
-        rec.z_exact = sum(columns)
+        rec.z_exact = lookup("z_exact", lambda: star + zeros(off_core()))
         _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
     if n <= cap_star:
-        rec.z_star_exact = lookup("z_star_exact", star)
+        rec.z_star_exact = star
     return computed
 
 
@@ -408,10 +404,11 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
 
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order, so
-    output does not depend on scheduling.  With with_z_all, each process
-    walks the full table of a given n once, whatever the number of moduli.
-    The process pool, and multiprocessing with it, is imported only when more
-    than one worker runs, so a serial census starts without them.
+    output does not depend on scheduling.  With with_z_all, the pool hands
+    out the n-major grid in chunks of one n and all its moduli, so one worker
+    computes the whole table of each n.  The process pool, and
+    multiprocessing with it, is imported only when more than one worker
+    runs, so a serial census starts without them.
     """
     task = partial(
         build_record,
@@ -429,7 +426,8 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, ns, ells))
+            chunk = len(moduli) if config.with_z_all else 1
+            return list(pool.map(task, ns, ells, chunksize=chunk))
     return list(map(task, ns, ells))
 
 

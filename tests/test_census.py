@@ -113,7 +113,9 @@ def test_count_zeros_matches_naive_loop():
         row_sets += [list(enumerate_cores(n, ell)) for ell in (2, 3, 5, 7)]
         for rows in row_sets:
             want = naive_count_zeros(rows, lams)
-            assert census._count_zeros(rows, lams) == want, (n, [lam.parts for lam in rows])
+            assert census._count_zeros(rows, lams) == sum(want), (n, [lam.parts for lam in rows])
+            got = [census._count_zeros(rows, [mu]) for mu in lams]
+            assert got == want, (n, [lam.parts for lam in rows])
 
 
 @given(st.integers(min_value=0, max_value=12), st.data())
@@ -122,7 +124,7 @@ def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
     lams = list(enumerate_partitions(n))
     rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
     columns = data.draw(st.lists(st.sampled_from(lams)))
-    assert census._count_zeros(rows, columns) == naive_count_zeros(rows, columns)
+    assert census._count_zeros(rows, columns) == sum(naive_count_zeros(rows, columns))
 
 
 @given(st.data())
@@ -136,7 +138,7 @@ def test_count_zeros_sequence_matches_naive_loop(data):
         rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
         columns = data.draw(st.lists(st.sampled_from(lams), max_size=2 * len(lams)))
         got = census._count_zeros(rows, columns)
-        assert got == naive_count_zeros(rows, columns), (n, [lam.parts for lam in rows])
+        assert got == sum(naive_count_zeros(rows, columns)), (n, [lam.parts for lam in rows])
 
 
 def counted_value_mask(monkeypatch):
@@ -173,19 +175,23 @@ def test_whole_table_verdicts_match_the_zero_loop(n):
     lams = list(enumerate_partitions(n))
     census._whole_table.cache_clear()
     table = census._whole_table(n)
-    assert table.count == sum(census._count_zeros(lams, lams)) == z_all_exact(n, cap=n)
+    assert table.count == census._count_zeros(lams, lams) == z_all_exact(n, cap=n)
     assert sorted(table.bits.values()) == [1 << j for j in range(len(table.bits))]
-    assert len(table.zeros) == len(lams)
+    assert list(table.zeros) == [mu.parts for mu in lams]
     # per orbit, the columns where its bit is set are those where the zero
     # loop finds its row vanishing
     for key, bit in table.bits.items():
         row = Partition(mask_parts(key))
-        want = census._count_zeros([row], lams)
-        assert [int(bool(z & bit)) for z in table.zeros] == want, row.parts
-    assert census._table_counts(table, lams) == census._count_zeros(lams, lams)
+        want = [census._count_zeros([row], [mu]) for mu in lams]
+        assert [int(bool(table.zeros[mu.parts] & bit)) for mu in lams] == want, row.parts
+    assert census._table_zeros(table, lams, lams) == table.count
     for ell in (2, 3, 5, 7):
         cores = list(enumerate_cores(n, ell))
-        assert census._table_counts(table, cores) == census._count_zeros(cores, lams), ell
+        # per column, and on the core block
+        for mu in lams:
+            want = census._count_zeros(cores, [mu])
+            assert census._table_zeros(table, cores, [mu]) == want, (ell, mu.parts)
+        assert census._table_zeros(table, cores, cores) == census._count_zeros(cores, cores), ell
 
 
 def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
@@ -197,12 +203,13 @@ def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
         cores = list(enumerate_cores(16, ell))
         columns = lams[:]
         rng.shuffle(columns)
-        assert census._count_zeros(cores, columns) == naive_count_zeros(cores, columns), ell
+        assert census._count_zeros(cores, columns) == sum(naive_count_zeros(cores, columns)), ell
 
 
 def test_record_star_is_the_core_columns_share_of_z_exact():
-    # build_record takes Z* from its z_exact list, or from the whole table's;
-    # z_star_exact runs the zero loop on cores x cores
+    # build_record takes Z* as the core-column block of its Z pass, from the
+    # zero loop or from the whole table; z_star_exact runs the zero loop on
+    # cores x cores
     for n in range(19):
         for ell in (2, 3, 5, 7, 11):
             want = z_star_exact(n, ell)
@@ -222,8 +229,9 @@ def test_record_star_adds_no_mn(monkeypatch, n, ell):
 
 
 def test_cache_completion_fills_star_without_mn(monkeypatch, tmp_path):
-    # a record cached with cap_star below n <= cap_exact holds the z_exact
-    # list alone; the default caps then fill z_star_exact from that list
+    # a record cached with cap_star below n <= cap_exact caches Z*, the
+    # core-column block of its Z pass, unreported; the default caps then
+    # report it from the cache
     for ell in (3, 5):
         part = build_record(14, ell, cap_star=12, cache_dir=tmp_path / "part")
         assert part.z_star_exact is None
@@ -431,18 +439,20 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
         return evaluator(self, parts)
 
     monkeypatch.setattr(census._SuffixLevels, "evaluator", counted)
-    # 4 is not triangular, so it has no 2-cores: no row, one zero count per column
-    assert census._count_zeros([], enumerate_partitions(4)) == [0] * count_p(4)
+    # 4 is not triangular, so it has no 2-cores: no row, no zero
+    assert census._count_zeros([], enumerate_partitions(4)) == 0
     rec = build_record(4, 2, cache_dir=tmp_path)
     assert built == []
     assert rec.z_exact == 0 and rec.z_star_exact == 0
     cached = json.loads((tmp_path / "census-2-4.json").read_text())
-    assert cached["payload"]["z_exact_columns"] == [0] * count_p(4)
+    assert cached["payload"] == {"z_exact": 0, "z_star_exact": 0}
     # with rows, only the columns that MN must decide get an evaluator: the
     # hooks of (2, 2) are 1, 2, 3, so the prefilter settles column (4).  MN
-    # visits them by their reversed parts; the counts keep the caller's order
-    assert census._count_zeros([Partition((2, 2))], enumerate_partitions(4)) == [1, 0, 0, 1, 0]
+    # visits them by their reversed parts
+    columns = list(enumerate_partitions(4))
+    assert census._count_zeros([Partition((2, 2))], columns) == 2
     assert built == [(1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2)]
+    assert [census._count_zeros([Partition((2, 2))], [mu]) for mu in columns] == [1, 0, 0, 1, 0]
 
 
 def test_record_csv_row_empty_cells():
@@ -502,7 +512,7 @@ def test_cache_files_carry_checksum(tmp_path):
     doc = json.loads((cache / "census-3-6.json").read_text())
     assert doc["format"] == 1
     assert doc["n"] == 6 and doc["ell"] == 3
-    assert set(doc["payload"]) == {"z_exact_columns", "z_star_exact"}
+    assert set(doc["payload"]) == {"z_exact", "z_star_exact"}
     assert len(doc["sha256"]) == 64
 
 
@@ -589,6 +599,24 @@ def test_cache_from_other_code_is_recomputed(tmp_path, monkeypatch):
         assert path.read_text() == fresh
 
 
+def test_cache_of_per_column_lists_is_rewritten_with_sums(tmp_path, monkeypatch):
+    # algorithm 1 cached z_exact as a list per column; its files are misses,
+    # and the store overwrites them with the sum
+    cache = tmp_path / "cache"
+    fresh = build_record(8, 3, cache_dir=cache / "fresh")
+    path = cache / "census-3-8.json"
+    old = {"z_exact_columns": [1] * count_p(8), "z_star_exact": fresh.z_star_exact + 1}
+    with monkeypatch.context() as old_code:
+        old_code.setattr(census, "ALGORITHM_VERSION", 1)
+        _store_cache(path, 8, 3, old)
+    assert build_record(8, 3, cache_dir=cache) == fresh
+    doc = json.loads(path.read_text())
+    assert doc["algorithm"] == census.ALGORITHM_VERSION == 2
+    assert doc["payload"] == {"z_exact": fresh.z_exact, "z_star_exact": fresh.z_star_exact}
+    assert type(doc["payload"]["z_exact"]) is int
+    assert path.read_bytes() == (cache / "fresh" / path.name).read_bytes()
+
+
 def test_concurrent_cache_stores_leave_one_valid_file(tmp_path):
     path = tmp_path / "census-3-6.json"
     payloads = [{"z_star_exact": i} for i in range(4)]
@@ -645,11 +673,14 @@ def test_parallel_census_matches_serial():
     assert census_text(n_min=1, n_max=10, ells=(2, 5), jobs=2) == serial
 
 
-def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
-    started = []
+def inline_pool(monkeypatch):
+    """Patch ProcessPoolExecutor with a pool that logs its size and the
+    chunksize of each map, and maps in-process, so no worker is forked.  Each
+    chunk of cells may go to a worker that has computed nothing yet, so it
+    starts without the whole table of the previous chunk."""
+    started, chunks = [], []
 
     class InlinePool:
-        # records the pool size and maps in-process, so no worker is forked
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -659,14 +690,47 @@ def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
+            cells = list(zip(*iterables))
+            out = []
+            for i in range(0, len(cells), chunksize):
+                census._whole_table.cache_clear()
+                out += [fn(*cell) for cell in cells[i : i + chunksize]]
+            return out
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return started, chunks
+
+
+def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
+    started, _ = inline_pool(monkeypatch)
     run_census(CensusConfig(n_min=4, n_max=4, ells=(3,), jobs=64))
     assert started == []
     records = run_census(CensusConfig(n_min=3, n_max=4, ells=(2, 3, 5), jobs=64))
     assert started == [6]
     assert [(r.n, r.ell) for r in records] == [(n, ell) for n in (3, 4) for ell in (2, 3, 5)]
+
+
+def test_pooled_z_all_computes_each_whole_table_once(monkeypatch):
+    # with z_all each chunk holds every modulus of one n, so the kernel runs
+    # once per n however the chunks are spread over the workers
+    _, chunks = inline_pool(monkeypatch)
+    walked = []
+    zero_table = census._zero_table
+
+    def logged(n):
+        walked.append(n)
+        return zero_table(n)
+
+    monkeypatch.setattr(census, "_zero_table", logged)
+    config = dict(n_min=10, n_max=12, ells=(7, 3, 5, 3), jobs=2)
+    records = run_census(CensusConfig(**config, with_z_all=True))
+    assert chunks == [3] and walked == [10, 11, 12]
+    assert [r.z_all for r in records] == [brute_zeros(n) for n in (10, 11, 12) for _ in range(3)]
+    # without z_all there is no table to share, and the cells go one by one
+    run_census(CensusConfig(**config))
+    assert chunks == [3, 1] and walked == [10, 11, 12]
 
 
 def test_z_all_column_appears_only_on_request():
