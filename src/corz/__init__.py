@@ -4,6 +4,10 @@ restricted to rows indexed by ell-core partitions.
 Everything here computes over exact integers and rationals.  Floating point
 appears only in the numeric cross-check of inv_alpha and in the rounding of
 ratios that `corz asymptotics` prints; neither feeds back into a count.
+
+The verify suites (`Report`, `available_suites`, `verify`) load from
+`corz.suites` on first use, so importing corz, or running `corz count`,
+`census` or `asymptotics`, does not compile or load them.
 """
 
 from .partitions import (
@@ -57,7 +61,6 @@ from .census import (
     z_star_closed,
     z_star_exact,
 )
-from .suites import Report, available_suites, verify
 
 __version__ = "0.1.0"
 
@@ -107,3 +110,13 @@ __all__ = [
     "z_star_closed",
     "z_star_exact",
 ]
+
+
+def __getattr__(name: str):
+    # called only for a name the module does not hold (PEP 562), so the
+    # suites load on the first use of one of their three names
+    if name in ("Report", "available_suites", "verify"):
+        from . import suites
+
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ ell-core, and every ell-core arises from a unique canonical abacus (b_0 = 0).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, pairwise, permutations, product
 
 from .numtheory import _is_prime
@@ -24,20 +23,45 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
 class Abacus:
-    """Column heights of a bead table for a fixed modulus."""
+    """Column heights of a bead table for a fixed modulus; immutable and
+    hashable, equal when the modulus and the heights are."""
+
+    __slots__ = ("ell", "cols")
 
     ell: int
     cols: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.ell < 2:
+    def __init__(self, ell: int, cols: tuple[int, ...]) -> None:
+        if ell < 2:
             raise ValueError("ell must be at least 2")
-        if len(self.cols) != self.ell:
+        if len(cols) != ell:
             raise ValueError("need exactly ell column heights")
-        if any(b < 0 for b in self.cols):
+        if any(b < 0 for b in cols):
             raise ValueError("column heights must be nonnegative")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "cols", cols)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Abacus")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Abacus")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return Abacus, (self.ell, self.cols)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ell, self.cols) == (other.ell, other.cols)
+
+    def __hash__(self) -> int:
+        return hash((self.ell, self.cols))
+
+    def __repr__(self) -> str:
+        return f"Abacus(ell={self.ell!r}, cols={self.cols!r})"
 
     @property
     def canonical(self) -> bool:

@@ -31,7 +31,6 @@ import os
 import struct
 import tempfile
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import IO, NamedTuple
@@ -41,6 +40,7 @@ from .characters import _lane_width, _SuffixLevels, _zero_table
 from .numtheory import _is_prime, core_main_term
 from .partitions import (
     Partition,
+    _iter_partition_buffers,
     beta_mask,
     conjugate_mask,
     count_cores,
@@ -194,29 +194,35 @@ def _whole_table(n: int) -> _WholeTable:
     for g, acc in groups.items():
         low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
         zero = [z | w << 64 * g for z, w in zip(zero, low)]
-    # kernel lanes run in ascending lex order, the reverse of enumerate_partitions
-    columns = (mu.parts for mu in enumerate_partitions(n))
+    # kernel lanes run in ascending lex order, the reverse of enumerate_partitions;
+    # the keys come from the walk's buffer stream, which builds no Partition
+    columns = (tuple(buf) for buf in _iter_partition_buffers(n))
     return _WholeTable(count, bits, dict(zip(columns, reversed(zero))))
+
+
+def _zero_reader(table: _WholeTable, rows: Iterable[Partition]) -> Callable[[Iterable[int]], int]:
+    # counts the zeros of rows on the columns whose verdicts, values of
+    # table.zeros, it is given, with no MN; the rows' orbit bits are taken
+    # once for every call.  ones: orbits with a row here; twos: orbits with
+    # both conjugates here
+    orbits = _orbits(rows)
+    ones = sum(table.bits[key] for key in orbits)
+    twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
+    return lambda zeros: sum([(z & ones).bit_count() + (z & twos).bit_count() for z in zeros])
 
 
 def _table_zeros(
     table: _WholeTable, rows: Iterable[Partition], columns: Iterable[Partition]
 ) -> int:
-    # _count_zeros(rows, columns), read from the whole table of n with no MN.
-    # ones: orbits with a row here; twos: orbits with both conjugates here
-    orbits = _orbits(rows)
-    ones = sum(table.bits[key] for key in orbits)
-    twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
-    zeros = [table.zeros[mu.parts] for mu in columns]
-    return sum([(z & ones).bit_count() + (z & twos).bit_count() for z in zeros])
+    # _count_zeros(rows, columns), read from the whole table of n
+    return _zero_reader(table, rows)(table.zeros[mu.parts] for mu in columns)
 
 
 # ---------------------------------------------------------------------------
 # records and sweeps
 
 
-@dataclass(frozen=True)
-class CensusConfig:
+class CensusConfig(NamedTuple):
     """Sweep bounds and caps for run_census."""
 
     n_min: int = 0
@@ -229,20 +235,50 @@ class CensusConfig:
     with_z_all: bool = False
 
 
-@dataclass
 class CensusRecord:
-    n: int
-    ell: int
-    p_n: int
-    p_ell_n: int
-    c_ell_n: int
-    z_lower: int
-    z_exact: int | None = None
-    z_star_exact: int | None = None
-    z_star_closed: int | None = None
-    main_term_num: int | None = None
-    main_term_den: int | None = None
-    z_all: int | None = None
+    """One census row: the exact series of (n, ell) and the zero lower bound,
+    then each count or closed form its caps and modulus allow (None where
+    they do not).  Fields are set freely; two records are equal when every
+    field is."""
+
+    __slots__ = (*CSV_FIELDS, "z_all")
+
+    def __init__(
+        self,
+        n: int,
+        ell: int,
+        p_n: int,
+        p_ell_n: int,
+        c_ell_n: int,
+        z_lower: int,
+        z_exact: int | None = None,
+        z_star_exact: int | None = None,
+        z_star_closed: int | None = None,
+        main_term_num: int | None = None,
+        main_term_den: int | None = None,
+        z_all: int | None = None,
+    ) -> None:
+        self.n = n
+        self.ell = ell
+        self.p_n = p_n
+        self.p_ell_n = p_ell_n
+        self.c_ell_n = c_ell_n
+        self.z_lower = z_lower
+        self.z_exact = z_exact
+        self.z_star_exact = z_star_exact
+        self.z_star_closed = z_star_closed
+        self.main_term_num = main_term_num
+        self.main_term_den = main_term_den
+        self.z_all = z_all
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CensusRecord({pairs})"
 
     def csv_row(self, with_z_all: bool = False) -> str:
         vals = [getattr(self, name) for name in CSV_FIELDS]
@@ -335,23 +371,29 @@ def _exhaustive_counts(
     # the cores in order, in a dict for their membership test
     cores = cache(lambda: dict.fromkeys(enumerate_cores(n, ell)))
     whole = with_z_all and n <= cap_exact
-
-    def zeros(columns: Iterable[Partition]) -> int:
-        # with the whole table at hand, its verdicts give the core rows' zeros
-        if whole:
-            return _table_zeros(_whole_table(n), cores(), columns)
-        return _count_zeros(cores(), columns)
-
-    def off_core() -> list[Partition]:
-        # Z is Z* plus the core rows' zeros on these columns
-        return [mu for mu in enumerate_partitions(n) if mu not in cores()]
-
     if whole:
         rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
+        # the whole table's verdicts give the core rows' zeros on any columns,
+        # from one set of orbit bits for both counts
+        read = cache(lambda: _zero_reader(_whole_table(n), cores()))
+
+    def star_zeros() -> int:
+        if whole:
+            return read()(_whole_table(n).zeros[mu.parts] for mu in cores())
+        return _count_zeros(cores(), cores())
+
     # Z*, the core-column block of Z, is computed and cached whatever cap_star is
-    star = lookup("z_star_exact", lambda: zeros(cores()))
+    star = lookup("z_star_exact", star_zeros)
+
+    def all_zeros() -> int:
+        if whole:
+            return read()(_whole_table(n).zeros.values())
+        # Z is Z* plus the core rows' zeros on the other columns
+        off_core = [mu for mu in enumerate_partitions(n) if mu not in cores()]
+        return star + _count_zeros(cores(), off_core)
+
     if n <= cap_exact:
-        rec.z_exact = lookup("z_exact", lambda: star + zeros(off_core()))
+        rec.z_exact = lookup("z_exact", all_zeros)
         _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
     if n <= cap_star:
         rec.z_star_exact = star

@@ -4,6 +4,11 @@ Subcommands: count (single exact values), census (sweeps to CSV or JSON),
 verify (named self-check suites), asymptotics (exact counts against the
 paper's main term alpha_ell sigma_ell(n + delta_ell), as exact ratios).
 Exit codes: 0 success, 1 failed verification, 2 bad usage or input.
+
+Importing this module loads what count, census and asymptotics run, and no
+more: the verify suites are imported by the verify command alone.  The
+parser is built once per process; parse_args does not change it, so one
+process can call main many times.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 
 from .census import (
@@ -23,7 +29,6 @@ from .census import (
     write_records,
     z_all_exact,
 )
-from .suites import available_suites, verify
 from .abacus import n_ell
 from .numtheory import _is_prime, core_main_term, delta_ell, inv_alpha, sigma_twisted
 from .partitions import count_cores, count_p, count_p_regular
@@ -55,6 +60,7 @@ COUNT_N_MAX = 20000
 ELL_MAX = 500
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="corz",
@@ -203,6 +209,8 @@ def _writable_target(path: Path) -> bool:
 
 
 def _cmd_verify(opts: argparse.Namespace) -> int:
+    from .suites import available_suites, verify
+
     suites = available_suites() if opts.suite == "all" else (opts.suite,)
     reports = [verify(name) for name in suites]
     if opts.format == "json":

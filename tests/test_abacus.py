@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import product
 from math import factorial, prod
@@ -35,6 +37,21 @@ def test_abacus_validation():
     assert ab.canonical
     assert ab.beads() == 3
     assert not Abacus(3, (1, 0, 0)).canonical
+
+
+def test_abacus_is_an_immutable_value():
+    ab = Abacus(3, (0, 2, 1))
+    same = Abacus(ell=3, cols=(0, 2, 1))
+    assert ab == same and hash(ab) == hash(same) and len({ab, same}) == 1
+    assert ab != Abacus(3, (0, 1, 2)) and ab != (3, (0, 2, 1))
+    assert repr(ab) == "Abacus(ell=3, cols=(0, 2, 1))"
+    for name in ("ell", "cols", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ab, name, 4)
+    with pytest.raises(AttributeError):
+        del ab.cols
+    assert (ab.ell, ab.cols) == (3, (0, 2, 1))
+    assert pickle.loads(pickle.dumps(ab)) == ab and copy.copy(ab) == ab
 
 
 def test_structure_numbers_are_first_column_hooks():

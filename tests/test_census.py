@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import pickle
 import random
 from collections import Counter
 import subprocess
@@ -458,6 +459,34 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
 def test_record_csv_row_empty_cells():
     rec = CensusRecord(n=25, ell=3, p_n=1958, p_ell_n=1, c_ell_n=2, z_lower=2)
     assert rec.csv_row() == "25,3,1958,1,2,2,,,,,"
+
+
+def test_census_config_defaults_and_immutability():
+    config = CensusConfig(n_max=9, ells=(5,), with_z_all=True)
+    assert config == CensusConfig(0, 9, (5,), 18, 60, 1, None, True)
+    assert (config.n_min, config.cap_exact, config.cap_star, config.jobs) == (0, 18, 60, 1)
+    assert CensusConfig().n_max == 14 and CensusConfig().ells == (2, 3, 5, 7)
+    assert CensusConfig().cache_dir is None and CensusConfig().with_z_all is False
+    with pytest.raises(AttributeError):
+        config.n_max = 10
+
+
+def test_census_record_fields_equality_and_rows():
+    rec = CensusRecord(n=25, ell=3, p_n=1958, p_ell_n=1, c_ell_n=2, z_lower=2)
+    fields = ("z_exact", "z_star_exact", "z_star_closed", "main_term_num", "main_term_den",
+              "z_all")
+    assert [getattr(rec, name) for name in fields] == [None] * 6
+    same = CensusRecord(25, 3, 1958, 1, 2, 2)
+    assert rec == same and rec != (25, 3) and pickle.loads(pickle.dumps(rec)) == rec
+    # fields are set after construction, as build_record does
+    rec.z_star_closed = 4
+    rec.z_all = 7
+    assert rec != same
+    assert rec.csv_row() == "25,3,1958,1,2,2,,,4,,"
+    assert rec.csv_row(with_z_all=True) == "25,3,1958,1,2,2,,,4,,,7"
+    same.z_star_closed, same.z_all = 4, 7
+    assert rec == same
+    assert repr(rec).startswith("CensusRecord(n=25, ell=3, p_n=1958, p_ell_n=1, c_ell_n=2,")
 
 
 def test_run_census_csv_golden():

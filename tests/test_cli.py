@@ -383,6 +383,51 @@ def test_cli_imports_neither_mpmath_nor_the_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_imports_neither_the_suites_nor_dataclasses():
+    # count, census and asymptotics need neither; the suites' three names in
+    # corz still resolve, and so does every name of a star import
+    proc = run_python(
+        "import sys, corz.cli\n"
+        "print(sorted(m for m in ('corz.suites', 'dataclasses') if m in sys.modules))\n"
+        "names = {}\n"
+        "exec('from corz import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(corz.__all__), len(corz.__all__))\n"
+        "from corz import verify, Report, available_suites\n"
+        "import corz.suites as s\n"
+        "print(verify is s.verify, Report is s.Report, available_suites is s.available_suites)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True 44", "True True True"]
+    # verify imports the suites itself, and still names an unknown one
+    proc = subprocess.run([sys.executable, "-m", "corz.cli", "verify", "nosuch"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "corz: unknown suite 'nosuch'; available: abacus, closed-forms, constants,"
+        " lemma1, orthogonality, theorem2\n"
+    )
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
+    def untimed(text):
+        return re.sub(r"\d+\.\d\ds\b", "<s>", text)
+
+    commands = [
+        ["census"],
+        ["count", "inv-alpha", "7"],
+        ["census", "--ell", "7,3", "--n-min", "9", "--n-max", "11", "--z-all", "--format", "json"],
+        ["verify", "constants"],
+        ["census"],
+    ]
+    for argv in commands:
+        fresh = subprocess.run([sys.executable, "-m", "corz.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == fresh.returncode == 0, (argv, err, fresh.stderr)
+        assert untimed(out) == untimed(fresh.stdout), argv
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_inv_alpha_and_constants_suite_run_without_mpmath():
     # a None entry makes any import of mpmath raise ImportError
     proc = run_python(
