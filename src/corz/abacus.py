@@ -9,6 +9,7 @@ ell-core, and every ell-core arises from a unique canonical abacus (b_0 = 0).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 from itertools import accumulate, pairwise, permutations, product
 
 from .numtheory import _is_prime
@@ -238,6 +239,7 @@ def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
     return Abacus(ab.ell, tuple(cols))
 
 
+@cache
 def n_ell(ell: int) -> int:
     """(ell^6 - 2 ell^5 + 2 ell^4 - 3 ell^2 + 2 ell) / 24, the size of the
     extremal abacus: for prime ell, above it every ell-core has a part

@@ -27,17 +27,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
 from collections.abc import Callable, Iterable
 from functools import cache, lru_cache, partial
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _lane_width, _SuffixLevels, _zero_table
-from .numtheory import _is_prime, core_main_term
+from .numtheory import _is_prime, delta_ell, inv_alpha, sigma_twisted
 from .partitions import (
     Partition,
     _iter_partition_buffers,
@@ -69,6 +71,7 @@ CSV_FIELDS = (
     "main_term_num",
     "main_term_den",
 )
+_csv_values = attrgetter(*CSV_FIELDS)
 
 
 def z_lower_bound(n: int, ell: int) -> int:
@@ -281,10 +284,10 @@ class CensusRecord:
         return f"CensusRecord({pairs})"
 
     def csv_row(self, with_z_all: bool = False) -> str:
-        vals = [getattr(self, name) for name in CSV_FIELDS]
+        vals = _csv_values(self)
         if with_z_all:
-            vals.append(self.z_all)
-        return ",".join("" if v is None else str(v) for v in vals)
+            vals += (self.z_all,)
+        return ",".join(["" if v is None else str(v) for v in vals])
 
     def json_obj(self) -> dict:
         obj: dict = {"n": self.n, "ell": self.ell}
@@ -314,10 +317,12 @@ def _cache_path(cache_dir: Path, n: int, ell: int) -> Path:
 
 
 def _load_cache(path: Path) -> dict:
-    if not path.exists():
-        return {}
+    # one read, no stat first: a file that is absent, or removed by an
+    # overlapping run after any check, is a miss
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return {}
     except ValueError as exc:  # not UTF-8, or not JSON
         raise RuntimeError(f"census cache file is not JSON ({exc}): {path}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("payload", {}), dict):
@@ -425,16 +430,20 @@ def build_record(
             path = _cache_path(cache_dir, n, ell)
             payload = _load_cache(path)
         computed = _exhaustive_counts(rec, payload, cap_exact, cap_star, with_z_all)
+    prime = _is_prime(ell)
     # Theorem 2 holds for primes only: composite ell has regular cores above n_ell
-    if _is_prime(ell) and n > n_ell(ell):
+    if prime and n > n_ell(ell):
         rec.z_star_closed = c * c
         if rec.z_star_exact is not None:
             _require(rec.z_star_exact == rec.z_star_closed, (n, ell))
-    # the analytic constant needs the quadratic character, so primes only
-    if ell >= 5 and _is_prime(ell):
-        main = core_main_term(n, ell) * p
-        rec.main_term_num = main.numerator
-        rec.main_term_den = main.denominator
+    # the analytic constant needs the quadratic character, so primes only.
+    # core_main_term(n, ell) * p in lowest terms, from integers: inv_alpha > 0
+    if prime and ell >= 5:
+        num = sigma_twisted(n + delta_ell(ell), ell) * p
+        den = inv_alpha(ell)
+        g = math.gcd(num, den)
+        rec.main_term_num = num // g
+        rec.main_term_den = den // g
     if path is not None and computed:
         _store_cache(path, n, ell, payload)
     return rec
@@ -446,11 +455,12 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
 
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order, so
-    output does not depend on scheduling.  With with_z_all, the pool hands
-    out the n-major grid in chunks of one n and all its moduli, so one worker
-    computes the whole table of each n.  The process pool, and
-    multiprocessing with it, is imported only when more than one worker
-    runs, so a serial census starts without them.
+    output does not depend on scheduling.  The exact series tables are
+    grown to n_max before any record is built or any worker starts.  With
+    with_z_all, the pool hands out the n-major grid in chunks of one n and
+    all its moduli, so one worker computes the whole table of each n.  The
+    process pool, and multiprocessing with it, is imported only when more
+    than one worker runs, so a serial census starts without them.
     """
     task = partial(
         build_record,
@@ -463,6 +473,12 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     grid = [(n, ell) for n in range(config.n_min, config.n_max + 1) for ell in moduli]
     ns = [n for n, _ in grid]
     ells = [ell for _, ell in grid]
+    # each series table grows once, in bulk, to the top of the sweep, so a
+    # record only reads its series; forked workers inherit the tables
+    if grid:
+        count_p(config.n_max)
+        for ell in moduli:
+            count_cores(config.n_max, ell)
     workers = min(config.jobs, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -54,6 +54,13 @@ def legendre(a: int, ell: int) -> int:
     return r - ell if r == ell - 1 else r
 
 
+@cache
+def _chi_table(ell: int) -> tuple[int, ...]:
+    # the quadratic character mod an odd prime ell, indexed by residue:
+    # (a / ell) for a = 0 .. ell-1
+    return tuple(legendre(a, ell) for a in range(ell))
+
+
 def sigma_twisted(n: int, ell: int) -> int:
     """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2)."""
     if n < 1:
@@ -64,14 +71,15 @@ def sigma_twisted(n: int, ell: int) -> int:
 
 def _twisted_divisor_sum(n: int, ell: int, e: int) -> int:
     # sum over d | n of (n/d / ell) * d^e, pairing each d <= sqrt(n) with n/d
+    chi = _chi_table(ell)
     total = 0
     d = 1
     while d * d <= n:
         if n % d == 0:
             cod = n // d
-            total += legendre(cod, ell) * d**e
+            total += chi[cod % ell] * d**e
             if cod != d:
-                total += legendre(d, ell) * cod**e
+                total += chi[d % ell] * cod**e
         d += 1
     return total
 
@@ -145,8 +153,9 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
     and one Fraction is formed from the total over ell D.
     """
     _check_odd_prime(ell)
-    residues = [a for a in range(1, ell) if legendre(a, ell) > 0]
-    nonresidues = [a for a in range(1, ell) if legendre(a, ell) < 0]
+    chi = _chi_table(ell)
+    residues = [a for a in range(1, ell) if chi[a] > 0]
+    nonresidues = [a for a in range(1, ell) if chi[a] < 0]
     up, down = [1] * len(residues), [1] * len(nonresidues)
     power_sums = []
     for _ in range(k + 1):
@@ -166,7 +175,7 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
 
 def _partial_sums(ell: int) -> list[int]:
     # S(x) = sum of chi(m) over 1 <= m <= x, for x = 0 .. ell-1; S has period ell
-    return list(accumulate(legendre(a, ell) for a in range(ell)))
+    return list(accumulate(_chi_table(ell)))
 
 
 def _window_bound(ell: int) -> Fraction:
@@ -188,10 +197,11 @@ def _dirichlet_l_numeric(ell: int, s: int, n_terms: int, bits: int) -> int:
     # is within V s (N+1)^(-s-1) of L (see inv_alpha).  One sum per residue
     # class keeps the loop free of branches.
     one = 1 << bits
+    chi = _chi_table(ell)
     acc = 0
     for r in range(1, ell):
         part = sum(one // m**s for m in range(r, n_terms + 1, ell))
-        acc += part if legendre(r, ell) > 0 else -part
+        acc += part if chi[r] > 0 else -part
     partial = _partial_sums(ell)
     lead = sum(partial) - ell * partial[n_terms % ell]  # ell (mu - S(N))
     return acc + (lead << bits) // (ell * (n_terms + 1) ** s)

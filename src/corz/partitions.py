@@ -166,22 +166,38 @@ _PENTAGONAL: tuple[list[int], list[int]] = ([], [])
 
 
 def _pentagonal(upto: int) -> tuple[list[int], list[int]]:
-    # (minus, plus) cut to 1 <= g <= upto, extending the lists on demand
+    # (minus, plus), extended on demand to hold every g <= upto; they may
+    # hold larger ones too, so callers cut them
     minus, plus = _PENTAGONAL
     k = (len(minus) + len(plus)) // 2 + 1
     while k * (3 * k - 1) // 2 <= upto:
         (minus if k % 2 else plus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         k += 1
-    return minus[: bisect_right(minus, upto)], plus[: bisect_right(plus, upto)]
+    return minus, plus
+
+
+def _pentagonal_cuts(lo: int, hi: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    # (m, minus, plus) for m = lo .. hi, both lists cut to 1 <= g <= m.  The
+    # lists are taken once, and a cut is rebuilt only when m reaches its next
+    # entry.
+    minus, plus = _pentagonal(hi)
+    i, j = bisect_right(minus, lo), bisect_right(plus, lo)
+    cut_minus, cut_plus = minus[:i], plus[:j]
+    for m in range(lo, hi + 1):
+        if i < len(minus) and minus[i] == m:
+            i += 1
+            cut_minus = minus[:i]
+        if j < len(plus) and plus[j] == m:
+            j += 1
+            cut_plus = plus[:j]
+        yield m, cut_minus, cut_plus
 
 
 def _extend_quotient(series: list[int], upto: int, top: Callable[[int], int]) -> list[int]:
     # Grow series, the coefficients of F(q) = T(q)/E(q), in place through
     # q^upto; top(m) is the coefficient of q^m in T(q).  The coefficient of
     # q^m in E(q) F(q) = T(q) gives F_m = T_m - sum_g sign(g) F_{m-g}.
-    while len(series) <= upto:
-        m = len(series)
-        minus, plus = _pentagonal(m)
+    for m, minus, plus in _pentagonal_cuts(len(series), upto):
         series.append(
             top(m) + sum([series[m - g] for g in minus]) - sum([series[m - g] for g in plus])
         )
@@ -195,6 +211,8 @@ def count_p(n: int) -> int:
     """Number of partitions of n, by the pentagonal-number recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n < len(_P_CACHE):
+        return _P_CACHE[n]
     return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
 
 
@@ -210,7 +228,9 @@ def count_p_regular(n: int, a: int) -> int:
         raise ValueError("a must be at least 2")
     count_p(n)
     p = _P_CACHE
-    minus, plus = _pentagonal(n // a)
+    top = n // a
+    minus, plus = _pentagonal(top)
+    minus, plus = minus[: bisect_right(minus, top)], plus[: bisect_right(plus, top)]
     return p[n] + sum([p[n - a * g] for g in plus]) - sum([p[n - a * g] for g in minus])
 
 
@@ -222,13 +242,12 @@ def _euler_power(ell: int, upto: int) -> list[int]:
     # J. C. P. Miller's power recurrence over the sparse pentagonal terms:
     # m e_m = sum_g ((ell + 1) g - m) sign(g) e_{m-g}, an exact division.
     e = _EULER_POWERS.setdefault(ell, [1])
-    while len(e) <= upto:
-        m = len(e)
-        minus, plus = _pentagonal(m)
-        total = sum([((ell + 1) * g - m) * e[m - g] for g in plus]) - sum(
-            [((ell + 1) * g - m) * e[m - g] for g in minus]
-        )
-        e.append(total // m)
+    if len(e) <= upto:
+        for m, minus, plus in _pentagonal_cuts(len(e), upto):
+            total = sum([((ell + 1) * g - m) * e[m - g] for g in plus]) - sum(
+                [((ell + 1) * g - m) * e[m - g] for g in minus]
+            )
+            e.append(total // m)
     return e
 
 
@@ -250,8 +269,10 @@ def count_cores(n: int, ell: int) -> int:
         raise ValueError("n must be nonnegative")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    e = _euler_power(ell, n // ell)
     table = _CORE_TABLES.setdefault(ell, [1])
+    if n < len(table):
+        return table[n]
+    e = _euler_power(ell, n // ell)
     return _extend_quotient(table, n, lambda m: 0 if m % ell else e[m // ell])[n]
 
 

@@ -31,8 +31,6 @@ from .characters import ColumnEvaluator, centralizer_order, dimension, mn_charac
 from .numtheory import c2_closed, c3_closed, inv_alpha, sigma_twisted
 from .partitions import (
     Partition,
-    _iter_partition_buffers,
-    beta_mask,
     count_cores,
     enumerate_partitions,
     is_regular,
@@ -155,14 +153,26 @@ def _closed_rows() -> None:
             _require(got == sign, f"mu={mu.parts}: {got} != {sign}")
 
 
-def _count_cores_filter_pass(n: int, ells: Sequence[int]) -> dict[int, int]:
-    # one reverse-lex sweep, testing each partition's beta-set for every modulus
-    counts = dict.fromkeys(ells, 0)
-    for buf in _iter_partition_buffers(n):
-        mask = beta_mask(buf)
-        for ell in ells:
-            if not strip_ends(mask, ell):
-                counts[ell] += 1
+def _count_cores_filter_pass(upto: int, ells: Sequence[int]) -> dict[int, list[int]]:
+    # counts[ell][n], the ell-cores of each n <= upto, by the definition of a
+    # core over one depth-first walk of the partitions, built from the
+    # smallest part up.  Parts l_1 >= ... >= l_r have beads at l_i + r - i,
+    # so a new largest part p on r parts adds one bead at p + r and moves no
+    # other.  A new first row keeps every hook of the rows below it, so no
+    # partition above a non-core in the walk is a core: a branch ends where
+    # no modulus still finds a core.
+    counts = {ell: [0] * (upto + 1) for ell in ells}
+    # beta-set mask, size, number of parts, least next part, moduli with a core
+    stack = [(0, 0, 0, 1, tuple(ells))]
+    while stack:
+        mask, size, r, low, live = stack.pop()
+        for ell in live:
+            counts[ell][size] += 1
+        for p in range(low, upto - size + 1):
+            child = mask | 1 << (p + r)
+            keep = tuple([ell for ell in live if not strip_ends(child, ell)])
+            if keep:
+                stack.append((child, size + p, r + 1, p, keep))
     return counts
 
 
@@ -181,12 +191,12 @@ def _roundtrip() -> None:
 
 
 def _counts_match() -> None:
+    filtered = _count_cores_filter_pass(60, _SMALL_ELLS)
     for n in range(61):
-        filtered = _count_cores_filter_pass(n, _SMALL_ELLS)
         for ell in _SMALL_ELLS:
             via_abacus = sum(1 for _ in enumerate_cores(n, ell))
             series = count_cores(n, ell)
-            _require(filtered[ell] == series, f"filter n={n} ell={ell}")
+            _require(filtered[ell][n] == series, f"filter n={n} ell={ell}")
             _require(via_abacus == series, f"abacus n={n} ell={ell}")
 
 

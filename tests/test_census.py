@@ -32,14 +32,17 @@ from corz.census import (
 )
 from corz.characters import ColumnEvaluator, mn_character
 from corz.numtheory import core_main_term
-from corz.suites import available_suites, verify
+from corz.suites import _count_cores_filter_pass, available_suites, verify
 from corz.partitions import (
     Partition,
+    _iter_partition_buffers,
+    beta_mask,
     count_p,
     count_p_regular,
     enumerate_partitions,
     is_core,
     mask_parts,
+    strip_ends,
 )
 from reference import conjugate, frobenius_character
 
@@ -372,6 +375,19 @@ def test_build_record_type_invariants():
                 assert rec.main_term_num is None
 
 
+def test_build_record_main_term_over_the_sweep_range():
+    # the record forms the main term from integers; it must equal the public
+    # rational core_main_term(n, ell) * p(n) in lowest terms
+    for ell in (5, 7, 11, 13, 97):
+        for n in range(0, 1201, 7):
+            rec = build_record(n, ell, cap_exact=0, cap_star=0)
+            want = core_main_term(n, ell) * count_p(n)
+            assert (rec.main_term_num, rec.main_term_den) == (
+                want.numerator,
+                want.denominator,
+            ), (n, ell)
+
+
 def test_build_record_skips_expensive_fields_over_cap():
     rec = build_record(25, 3, cap_exact=10, cap_star=20)
     assert rec.z_exact is None
@@ -574,6 +590,19 @@ def test_unreadable_cache_file_is_named(tmp_path, text):
         _load_cache(path)
     with pytest.raises(RuntimeError, match="census-3-6.json"):
         build_record(6, 3, cache_dir=cache)
+
+
+def test_missing_cache_file_is_a_miss(tmp_path, monkeypatch):
+    # absent file, absent directory, and a file that an overlapping run
+    # removes after any check for it: each is a miss, never an error
+    path = tmp_path / "cache" / "census-3-6.json"
+    assert _load_cache(path) == {}
+    assert _load_cache(tmp_path / "census-3-6.json") == {}
+    monkeypatch.setattr(Path, "exists", lambda self: True)
+    assert _load_cache(path) == {}
+    monkeypatch.undo()
+    assert build_record(6, 3, cache_dir=tmp_path / "cache") == build_record(6, 3)
+    assert path.exists()
 
 
 def test_cache_is_not_read_above_both_caps(tmp_path, monkeypatch):
@@ -817,6 +846,18 @@ def test_verify_unknown_suite():
     except ValueError as exc:
         for name in available_suites():
             assert name in str(exc)
+
+
+def test_core_filter_walk_matches_a_test_of_every_partition():
+    # the verify oracle cuts a branch at a partition that is a core for no
+    # modulus left; test every partition instead, composite moduli included
+    ells = (2, 3, 4, 5, 6, 7)
+    counts = _count_cores_filter_pass(22, ells)
+    for n in range(23):
+        masks = [beta_mask(buf) for buf in _iter_partition_buffers(n)]
+        for ell in ells:
+            want = sum(1 for mask in masks if not strip_ends(mask, ell))
+            assert counts[ell][n] == want == count_cores(n, ell), (n, ell)
 
 
 def test_available_suites_listing():

@@ -149,6 +149,11 @@ README = ROOT / "README.md"
     [
         ("census-star-window.csv", ("--ell", "5,7", "--n-min", "26", "--n-max", "29")),
         ("census-full-table.csv", ("--z-all", "--ell", "3,5,7", "--n-min", "10", "--n-max", "14")),
+        (
+            "census-series-wide.csv",
+            ("--ell", "2,3,5,7", "--n-min", "0", "--n-max", "1150",
+             "--cap-exact", "12", "--cap-star", "26"),
+        ),
     ],
 )
 def test_census_bytes_match_the_benchmark_references(ref, argv, tmp_path, capsys):
