@@ -16,7 +16,10 @@ other columns; so it adds no MN for Z*, and it caches both sums.  One zero
 loop serves the core blocks: the hook prefilter, then MN per column for the
 pairs it leaves open.  It visits the columns in order of their reversed
 parts, so that each shares its smallest parts, and the MN memo levels of
-those, with the one before it.  It keeps nothing from one call to the next.
+those, with the one before it.  A column's own value is not memoised: it is
+summed over the row's strips of the largest part, which the loop keeps per
+row and largest part for every column that has it.  It keeps nothing from
+one call to the next.
 The whole table comes from the row-side kernel of `characters`, which
 decides every pair of n at once; the process keeps the table of its latest
 n as one value, from which a record with_z_all reads its core rows' zeros
@@ -105,7 +108,8 @@ def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int
     if not orbits:
         return 0
     # MN visits the columns by their reversed parts: a column then shares its
-    # smallest parts, and the memo levels of those, with the one before.
+    # smallest parts, and the memo levels of those, with the one before.  The
+    # rows' strips of a largest part serve every column with that part.
     # Entries are popped from the end, so each is freed once visited.
     todo = sorted((mu.parts[::-1] for mu in columns), reverse=True)
     levels = _SuffixLevels()

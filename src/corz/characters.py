@@ -2,21 +2,27 @@
 
 Strips are removed on the beta-set bitmask of the row (see partitions): a
 strip of length k moves a bead from b down to an empty position b - k, and
-its height is the number of beads strictly between the two.
+its height is the number of beads strictly between the two.  Memos are
+keyed on canonical masks, with no bead at 0.  A strip that lands above 0
+leaves bit 0 clear, so the rest is canonical as it stands; only a strip that
+lands at 0 leaves a run of beads at 0, 1, ... to shift out.
 
 Two kernels share that step.  ColumnEvaluator fixes a column and memoises
-the rows it meets, one memo level per part removed; verify uses it alone.
-The census block counts get theirs from _SuffixLevels, which hands the
+the rows it meets, one memo level per part after the first; verify uses it
+alone.  Level 0, the value itself, is met once per row and column, so it is
+summed over the row's strips of the first part and not memoised.  The
+census block counts get their evaluators from _SuffixLevels.  It hands the
 levels of a column's smallest parts on to the next column that ends in the
-same parts: chi_nu(remaining parts) does not depend on the parts already
-removed.  The whole-table kernel (_zero_table) works row-side: it builds
-each row of n as one vector over every column of n, from the vectors of the
-partitions left after removing a strip, and reports the zero columns of each
-conjugate orbit of rows.  Its vectors are Python ints with W signed bits
-per column, where W is the least multiple of 64 with sqrt(n!) < 2^(W - 2),
-a bound on every character value of n; so every value is exact and no
-dependency is needed.  Its memo keeps each vector only as far as a parent
-reads it, about 4 MiB at n = 24 and 40 MiB at n = 30.
+same parts, as chi_nu(remaining parts) does not depend on the parts already
+removed, and it keeps each row's strips of a first part for every later
+column with that first part.  The whole-table kernel (_zero_table) works
+row-side: it builds each row of n as one vector over every column of n,
+from the vectors of the partitions left after removing a strip, and reports
+the zero columns of each conjugate orbit of rows.  Its vectors are Python
+ints with W signed bits per column, where W is the least multiple of 64
+with sqrt(n!) < 2^(W - 2), a bound on every character value of n; so every
+value is exact and no dependency is needed.  Its memo keeps each vector
+only as far as a parent reads it, about 4 MiB at n = 24 and 40 MiB at n = 30.
 """
 
 from __future__ import annotations
@@ -41,22 +47,33 @@ class ColumnEvaluator:
 
     Strips are removed for the parts of mu in the order given (a Partition
     supplies them largest first); the value is independent of that order.
-    Memo level i holds chi_nu(parts[i:]) for the rows nu met after parts[:i]
-    are removed, keyed on the canonical beta-set of nu.  The last level holds
-    the empty partition, so a strip for the last part finds its value there
-    and makes no call.  One evaluator thus amortizes work across many row
-    labels of the same column.  A fresh evaluator starts on fresh levels;
-    the ones _SuffixLevels hands out share the levels of their common
-    smallest parts with the columns visited before them.
+    Memo level i >= 1 holds chi_nu(parts[i:]) for the rows nu met after
+    parts[:i] are removed, keyed on the canonical beta-set of nu.  The last
+    level holds the empty partition, so a strip for the last part finds its
+    value there and makes no call.  One evaluator thus amortizes work across
+    many row labels of the same column.  Level 0, chi_lam(mu) itself, is not
+    memoised: each row meets it once per column.  value_mask sums it over
+    the strips of the first part, which it keeps per row, in a dict that the
+    evaluators of _SuffixLevels share with every column of the same first
+    part.  A fresh evaluator starts on fresh levels and strips; the ones
+    _SuffixLevels hands out share the levels of their common smallest parts
+    with the columns visited before them.
     """
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
         parts = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
         if any(p < 1 for p in parts):
             raise ValueError("cycle type parts must be positive")
+        self._setup(parts, [{} for _ in parts] + [{0: 1}], {})
+
+    def _setup(self, parts: tuple[int, ...], memos: list[dict[int, int]], tops: dict) -> None:
         self.parts = parts
         self.size = sum(parts)
-        self._memos: list[dict[int, int]] = [{} for _ in parts] + [{0: 1}]
+        # memos[i] is level i; level 0 is filled only for the empty cycle
+        # type, as its last level
+        self._memos = memos
+        # canonical row mask -> its strips of parts[0], as (child, odd height)
+        self._tops: dict[int, list[tuple[int, int]]] = tops
 
     def value(self, lam: PartitionLike) -> int:
         lam = Partition.of(lam)
@@ -71,12 +88,22 @@ class ColumnEvaluator:
         without extra beads at 0..t-1; lam must be a partition of self.size.
         The empty cycle type gives 1."""
         mask = canonical_mask(mask)
-        cached = self._memos[0].get(mask)
-        return self._eval(mask, 0) if cached is None else cached
+        if not self.parts:
+            return self._memos[0][mask]
+        strips = self._tops.get(mask)
+        if strips is None:
+            strips = self._tops[mask] = _strips(mask, self.parts[0])
+        below = self._memos[1]
+        total = 0
+        for rest, odd in strips:
+            term = below.get(rest)
+            if term is None:
+                term = self._eval(rest, 1)
+            total += -term if odd else term
+        return total
 
     def _eval(self, mask: int, idx: int) -> int:
-        # a strip of length k lands at an empty position `end` from the bead
-        # at top = end << k; the beads strictly between give its height
+        # the step of _strips, inline for speed: memo level idx of the canonical mask
         k = self.parts[idx]
         ends = (mask & ~(mask << k)) >> k
         total = 0
@@ -87,13 +114,33 @@ class ColumnEvaluator:
             ends ^= end
             top = end << k
             rest = mask ^ top ^ end
-            rest >>= ((rest + 1) & ~rest).bit_length() - 1
+            if end == 1:
+                rest >>= ((rest + 1) & ~rest).bit_length() - 1
             term = below.get(rest)
             if term is None:
                 term = self._eval(rest, idx + 1)
             total += -term if (mask & (top - end)).bit_count() & 1 else term
         memos[idx][mask] = total
         return total
+
+
+def _strips(mask: int, k: int) -> list[tuple[int, int]]:
+    """The strips of length k of the row with canonical beta-set mask, as
+    (canonical mask of the rest, 1 if the strip's height is odd else 0).
+    A strip lands at an empty position `end` from the bead at top = end << k;
+    the beads strictly between give its height.  Only a strip that lands at
+    0 leaves a rest to canonicalise (see the module docstring)."""
+    out = []
+    ends = (mask & ~(mask << k)) >> k
+    while ends:
+        end = ends & -ends
+        ends ^= end
+        top = end << k
+        rest = mask ^ top ^ end
+        if end == 1:
+            rest >>= ((rest + 1) & ~rest).bit_length() - 1
+        out.append((rest, (mask & (top - end)).bit_count() & 1))
+    return out
 
 
 class _SuffixLevels:
@@ -103,15 +150,20 @@ class _SuffixLevels:
     in these k parts, so a column keeps the levels of the suffix it shares
     with the previous one and starts the rest empty.  Columns visited in
     order of their reversed parts share the longest suffixes; only the
-    current column's chain of levels is kept."""
+    current column's chain of levels is kept.  The top level of a column is
+    not memoised (see ColumnEvaluator); the strips it sums over depend on the
+    row and the column's first part alone, so they are kept per first part,
+    for every column of this object's life."""
 
     def __init__(self) -> None:
         self.parts: tuple[int, ...] = ()
         self.levels: list[dict[int, int]] = [{0: 1}]
+        # first part -> canonical row mask -> its strips of that part
+        self.tops: dict[int, dict[int, list[tuple[int, int]]]] = {}
 
     def evaluator(self, parts: tuple[int, ...]) -> ColumnEvaluator:
         """An evaluator for the cycle type parts, on the levels it shares
-        with the previous column."""
+        with the previous column and the strips of its first part."""
         shared = 0
         for a, b in zip(reversed(parts), reversed(self.parts)):
             if a != b:
@@ -121,8 +173,8 @@ class _SuffixLevels:
         del levels[shared + 1 :]
         levels.extend({} for _ in range(len(parts) - shared))
         self.parts = parts
-        col = ColumnEvaluator(parts)
-        col._memos = levels[::-1]
+        col = ColumnEvaluator.__new__(ColumnEvaluator)
+        col._setup(parts, levels[::-1], self.tops.setdefault(parts[0], {}) if parts else {})
         return col
 
 
@@ -216,7 +268,8 @@ def _row_vectors(n: int) -> Iterator[tuple[int, int]]:
                 ends ^= end
                 t = end << i
                 rest = mask ^ t ^ end
-                rest >>= ((rest + 1) & ~rest).bit_length() - 1
+                if end == 1:
+                    rest >>= ((rest + 1) & ~rest).bit_length() - 1
                 term = memo.get(rest)
                 if term is None:
                     rest_top = min(rest_m, n - rest_m)

@@ -145,6 +145,22 @@ def test_count_zeros_sequence_matches_naive_loop(data):
         assert got == sum(naive_count_zeros(rows, columns)), (n, [lam.parts for lam in rows])
 
 
+def test_count_zeros_matches_naive_loop_on_columns_sharing_their_largest_part():
+    # the top strips of each row are kept per largest part for one call: rows
+    # of mixed lengths meet columns that share their largest part, alone or
+    # next to those of another largest part, and the next calls on other rows
+    # of the same n start from nothing kept
+    n = 14
+    lams = list(enumerate_partitions(n))
+    rows = [lam for lam in lams if len(lam.parts) in (2, 5, 9)]
+    others = [lam for lam in lams if len(lam.parts) in (1, 3, 4, 7)]
+    for firsts in ((3,), (5,), (14,), (3, 5), (1, 7)):
+        columns = [mu for mu in lams if mu.parts[0] in firsts]
+        for group in (rows, others, rows[::2] + others[1::2]):
+            got = census._count_zeros(group, columns)
+            assert got == sum(naive_count_zeros(group, columns)), firsts
+
+
 def counted_value_mask(monkeypatch):
     """Patch ColumnEvaluator.value_mask to log (column, mask) per call."""
     seen = []
@@ -250,8 +266,9 @@ def test_cache_completion_fills_star_without_mn(monkeypatch, tmp_path):
 
 
 def test_core_counts_pinned_values():
-    # one z_exact cell through the shared-level loop, and one star cell
+    # z_exact cells through the shared-level loop, and one star cell
     assert z_exact(26, 7, cap=26) == 154395
+    assert z_exact(24, 11, cap=24) == 350055
     assert z_star_exact(40, 7) == 34771
 
 

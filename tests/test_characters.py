@@ -12,6 +12,7 @@ from corz.characters import (
     _lane_ones,
     _lane_width,
     _row_vectors,
+    _strips,
     _truncate,
     _zero_lanes,
     _zero_table,
@@ -22,6 +23,7 @@ from corz.characters import (
 from corz.partitions import (
     Partition,
     beta_mask,
+    canonical_mask,
     enumerate_partitions,
     hook_mask,
     is_regular,
@@ -162,6 +164,19 @@ def test_value_mask_accepts_extra_low_beads():
                     assert padded_first.value_mask(padded) == want, (lam.parts, mu.parts, t)
                     assert canonical_first.value_mask(mask) == want, (lam.parts, mu.parts)
                     assert canonical_first.value_mask(padded) == want, (lam.parts, mu.parts, t)
+
+
+def test_kernel_strip_children_are_canonical():
+    # the kernel shifts a child only when its strip lands at position 0; on
+    # every canonical mask of n <= 14 and every k that gives the reference's
+    # canonical_mask of the raw child, and the parity of its height
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            mask = beta_mask(lam.parts)
+            assert canonical_mask(mask) == mask, lam.parts
+            for k in range(1, n + 2):
+                want = [(rest, h & 1) for rest, h in mask_strips(mask, k)]
+                assert _strips(mask, k) == want[::-1], (lam.parts, k)
 
 
 def test_border_strips_examples():
