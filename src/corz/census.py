@@ -13,13 +13,14 @@ one n, each a plain integer: Z* over core rows by core columns, Z over core
 rows by all columns, and the whole table.  A record computes Z* first, as
 the core-column block of Z, and Z as Z* plus the core rows' zeros on the
 other columns; so it adds no MN for Z*, and it caches both sums.  One zero
-loop serves the core blocks: the hook prefilter, then MN per column for the
-pairs it leaves open.  It visits the columns in order of their reversed
-parts, so that each shares its smallest parts, and the MN memo levels of
-those, with the one before it.  A column's own value is not memoised: it is
-summed over the row's strips of the largest part, which the loop keeps per
-row and largest part for every column that has it.  It keeps nothing from
-one call to the next.
+loop serves the core blocks: the hook prefilter, then MN for the pairs it
+leaves open, on one ColumnEvaluator per call that moves to each column with
+an open pair.  It visits the columns in order of their reversed parts, so
+that each shares its smallest parts, and the MN memo levels of those, with
+the one before it.  A column's own value is not memoised: it is summed over
+the row's strips of the largest part, which the evaluator keeps per row and
+largest part for every column that has it.  The loop keeps nothing from one
+call to the next.
 The whole table comes from the row-side kernel of `characters`, which
 decides every pair of n at once; the process keeps the table of its latest
 n as one value, from which a record with_z_all reads its core rows' zeros
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
-from .characters import _lane_width, _SuffixLevels, _zero_table
+from .characters import ColumnEvaluator, _lane_width, _zero_table
 from .numtheory import _is_prime, delta_ell, inv_alpha, sigma_twisted
 from .partitions import (
     Partition,
@@ -112,19 +113,20 @@ def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int
     # rows' strips of a largest part serve every column with that part.
     # Entries are popped from the end, so each is freed once visited.
     todo = sorted((mu.parts[::-1] for mu in columns), reverse=True)
-    levels = _SuffixLevels()
+    col = ColumnEvaluator(())
     count = 0
     while todo:
         parts = todo.pop()[::-1]
         needed = sum(1 << p for p in set(parts))
-        col = None
         for mask, hooks, here in orbits:
             if needed & ~hooks:
                 count += here
                 continue
-            if col is None:
-                col = levels.evaluator(parts)
-            if col.value_mask(mask) == 0:
+            # the evaluator moves to a column only once MN must decide a pair
+            if col.parts is not parts:
+                col._move(parts)
+            # masks from beta_mask are canonical, and rows have the column's size
+            if col._value(mask) == 0:
                 count += here
     return count
 
@@ -216,13 +218,6 @@ def _zero_reader(table: _WholeTable, rows: Iterable[Partition]) -> Callable[[Ite
     ones = sum(table.bits[key] for key in orbits)
     twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
     return lambda zeros: sum([(z & ones).bit_count() + (z & twos).bit_count() for z in zeros])
-
-
-def _table_zeros(
-    table: _WholeTable, rows: Iterable[Partition], columns: Iterable[Partition]
-) -> int:
-    # _count_zeros(rows, columns), read from the whole table of n
-    return _zero_reader(table, rows)(table.zeros[mu.parts] for mu in columns)
 
 
 # ---------------------------------------------------------------------------

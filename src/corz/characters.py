@@ -7,15 +7,15 @@ keyed on canonical masks, with no bead at 0.  A strip that lands above 0
 leaves bit 0 clear, so the rest is canonical as it stands; only a strip that
 lands at 0 leaves a run of beads at 0, 1, ... to shift out.
 
-Two kernels share that step.  ColumnEvaluator fixes a column and memoises
-the rows it meets, one memo level per part after the first; verify uses it
-alone.  Level 0, the value itself, is met once per row and column, so it is
-summed over the row's strips of the first part and not memoised.  The
-census block counts get their evaluators from _SuffixLevels.  It hands the
-levels of a column's smallest parts on to the next column that ends in the
-same parts, as chi_nu(remaining parts) does not depend on the parts already
-removed, and it keeps each row's strips of a first part for every later
-column with that first part.  The whole-table kernel (_zero_table) works
+Two kernels share that step.  ColumnEvaluator evaluates rows on a column,
+with one memo level per suffix of the column's parts short of the whole;
+verify builds one per column.  The column's own value is met once per row,
+so it is summed over the row's strips of the first part and not memoised.
+The census block counts move a single evaluator from column to column: it
+keeps the levels of the smallest parts the new column shares with the one
+before, as chi_nu(remaining parts) does not depend on the parts already
+removed, and each row's strips of a first part for every later column with
+that first part.  The whole-table kernel (_zero_table) works
 row-side: it builds each row of n as one vector over every column of n,
 from the vectors of the partitions left after removing a strip, and reports
 the zero columns of each conjugate orbit of rows.  Its vectors are Python
@@ -39,6 +39,7 @@ from .partitions import (
     conjugate_mask,
     count_p,
     enumerate_partitions,
+    mask_parts,
 )
 
 
@@ -47,68 +48,88 @@ class ColumnEvaluator:
 
     Strips are removed for the parts of mu in the order given (a Partition
     supplies them largest first); the value is independent of that order.
-    Memo level i >= 1 holds chi_nu(parts[i:]) for the rows nu met after
-    parts[:i] are removed, keyed on the canonical beta-set of nu.  The last
-    level holds the empty partition, so a strip for the last part finds its
-    value there and makes no call.  One evaluator thus amortizes work across
-    many row labels of the same column.  Level 0, chi_lam(mu) itself, is not
-    memoised: each row meets it once per column.  value_mask sums it over
-    the strips of the first part, which it keeps per row, in a dict that the
-    evaluators of _SuffixLevels share with every column of the same first
-    part.  A fresh evaluator starts on fresh levels and strips; the ones
-    _SuffixLevels hands out share the levels of their common smallest parts
-    with the columns visited before them.
+    Memo level s holds chi_nu of the column's last s parts, keyed on the
+    canonical beta-set of the rows nu met; level 0 holds the empty
+    partition, so a strip for the last part makes no call.  The column's
+    own value is not memoised, as each row meets it once: it is summed over
+    the row's strips of the first part, kept per first part and row.  The
+    census zero loop moves one evaluator from column to column (_move),
+    keeping the levels of the suffix the two columns share.
     """
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
         parts = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
         if any(p < 1 for p in parts):
             raise ValueError("cycle type parts must be positive")
-        self._setup(parts, [{} for _ in parts] + [{0: 1}], {})
+        # the empty column: level 0 alone
+        self.parts: tuple[int, ...] = ()
+        self.size = 0
+        self._levels: list[dict[int, int]] = [{0: 1}]
+        # first part -> canonical row mask -> its strips of that part, as
+        # (child, odd height); _tops is the current first part's
+        self._firsts: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        if parts:
+            self._move(parts)
 
-    def _setup(self, parts: tuple[int, ...], memos: list[dict[int, int]], tops: dict) -> None:
+    def _move(self, parts: tuple[int, ...]) -> None:
+        # make parts (all positive) the column: keep the levels of the suffix
+        # it shares with the current column and start the others empty
+        shared = 0
+        for a, b in zip(reversed(parts), reversed(self.parts)):
+            if a != b:
+                break
+            shared += 1
+        levels = self._levels
+        del levels[shared + 1 :]
+        levels.extend({} for _ in range(len(parts) - len(levels)))
         self.parts = parts
         self.size = sum(parts)
-        # memos[i] is level i; level 0 is filled only for the empty cycle
-        # type, as its last level
-        self._memos = memos
-        # canonical row mask -> its strips of parts[0], as (child, odd height)
-        self._tops: dict[int, list[tuple[int, int]]] = tops
+        if parts:
+            self._tops = self._firsts.setdefault(parts[0], {})
 
     def value(self, lam: PartitionLike) -> int:
         lam = Partition.of(lam)
-        if lam.n != self.size:
-            raise ValueError(
-                f"size mismatch: partition of {lam.n} against cycle type of {self.size}"
-            )
-        return self.value_mask(beta_mask(lam.parts))
+        self._check_size(lam.n)
+        return self._value(beta_mask(lam.parts))
 
     def value_mask(self, mask: int) -> int:
         """chi_lam(mu) for the row lam given by a beta-set mask, with or
-        without extra beads at 0..t-1; lam must be a partition of self.size.
-        The empty cycle type gives 1."""
-        mask = canonical_mask(mask)
-        if not self.parts:
-            return self._memos[0][mask]
+        without extra beads at 0..t-1.  The empty cycle type gives 1.
+        Raises ValueError unless lam is a partition of self.size."""
+        self._check_size(sum(mask_parts(mask)))
+        return self._value(canonical_mask(mask))
+
+    def _check_size(self, size: int) -> None:
+        if size != self.size:
+            raise ValueError(
+                f"size mismatch: partition of {size} against cycle type of {self.size}"
+            )
+
+    def _value(self, mask: int) -> int:
+        # chi_lam(mu) for the canonical mask of a row of self.size
+        parts = self.parts
+        if not parts:
+            return self._levels[0][mask]
         strips = self._tops.get(mask)
         if strips is None:
-            strips = self._tops[mask] = _strips(mask, self.parts[0])
-        below = self._memos[1]
+            strips = self._tops[mask] = _strips(mask, parts[0])
+        s = len(parts) - 1
+        below = self._levels[s]
         total = 0
         for rest, odd in strips:
             term = below.get(rest)
             if term is None:
-                term = self._eval(rest, 1)
+                term = self._eval(rest, s)
             total += -term if odd else term
         return total
 
-    def _eval(self, mask: int, idx: int) -> int:
-        # the step of _strips, inline for speed: memo level idx of the canonical mask
-        k = self.parts[idx]
+    def _eval(self, mask: int, s: int) -> int:
+        # the step of _strips, inline for speed: memo level s of the canonical mask
+        k = self.parts[-s]
         ends = (mask & ~(mask << k)) >> k
         total = 0
-        memos = self._memos
-        below = memos[idx + 1]
+        levels = self._levels
+        below = levels[s - 1]
         while ends:
             end = ends & -ends
             ends ^= end
@@ -118,9 +139,9 @@ class ColumnEvaluator:
                 rest >>= ((rest + 1) & ~rest).bit_length() - 1
             term = below.get(rest)
             if term is None:
-                term = self._eval(rest, idx + 1)
+                term = self._eval(rest, s - 1)
             total += -term if (mask & (top - end)).bit_count() & 1 else term
-        memos[idx][mask] = total
+        levels[s][mask] = total
         return total
 
 
@@ -141,41 +162,6 @@ def _strips(mask: int, k: int) -> list[tuple[int, int]]:
             rest >>= ((rest + 1) & ~rest).bit_length() - 1
         out.append((rest, (mask & (top - end)).bit_count() & 1))
     return out
-
-
-class _SuffixLevels:
-    """The memo levels of the latest column, indexed by suffix length: level
-    k holds chi_nu of the column's last k parts, for the rows nu of their
-    size met so far.  Those values are the same for every column that ends
-    in these k parts, so a column keeps the levels of the suffix it shares
-    with the previous one and starts the rest empty.  Columns visited in
-    order of their reversed parts share the longest suffixes; only the
-    current column's chain of levels is kept.  The top level of a column is
-    not memoised (see ColumnEvaluator); the strips it sums over depend on the
-    row and the column's first part alone, so they are kept per first part,
-    for every column of this object's life."""
-
-    def __init__(self) -> None:
-        self.parts: tuple[int, ...] = ()
-        self.levels: list[dict[int, int]] = [{0: 1}]
-        # first part -> canonical row mask -> its strips of that part
-        self.tops: dict[int, dict[int, list[tuple[int, int]]]] = {}
-
-    def evaluator(self, parts: tuple[int, ...]) -> ColumnEvaluator:
-        """An evaluator for the cycle type parts, on the levels it shares
-        with the previous column and the strips of its first part."""
-        shared = 0
-        for a, b in zip(reversed(parts), reversed(self.parts)):
-            if a != b:
-                break
-            shared += 1
-        levels = self.levels
-        del levels[shared + 1 :]
-        levels.extend({} for _ in range(len(parts) - shared))
-        self.parts = parts
-        col = ColumnEvaluator.__new__(ColumnEvaluator)
-        col._setup(parts, levels[::-1], self.tops.setdefault(parts[0], {}) if parts else {})
-        return col
 
 
 # ---------------------------------------------------------------------------

@@ -161,16 +161,17 @@ def test_count_zeros_matches_naive_loop_on_columns_sharing_their_largest_part():
             assert got == sum(naive_count_zeros(group, columns)), firsts
 
 
-def counted_value_mask(monkeypatch):
-    """Patch ColumnEvaluator.value_mask to log (column, mask) per call."""
+def counted_values(monkeypatch):
+    """Patch ColumnEvaluator._value, which the zero loop calls on each pair
+    that MN decides, to log (column, mask) per call."""
     seen = []
-    value_mask = ColumnEvaluator.value_mask
+    value = ColumnEvaluator._value
 
     def logged(self, mask):
         seen.append((self.parts, mask))
-        return value_mask(self, mask)
+        return value(self, mask)
 
-    monkeypatch.setattr(ColumnEvaluator, "value_mask", logged)
+    monkeypatch.setattr(ColumnEvaluator, "_value", logged)
     return seen
 
 
@@ -179,10 +180,13 @@ def test_census_decides_each_pair_once(monkeypatch):
     # and z_star of the three moduli then read their blocks from the whole
     # table, and no column needs MN
     want = [build_record(12, ell) for ell in (3, 5, 7)]
-    seen = counted_value_mask(monkeypatch)
+    seen = counted_values(monkeypatch)
     census._whole_table.cache_clear()
     records = run_census(CensusConfig(n_min=12, n_max=12, ells=(3, 5, 7), with_z_all=True))
     assert seen == []
+    # the control: without z_all, the same record runs MN under the same patch
+    build_record(12, 7)
+    assert seen
     assert [r.z_all for r in records] == [2230] * 3
     for rec, plain in zip(records, want):
         rec.z_all = None
@@ -204,14 +208,18 @@ def test_whole_table_verdicts_match_the_zero_loop(n):
         row = Partition(mask_parts(key))
         want = [census._count_zeros([row], [mu]) for mu in lams]
         assert [int(bool(table.zeros[mu.parts] & bit)) for mu in lams] == want, row.parts
-    assert census._table_zeros(table, lams, lams) == table.count
+
+    def read(rows, columns):
+        return census._zero_reader(table, rows)(table.zeros[mu.parts] for mu in columns)
+
+    assert read(lams, lams) == table.count
     for ell in (2, 3, 5, 7):
         cores = list(enumerate_cores(n, ell))
         # per column, and on the core block
         for mu in lams:
             want = census._count_zeros(cores, [mu])
-            assert census._table_zeros(table, cores, [mu]) == want, (ell, mu.parts)
-        assert census._table_zeros(table, cores, cores) == census._count_zeros(cores, cores), ell
+            assert read(cores, [mu]) == want, (ell, mu.parts)
+        assert read(cores, cores) == census._count_zeros(cores, cores), ell
 
 
 def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
@@ -239,7 +247,7 @@ def test_record_star_is_the_core_columns_share_of_z_exact():
 
 @pytest.mark.parametrize("n, ell", [(14, 3), (16, 5), (18, 7)])
 def test_record_star_adds_no_mn(monkeypatch, n, ell):
-    seen = counted_value_mask(monkeypatch)
+    seen = counted_values(monkeypatch)
     z_exact(n, ell)
     alone = len(seen)
     seen.clear()
@@ -255,10 +263,13 @@ def test_cache_completion_fills_star_without_mn(monkeypatch, tmp_path):
     for ell in (3, 5):
         part = build_record(14, ell, cap_star=12, cache_dir=tmp_path / "part")
         assert part.z_star_exact is None
-        seen = counted_value_mask(monkeypatch)
+        seen = counted_values(monkeypatch)
         rec = build_record(14, ell, cache_dir=tmp_path / "part")
-        monkeypatch.undo()
         assert seen == []
+        # the control: without the cache, the same record runs MN under the same patch
+        build_record(14, ell)
+        assert seen
+        monkeypatch.undo()
         fresh = build_record(14, ell, cache_dir=tmp_path / "fresh")
         assert rec == fresh and rec.z_star_exact == z_star_exact(14, ell)
         name = f"census-{ell}-14.json"
@@ -280,13 +291,13 @@ def test_z_all_pinned_values():
 
 def test_count_zeros_evaluates_one_row_per_conjugate_pair(monkeypatch):
     calls = {}
-    value_mask = ColumnEvaluator.value_mask
+    value = ColumnEvaluator._value
 
     def logged(self, mask):
         calls.setdefault(self.parts, []).append(Partition(mask_parts(mask)))
-        return value_mask(self, mask)
+        return value(self, mask)
 
-    monkeypatch.setattr(ColumnEvaluator, "value_mask", logged)
+    monkeypatch.setattr(ColumnEvaluator, "_value", logged)
     got = z_star_exact(26, 5)
     monkeypatch.undo()
     cores = list(enumerate_cores(26, 5))
@@ -466,13 +477,13 @@ def test_each_count_is_computed_once(monkeypatch):
 
 def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
     built = []
-    evaluator = census._SuffixLevels.evaluator
+    move = ColumnEvaluator._move
 
     def counted(self, parts):
         built.append(parts)
-        return evaluator(self, parts)
+        return move(self, parts)
 
-    monkeypatch.setattr(census._SuffixLevels, "evaluator", counted)
+    monkeypatch.setattr(ColumnEvaluator, "_move", counted)
     # 4 is not triangular, so it has no 2-cores: no row, no zero
     assert census._count_zeros([], enumerate_partitions(4)) == 0
     rec = build_record(4, 2, cache_dir=tmp_path)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from corz.characters import (
     ColumnEvaluator,
-    _SuffixLevels,
     _lane_ones,
     _lane_width,
     _row_vectors,
@@ -110,28 +109,26 @@ def test_evaluator_matches_reference_on_random_pairs(n, data):
 
 
 def test_suffix_levels_match_reference_in_adversarial_order():
-    # a shared prefix with different tails, a repeat, a proper suffix of the
-    # previous column, the empty column, and a shared tail after a long
-    # unrelated column, whose levels of 1s the next column keeps
+    # one evaluator moved through a shared prefix with different tails, a
+    # repeat, a proper suffix of the previous column, the empty column, and
+    # a shared tail after a long unrelated column, whose levels of 1s the
+    # next column keeps; then back through every column, seen earlier, in
+    # reverse order and in a shuffled one
     columns = [
         (5, 3, 2, 1, 1), (5, 3, 2, 2), (5, 3, 3, 1), (5, 3, 3, 1), (3, 3, 1), (3, 1), (),
         (4, 2, 1, 1), (1,) * 12, (6, 2, 1, 1), (4, 3, 1, 1), (9, 2, 1, 1, 1, 1), (2, 1, 1),
     ]
     rng = random.Random(7)
-    levels = _SuffixLevels()
-    seen = []
-    for parts in columns:
-        col = levels.evaluator(parts)
-        ref = _ReferenceEvaluator(parts)
+    col = ColumnEvaluator(())
+    refs = {}
+    for parts in columns + columns[::-1] + rng.sample(columns, len(columns)):
+        col._move(parts)
+        assert col.parts == parts and col.size == sum(parts)
+        ref = refs.setdefault(parts, _ReferenceEvaluator(parts))
         lams = list(enumerate_partitions(sum(parts)))
         rng.shuffle(lams)
         for lam in lams:
             assert col.value(lam) == ref.value(lam), (parts, lam.parts)
-        seen.append((col, ref, lams))
-    # an evaluator keeps its own chain of levels: later columns change none of its values
-    for col, ref, lams in seen:
-        for lam in lams:
-            assert col.value(lam) == ref.value(lam), (col.parts, lam.parts)
 
 
 def test_kernel_on_one_part_and_all_ones_columns():
@@ -259,6 +256,16 @@ def test_size_mismatch_raises():
         mn_character([2, 1], [2, 2])
     with pytest.raises(ValueError, match="size mismatch"):
         ColumnEvaluator([3]).value(Partition([2, 2]))
+    # a mask names its row's size, with or without extra low beads: a row
+    # too small or too large raises as value does, and the levels stay sound
+    col = ColumnEvaluator((2, 1))
+    for parts, size in (((2,), 2), ((5, 3), 8), ((1, 1), 2), ((4,), 4)):
+        for t in range(3):
+            with pytest.raises(ValueError, match=f"partition of {size} against cycle type of 3"):
+                col.value_mask(beta_mask(parts) << t | (1 << t) - 1)
+    assert [col.value_mask(beta_mask(lam.parts) << 2 | 3) for lam in enumerate_partitions(3)] == [
+        1, 0, -1
+    ]
 
 
 def test_column_evaluator_rejects_nonpositive_parts():
