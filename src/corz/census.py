@@ -12,19 +12,9 @@ The three exhaustive counts are zeros over nested blocks of the table of
 one n, each a plain integer: Z* over core rows by core columns, Z over core
 rows by all columns, and the whole table.  A record computes Z* first, as
 the core-column block of Z, and Z as Z* plus the core rows' zeros on the
-other columns; so it adds no MN for Z*, and it caches both sums.  One zero
-loop serves the core blocks: the hook prefilter, then MN for the pairs it
-leaves open, on one ColumnEvaluator per call that moves to each column with
-an open pair.  It visits the columns in order of their reversed parts, so
-that each shares its smallest parts, and the MN memo levels of those, with
-the one before it.  A column's own value is not memoised: it is summed over
-the row's strips of the largest part, which the evaluator keeps per row and
-largest part for every column that has it.  The loop keeps nothing from one
-call to the next.
-The whole table comes from the row-side kernel of `characters`, which
-decides every pair of n at once; the process keeps the table of its latest
-n as one value, from which a record with_z_all reads its core rows' zeros
-on any set of columns with no MN.
+other columns; so it adds no MN for Z*, and it caches both sums.  It asks
+`characters` for both counts: from the column loop, or, with_z_all, from
+the whole table, which runs no MN for the core blocks.
 """
 
 from __future__ import annotations
@@ -33,28 +23,17 @@ import hashlib
 import json
 import math
 import os
-import struct
 import tempfile
 from collections.abc import Callable, Iterable
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
-from .characters import ColumnEvaluator, _lane_width, _zero_table
+from .characters import _count_zeros, _whole_table, _zero_reader
 from .numtheory import _is_prime, delta_ell, inv_alpha, sigma_twisted
-from .partitions import (
-    Partition,
-    _iter_partition_buffers,
-    beta_mask,
-    conjugate_mask,
-    count_cores,
-    count_p,
-    count_p_regular,
-    enumerate_partitions,
-    hook_mask,
-)
+from .partitions import count_cores, count_p, count_p_regular, enumerate_partitions
 
 DEFAULT_CAP_EXACT = 18
 DEFAULT_CAP_STAR = 60
@@ -82,53 +61,6 @@ def z_lower_bound(n: int, ell: int) -> int:
     """(p(n) - p_ell(n)) * c_ell(n): vanishing pairs guaranteed by core rows
     meeting columns with a part divisible by ell."""
     return (count_p(n) - count_p_regular(n, ell)) * count_cores(n, ell)
-
-
-def _orbits(rows: Iterable[Partition]) -> dict[int, list[int]]:
-    # the conjugate orbits of distinct rows, keyed on the smaller beta-set
-    # mask: the mask of the orbit's first row, and its rows here (1 or 2)
-    orbits: dict[int, list[int]] = {}
-    for lam in rows:
-        mask = beta_mask(lam.parts)
-        key = min(mask, conjugate_mask(mask))
-        if key in orbits:
-            orbits[key][1] = 2
-        else:
-            orbits[key] = [mask, 1]
-    return orbits
-
-
-def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int:
-    # zeros chi_row(column) over distinct rows and the given columns.  A pair
-    # vanishes without MN when some part of the column is not a hook length
-    # of the row.  chi_lam'(mu) = sgn(mu) chi_lam(mu) and conjugation keeps
-    # hook lengths, so a row and its conjugate vanish together: each
-    # conjugate orbit is decided once per column, and a zero counts once per
-    # row of the orbit present in rows.
-    orbits = [(mask, hook_mask(key), here) for key, (mask, here) in _orbits(rows).items()]
-    if not orbits:
-        return 0
-    # MN visits the columns by their reversed parts: a column then shares its
-    # smallest parts, and the memo levels of those, with the one before.  The
-    # rows' strips of a largest part serve every column with that part.
-    # Entries are popped from the end, so each is freed once visited.
-    todo = sorted((mu.parts[::-1] for mu in columns), reverse=True)
-    col = ColumnEvaluator(())
-    count = 0
-    while todo:
-        parts = todo.pop()[::-1]
-        needed = sum(1 << p for p in set(parts))
-        for mask, hooks, here in orbits:
-            if needed & ~hooks:
-                count += here
-                continue
-            # the evaluator moves to a column only once MN must decide a pair
-            if col.parts is not parts:
-                col._move(parts)
-            # masks from beta_mask are canonical, and rows have the column's size
-            if col._value(mask) == 0:
-                count += here
-    return count
 
 
 def _check_cap(n: int, cap: int, kind: str = "exact", flag: str = "--cap-exact") -> None:
@@ -172,52 +104,6 @@ def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
         raise ValueError("n must be nonnegative")
     _check_cap(n, cap)
     return _whole_table(n).count
-
-
-class _WholeTable(NamedTuple):
-    """The zero verdicts of the whole character table of one n."""
-
-    count: int  # zeros in the table
-    bits: dict[int, int]  # conjugate orbit of rows, keyed on its smaller mask -> its bit
-    zeros: dict[tuple[int, ...], int]  # column parts -> the orbits that vanish there
-
-
-@lru_cache(maxsize=1)
-def _whole_table(n: int) -> _WholeTable:
-    # the table does not depend on ell, so a sweep over moduli computes it
-    # once per n.  Orbits get their bits in the order the kernel gives them.
-    width = _lane_width(n)
-    # orbit bit j of group g moves the kernel's lane flag, bit width - 1,
-    # to bit j, so a group of 64 orbits fills the low word of each lane
-    bits: dict[int, int] = {}
-    groups: dict[int, int] = {}
-    count = 0
-    for key, lanes in _zero_table(n):
-        g, j = divmod(len(bits), 64)
-        bits[key] = 1 << len(bits)
-        groups[g] = groups.get(g, 0) | lanes >> (width - 1 - j)
-        zeros = lanes.bit_count()
-        count += zeros if conjugate_mask(key) == key else 2 * zeros
-    zero = [0] * count_p(n)
-    words = len(zero) * width // 64
-    for g, acc in groups.items():
-        low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
-        zero = [z | w << 64 * g for z, w in zip(zero, low)]
-    # kernel lanes run in ascending lex order, the reverse of enumerate_partitions;
-    # the keys come from the walk's buffer stream, which builds no Partition
-    columns = (tuple(buf) for buf in _iter_partition_buffers(n))
-    return _WholeTable(count, bits, dict(zip(columns, reversed(zero))))
-
-
-def _zero_reader(table: _WholeTable, rows: Iterable[Partition]) -> Callable[[Iterable[int]], int]:
-    # counts the zeros of rows on the columns whose verdicts, values of
-    # table.zeros, it is given, with no MN; the rows' orbit bits are taken
-    # once for every call.  ones: orbits with a row here; twos: orbits with
-    # both conjugates here
-    orbits = _orbits(rows)
-    ones = sum(table.bits[key] for key in orbits)
-    twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
-    return lambda zeros: sum([(z & ones).bit_count() + (z & twos).bit_count() for z in zeros])
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +265,11 @@ def _exhaustive_counts(
         rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
         # the whole table's verdicts give the core rows' zeros on any columns,
         # from one set of orbit bits for both counts
-        read = cache(lambda: _zero_reader(_whole_table(n), cores()))
+        read = cache(lambda: _zero_reader(n, cores()))
 
     def star_zeros() -> int:
         if whole:
-            return read()(_whole_table(n).zeros[mu.parts] for mu in cores())
+            return read()(cores())
         return _count_zeros(cores(), cores())
 
     # Z*, the core-column block of Z, is computed and cached whatever cap_star is
@@ -391,7 +277,7 @@ def _exhaustive_counts(
 
     def all_zeros() -> int:
         if whole:
-            return read()(_whole_table(n).zeros.values())
+            return read()()
         # Z is Z* plus the core rows' zeros on the other columns
         off_core = [mu for mu in enumerate_partitions(n) if mu not in cores()]
         return star + _count_zeros(cores(), off_core)

@@ -1,4 +1,5 @@
-"""Exact symmetric-group characters by border-strip removal.
+"""Exact symmetric-group characters by border-strip removal, and the zero
+counts over blocks of the character table of one n.
 
 Strips are removed on the beta-set bitmask of the row (see partitions): a
 strip of length k moves a bead from b down to an empty position b - k, and
@@ -7,38 +8,56 @@ keyed on canonical masks, with no bead at 0.  A strip that lands above 0
 leaves bit 0 clear, so the rest is canonical as it stands; only a strip that
 lands at 0 leaves a run of beads at 0, 1, ... to shift out.
 
-Two kernels share that step.  ColumnEvaluator evaluates rows on a column,
+Two kernels share that step, ColumnEvaluator and the row-side kernel of
+the whole table (below).  ColumnEvaluator evaluates rows on a column,
 with one memo level per suffix of the column's parts short of the whole;
 verify builds one per column.  The column's own value is met once per row,
 so it is summed over the row's strips of the first part and not memoised.
-The census block counts move a single evaluator from column to column: it
-keeps the levels of the smallest parts the new column shares with the one
-before, as chi_nu(remaining parts) does not depend on the parts already
-removed, and each row's strips of a first part for every later column with
-that first part.  The whole-table kernel (_zero_table) works
-row-side: it builds each row of n as one vector over every column of n,
-from the vectors of the partitions left after removing a strip, and reports
-the zero columns of each conjugate orbit of rows.  Its vectors are Python
-ints with W signed bits per column, where W is the least multiple of 64
-with sqrt(n!) < 2^(W - 2), a bound on every character value of n; so every
-value is exact and no dependency is needed.  Its memo keeps each vector
-only as far as a parent reads it, about 4 MiB at n = 24 and 40 MiB at n = 30.
+
+Two routes count zeros, each a plain integer over a block of rows by
+columns; both group the rows into conjugate orbits (_orbits), as
+chi_lam'(mu) = sgn(mu) chi_lam(mu) vanishes with chi_lam(mu), and count a
+zero once per row of the orbit.  The column loop (_count_zeros) decides a
+pair by the hook prefilter, then by MN for the pairs it leaves open, on one
+ColumnEvaluator per call that moves to each column with an open pair.  It
+visits the columns in order of their reversed parts, so that each shares
+its smallest parts, and the MN memo levels of those, with the one before
+it, as chi_nu(remaining parts) does not depend on the parts already
+removed.  The evaluator keeps each row's strips of a largest part for every
+column that has it.  The loop keeps nothing from one call to the next.
+
+The whole table (_whole_table) comes from the row-side kernel, which
+decides every pair of n at once: it builds each row of n as one vector over
+every column of n, from the vectors of the partitions left after removing a
+strip, and finds the zero columns of each conjugate orbit of rows.  Its
+vectors are Python ints with W signed bits per column, where W is the least
+multiple of 64 with sqrt(n!) < 2^(W - 2), a bound on every character value
+of n; so every value is exact and no dependency is needed.  Its memo keeps
+each vector only as far as a parent reads it, about 4 MiB at n = 24 and
+40 MiB at n = 30.  The process keeps the table of its latest n as one
+value, from which _zero_reader counts the zeros of any rows of n on any
+columns with no MN.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+import struct
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
     PartitionLike,
+    _iter_partition_buffers,
     bead_positions,
     beta_mask,
     canonical_mask,
     conjugate_mask,
     count_p,
     enumerate_partitions,
+    hook_mask,
     mask_parts,
 )
 
@@ -53,14 +72,14 @@ class ColumnEvaluator:
     partition, so a strip for the last part makes no call.  The column's
     own value is not memoised, as each row meets it once: it is summed over
     the row's strips of the first part, kept per first part and row.  The
-    census zero loop moves one evaluator from column to column (_move),
+    zero loop (_count_zeros) moves one evaluator from column to column (_move),
     keeping the levels of the suffix the two columns share.
     """
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
         parts = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
-        if any(p < 1 for p in parts):
-            raise ValueError("cycle type parts must be positive")
+        if any(not isinstance(p, int) or p < 1 for p in parts):
+            raise ValueError("cycle type parts must be positive integers")
         # the empty column: level 0 alone
         self.parts: tuple[int, ...] = ()
         self.size = 0
@@ -96,6 +115,8 @@ class ColumnEvaluator:
         """chi_lam(mu) for the row lam given by a beta-set mask, with or
         without extra beads at 0..t-1.  The empty cycle type gives 1.
         Raises ValueError unless lam is a partition of self.size."""
+        if mask < 0:
+            raise ValueError(f"a beta-set mask is nonnegative, got {mask}")
         self._check_size(sum(mask_parts(mask)))
         return self._value(canonical_mask(mask))
 
@@ -164,6 +185,52 @@ def _strips(mask: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
+def _orbits(rows: Iterable[Partition]) -> dict[int, list[int]]:
+    # the conjugate orbits of distinct rows, keyed on the smaller beta-set
+    # mask, in the order the rows first meet them: the mask of the orbit's
+    # first row, and its rows here (1 or 2)
+    orbits: dict[int, list[int]] = {}
+    for lam in rows:
+        mask = beta_mask(lam.parts)
+        key = min(mask, conjugate_mask(mask))
+        if key in orbits:
+            orbits[key][1] = 2
+        else:
+            orbits[key] = [mask, 1]
+    return orbits
+
+
+def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int:
+    # zeros chi_row(column) over distinct rows and the given columns, all of
+    # one size.  A pair vanishes without MN when some part of the column is
+    # not a hook length of the row.  Conjugation keeps hook lengths, so each
+    # conjugate orbit is decided once per column.
+    orbits = [(mask, hook_mask(key), here) for key, (mask, here) in _orbits(rows).items()]
+    if not orbits:
+        return 0
+    # MN visits the columns by their reversed parts: a column then shares its
+    # smallest parts, and the memo levels of those, with the one before.  The
+    # rows' strips of a largest part serve every column with that part.
+    # Entries are popped from the end, so each is freed once visited.
+    todo = sorted((mu.parts[::-1] for mu in columns), reverse=True)
+    col = ColumnEvaluator(())
+    count = 0
+    while todo:
+        parts = todo.pop()[::-1]
+        needed = sum(1 << p for p in set(parts))
+        for mask, hooks, here in orbits:
+            if needed & ~hooks:
+                count += here
+                continue
+            # the evaluator moves to a column only once MN must decide a pair
+            if col.parts is not parts:
+                col._move(parts)
+            # masks from beta_mask are canonical, and rows have the column's size
+            if col._value(mask) == 0:
+                count += here
+    return count
+
+
 # ---------------------------------------------------------------------------
 # the whole table of one n, row by row.  V(nu) is chi_nu on the columns of
 # m = |nu| in ascending lexicographic order, the reverse of
@@ -222,11 +289,10 @@ def _prefix_counts(n: int) -> list[list[int]]:
     return table
 
 
-def _row_vectors(n: int) -> Iterator[tuple[int, int]]:
-    """One row per conjugate orbit of rows of n, in the order
-    enumerate_partitions first meets the orbit: its smaller beta-set mask and
-    chi_lam on every column of n, packed in ascending lex order at
-    _lane_width(n) bits a lane."""
+def _row_vectors(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Per canonical beta-set mask of a row lam of n in keys, in their order:
+    the mask and chi_lam on every column of n, packed in ascending lex order
+    at _lane_width(n) bits a lane."""
     width = _lane_width(n)
     table = _prefix_counts(n)
     masks: dict[int, int] = {}  # lane count -> its all-ones mask
@@ -267,25 +333,65 @@ def _row_vectors(n: int) -> Iterator[tuple[int, int]]:
             out += _truncate(total, cut) << (width * table[m][i - 1])
         return out
 
-    seen = set()
-    for lam in enumerate_partitions(n):
-        mask = beta_mask(lam.parts)
-        key = min(mask, conjugate_mask(mask))
-        if key not in seen:
-            seen.add(key)
-            # only n = 0 finds its row, the empty partition, in the memo
-            yield key, memo[key] if key in memo else vector(key, n, n)
+    for key in keys:
+        # only n = 0 finds its row, the empty partition, in the memo
+        yield key, memo[key] if key in memo else vector(key, n, n)
 
 
-def _zero_table(n: int) -> Iterator[tuple[int, int]]:
-    """The whole-table kernel: per conjugate orbit of rows of n, as in
-    _row_vectors, its key and the zeros of its row, as bit W - 1 of the lane
-    of each column mu |- n (ascending lex) with chi_lam(mu) = 0, where
-    W = _lane_width(n).  Rows come one at a time, so only the memo stays."""
+class _WholeTable(NamedTuple):
+    """The zero verdicts of the whole character table of one n."""
+
+    count: int  # zeros in the table
+    bits: dict[int, int]  # conjugate orbit of rows, keyed on its smaller mask -> its bit
+    zeros: dict[tuple[int, ...], int]  # column parts -> the orbits that vanish there
+
+
+@lru_cache(maxsize=1)
+def _whole_table(n: int) -> _WholeTable:
+    # the table does not depend on ell, so a sweep over moduli computes it
+    # once per n.  Orbits get their bits in the order the partition walk
+    # meets them.
     width = _lane_width(n)
     ones = _lane_ones(width, count_p(n))
-    for key, row in _row_vectors(n):
-        yield key, _zero_lanes(row, width, ones)
+    orbits = _orbits(enumerate_partitions(n))
+    # orbit bit j of group g moves the zero flag of each lane, bit width - 1,
+    # to bit j, so a group of 64 orbits fills the low word of each lane
+    bits: dict[int, int] = {}
+    groups: dict[int, int] = {}
+    count = 0
+    for key, row in _row_vectors(n, orbits):
+        lanes = _zero_lanes(row, width, ones)
+        g, j = divmod(len(bits), 64)
+        bits[key] = 1 << len(bits)
+        groups[g] = groups.get(g, 0) | lanes >> (width - 1 - j)
+        count += orbits[key][1] * lanes.bit_count()
+    zero = [0] * count_p(n)
+    words = len(zero) * width // 64
+    for g, acc in groups.items():
+        low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
+        zero = [z | w << 64 * g for z, w in zip(zero, low)]
+    # lanes run in ascending lex order, the reverse of enumerate_partitions;
+    # the keys come from the walk's buffer stream, which builds no Partition
+    columns = (tuple(buf) for buf in _iter_partition_buffers(n))
+    return _WholeTable(count, bits, dict(zip(columns, reversed(zero))))
+
+
+def _zero_reader(n: int, rows: Iterable[Partition]) -> Callable[..., int]:
+    # counts the zeros of distinct rows of n on the given columns of n, or on
+    # every column, from the whole table with no MN; the rows' orbit bits are
+    # taken once for every call.  ones: orbits with a row here; twos: orbits
+    # with both conjugates here
+    table = _whole_table(n)
+    orbits = _orbits(rows)
+    ones = sum(table.bits[key] for key in orbits)
+    twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
+
+    def read(columns: Iterable[Partition] | None = None) -> int:
+        zeros = table.zeros
+        words = zeros.values() if columns is None else [zeros[mu.parts] for mu in columns]
+        return sum([(z & ones).bit_count() + (z & twos).bit_count() for z in words])
+
+    return read
 
 
 def mn_character(lam: PartitionLike, mu: PartitionLike) -> int:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz.abacus import count_cores, enumerate_cores, n_ell
-from corz import census
+from corz import census, characters
 from corz.census import (
     CensusConfig,
     CensusRecord,
@@ -117,8 +117,8 @@ def test_count_zeros_matches_naive_loop():
         row_sets += [list(enumerate_cores(n, ell)) for ell in (2, 3, 5, 7)]
         for rows in row_sets:
             want = naive_count_zeros(rows, lams)
-            assert census._count_zeros(rows, lams) == sum(want), (n, [lam.parts for lam in rows])
-            got = [census._count_zeros(rows, [mu]) for mu in lams]
+            assert characters._count_zeros(rows, lams) == sum(want), (n, [lam.parts for lam in rows])
+            got = [characters._count_zeros(rows, [mu]) for mu in lams]
             assert got == want, (n, [lam.parts for lam in rows])
 
 
@@ -128,7 +128,7 @@ def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
     lams = list(enumerate_partitions(n))
     rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
     columns = data.draw(st.lists(st.sampled_from(lams)))
-    assert census._count_zeros(rows, columns) == sum(naive_count_zeros(rows, columns))
+    assert characters._count_zeros(rows, columns) == sum(naive_count_zeros(rows, columns))
 
 
 @given(st.data())
@@ -141,7 +141,7 @@ def test_count_zeros_sequence_matches_naive_loop(data):
         lams = list(enumerate_partitions(n))
         rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
         columns = data.draw(st.lists(st.sampled_from(lams), max_size=2 * len(lams)))
-        got = census._count_zeros(rows, columns)
+        got = characters._count_zeros(rows, columns)
         assert got == sum(naive_count_zeros(rows, columns)), (n, [lam.parts for lam in rows])
 
 
@@ -157,7 +157,7 @@ def test_count_zeros_matches_naive_loop_on_columns_sharing_their_largest_part():
     for firsts in ((3,), (5,), (14,), (3, 5), (1, 7)):
         columns = [mu for mu in lams if mu.parts[0] in firsts]
         for group in (rows, others, rows[::2] + others[1::2]):
-            got = census._count_zeros(group, columns)
+            got = characters._count_zeros(group, columns)
             assert got == sum(naive_count_zeros(group, columns)), firsts
 
 
@@ -181,7 +181,7 @@ def test_census_decides_each_pair_once(monkeypatch):
     # table, and no column needs MN
     want = [build_record(12, ell) for ell in (3, 5, 7)]
     seen = counted_values(monkeypatch)
-    census._whole_table.cache_clear()
+    characters._whole_table.cache_clear()
     records = run_census(CensusConfig(n_min=12, n_max=12, ells=(3, 5, 7), with_z_all=True))
     assert seen == []
     # the control: without z_all, the same record runs MN under the same patch
@@ -197,29 +197,29 @@ def test_census_decides_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("n", [10, 12, 16])
 def test_whole_table_verdicts_match_the_zero_loop(n):
     lams = list(enumerate_partitions(n))
-    census._whole_table.cache_clear()
-    table = census._whole_table(n)
-    assert table.count == census._count_zeros(lams, lams) == z_all_exact(n, cap=n)
+    characters._whole_table.cache_clear()
+    table = characters._whole_table(n)
+    assert table.count == characters._count_zeros(lams, lams) == z_all_exact(n, cap=n)
     assert sorted(table.bits.values()) == [1 << j for j in range(len(table.bits))]
     assert list(table.zeros) == [mu.parts for mu in lams]
     # per orbit, the columns where its bit is set are those where the zero
     # loop finds its row vanishing
     for key, bit in table.bits.items():
         row = Partition(mask_parts(key))
-        want = [census._count_zeros([row], [mu]) for mu in lams]
+        want = [characters._count_zeros([row], [mu]) for mu in lams]
         assert [int(bool(table.zeros[mu.parts] & bit)) for mu in lams] == want, row.parts
 
     def read(rows, columns):
-        return census._zero_reader(table, rows)(table.zeros[mu.parts] for mu in columns)
+        return characters._zero_reader(n, rows)(columns)
 
     assert read(lams, lams) == table.count
     for ell in (2, 3, 5, 7):
         cores = list(enumerate_cores(n, ell))
         # per column, and on the core block
         for mu in lams:
-            want = census._count_zeros(cores, [mu])
+            want = characters._count_zeros(cores, [mu])
             assert read(cores, [mu]) == want, (ell, mu.parts)
-        assert read(cores, cores) == census._count_zeros(cores, cores), ell
+        assert read(cores, cores) == characters._count_zeros(cores, cores), ell
 
 
 def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
@@ -231,7 +231,29 @@ def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
         cores = list(enumerate_cores(16, ell))
         columns = lams[:]
         rng.shuffle(columns)
-        assert census._count_zeros(cores, columns) == sum(naive_count_zeros(cores, columns)), ell
+        assert characters._count_zeros(cores, columns) == sum(naive_count_zeros(cores, columns)), ell
+
+
+def test_census_leaves_zero_counting_to_characters():
+    # census asks characters for counts: it holds no evaluator, no lane
+    # helper of the whole-table kernel and no beta-set mask of its own
+    held = set(vars(census))
+    assert "_count_zeros" in held and "_zero_reader" in held
+    assert not held & {
+        "ColumnEvaluator",
+        "_lane_width",
+        "_lane_ones",
+        "_zero_lanes",
+        "_truncate",
+        "_row_vectors",
+        "_orbits",
+        "_WholeTable",
+        "struct",
+        "beta_mask",
+        "conjugate_mask",
+        "hook_mask",
+        "_iter_partition_buffers",
+    }
 
 
 def test_record_star_is_the_core_columns_share_of_z_exact():
@@ -461,15 +483,15 @@ def test_each_count_is_computed_once(monkeypatch):
                 want["enumerate_cores"] = 1
             assert calls == want, (n, ell)
 
-    zero_table = census._zero_table
+    row_vectors = characters._row_vectors
 
-    def logged(n):
+    def logged(n, keys):
         walked.append(n)
-        return zero_table(n)
+        return row_vectors(n, keys)
 
     # the full table does not depend on ell: one kernel run per n
-    monkeypatch.setattr(census, "_zero_table", logged)
-    census._whole_table.cache_clear()
+    monkeypatch.setattr(characters, "_row_vectors", logged)
+    characters._whole_table.cache_clear()
     records = run_census(CensusConfig(n_min=9, n_max=10, ells=(3, 5, 7), with_z_all=True))
     assert walked == [9, 10]
     assert [r.z_all for r in records] == [brute_zeros(9)] * 3 + [brute_zeros(10)] * 3
@@ -485,7 +507,7 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ColumnEvaluator, "_move", counted)
     # 4 is not triangular, so it has no 2-cores: no row, no zero
-    assert census._count_zeros([], enumerate_partitions(4)) == 0
+    assert characters._count_zeros([], enumerate_partitions(4)) == 0
     rec = build_record(4, 2, cache_dir=tmp_path)
     assert built == []
     assert rec.z_exact == 0 and rec.z_star_exact == 0
@@ -495,9 +517,9 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
     # hooks of (2, 2) are 1, 2, 3, so the prefilter settles column (4).  MN
     # visits them by their reversed parts
     columns = list(enumerate_partitions(4))
-    assert census._count_zeros([Partition((2, 2))], columns) == 2
+    assert characters._count_zeros([Partition((2, 2))], columns) == 2
     assert built == [(1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2)]
-    assert [census._count_zeros([Partition((2, 2))], [mu]) for mu in columns] == [1, 0, 0, 1, 0]
+    assert [characters._count_zeros([Partition((2, 2))], [mu]) for mu in columns] == [1, 0, 0, 1, 0]
 
 
 def test_record_csv_row_empty_cells():
@@ -781,7 +803,7 @@ def inline_pool(monkeypatch):
             cells = list(zip(*iterables))
             out = []
             for i in range(0, len(cells), chunksize):
-                census._whole_table.cache_clear()
+                characters._whole_table.cache_clear()
                 out += [fn(*cell) for cell in cells[i : i + chunksize]]
             return out
 
@@ -803,13 +825,13 @@ def test_pooled_z_all_computes_each_whole_table_once(monkeypatch):
     # once per n however the chunks are spread over the workers
     _, chunks = inline_pool(monkeypatch)
     walked = []
-    zero_table = census._zero_table
+    row_vectors = characters._row_vectors
 
-    def logged(n):
+    def logged(n, keys):
         walked.append(n)
-        return zero_table(n)
+        return row_vectors(n, keys)
 
-    monkeypatch.setattr(census, "_zero_table", logged)
+    monkeypatch.setattr(characters, "_row_vectors", logged)
     config = dict(n_min=10, n_max=12, ells=(7, 3, 5, 3), jobs=2)
     records = run_census(CensusConfig(**config, with_z_all=True))
     assert chunks == [3] and walked == [10, 11, 12]

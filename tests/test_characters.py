@@ -10,11 +10,11 @@ from corz.characters import (
     ColumnEvaluator,
     _lane_ones,
     _lane_width,
+    _orbits,
     _row_vectors,
     _strips,
     _truncate,
     _zero_lanes,
-    _zero_table,
     centralizer_order,
     dimension,
     mn_character,
@@ -273,6 +273,18 @@ def test_column_evaluator_rejects_nonpositive_parts():
         ColumnEvaluator([2, 0, 1])
     with pytest.raises(ValueError):
         ColumnEvaluator([-3])
+    # and, as Partition does, parts that are not integers, before any row
+    # meets them
+    for parts in ([1.5, 1.5], [2.0, 1], ["2"]):
+        with pytest.raises(ValueError, match="positive integers"):
+            ColumnEvaluator(parts)
+
+
+def test_value_mask_rejects_a_negative_mask():
+    # a negative int is no beta-set; it raises before any bead is read
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ColumnEvaluator((1,)).value_mask(mask)
 
 
 def test_column_evaluator_reuse_across_rows():
@@ -490,7 +502,7 @@ def test_kernel_rows_match_evaluator():
         columns = list(enumerate_partitions(n))[::-1]  # ascending lex
         evaluators = [ColumnEvaluator(mu) for mu in columns]
         width = _lane_width(n)
-        rows = list(_row_vectors(n))
+        rows = list(_row_vectors(n, _orbits(enumerate_partitions(n))))
         assert [key for key, _ in rows] == orbit_keys(n), n
         for key, row in rows:
             got = unpack(row, width, len(columns))
@@ -503,7 +515,9 @@ def test_kernel_zeros_match_frobenius_oracle():
     for n in range(11):
         columns = list(enumerate_partitions(n))[::-1]
         width = _lane_width(n)
-        for key, flags in _zero_table(n):
+        ones = _lane_ones(width, len(columns))
+        for key, row in _row_vectors(n, _orbits(enumerate_partitions(n))):
+            flags = _zero_lanes(row, width, ones)
             lam = mask_parts(key)
             want = {k for k, mu in enumerate(columns) if frobenius_character(lam, mu) == 0}
             got = {k for k in range(len(columns)) if flags >> (k * width + width - 1) & 1}
