@@ -8,7 +8,7 @@ ell-core, and every ell-core arises from a unique canonical abacus (b_0 = 0).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate, pairwise, permutations, product
 
@@ -87,12 +87,12 @@ def to_abacus(lam: PartitionLike, ell: int) -> Abacus:
     return Abacus(ell, tuple(cols))
 
 
-def _bead_mask(ab: Abacus) -> int:
+def _bead_mask(ell: int, cols: Sequence[int]) -> int:
     # beta-set bitmask of the bead positions ell*m + i, m < b_i
     mask = 0
-    for i, b in enumerate(ab.cols):
+    for i, b in enumerate(cols):
         for m in range(b):
-            mask |= 1 << (ab.ell * m + i)
+            mask |= 1 << (ell * m + i)
     return mask
 
 
@@ -103,7 +103,7 @@ def from_abacus(ab: Abacus) -> Partition:
     """
     if not ab.canonical:
         raise ValueError("abacus is not canonical (first column must be empty)")
-    return Partition._from_desc(mask_parts(_bead_mask(ab)))
+    return Partition._from_desc(mask_parts(_bead_mask(ab.ell, ab.cols)))
 
 
 def abacus_size(ab: Abacus) -> int:
@@ -135,17 +135,27 @@ def _max_weight(ell: int, m: int) -> int:
     return ell * m * (m - 1) // 2 + (ell - 1) * m
 
 
-def _iter_core_abaci(n: int, ell: int) -> Iterator[tuple[int, ...]]:
+def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
+    """Every ell-core of n exactly once, by walking canonical abaci of size n.
+
+    Cores come by increasing number of parts, then in lexicographic order of
+    the column heights (b_1, ..., b_{ell-1}), not in the reverse-lexicographic
+    order of enumerate_partitions.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if ell < 2:
+        raise ValueError("ell must be at least 2")
     # Canonical abaci of partition size n, found per bead count s.  The size
     # identity n = sum_i (ell*C(b_i,2) + i*b_i) - C(s,2) turns each s into an
     # exact two-constraint knapsack: beads s and weight n + C(s,2).  Size is
     # not monotone in the heights, so pruning works on these bounds instead.
     cols = [0] * ell
 
-    def rec(i: int, m: int, t: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, m: int, t: int) -> Iterator[Partition]:
         if i == ell:
             if m == 0 and t == 0:
-                yield tuple(cols)
+                yield Partition._from_desc(mask_parts(_bead_mask(ell, cols)))
             return
         left = ell - 1 - i
         for b in range(m + 1):
@@ -173,21 +183,6 @@ def _iter_core_abaci(n: int, ell: int) -> Iterator[tuple[int, ...]]:
         yield from rec(1, s, n + s * (s - 1) // 2)
 
 
-def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
-    """Every ell-core of n exactly once, by walking canonical abaci of size n.
-
-    Cores come by increasing number of parts, then in lexicographic order of
-    the column heights (b_1, ..., b_{ell-1}), not in the reverse-lexicographic
-    order of enumerate_partitions.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    for cols in _iter_core_abaci(n, ell):
-        yield from_abacus(Abacus(ell, cols))
-
-
 def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:
     """A (column, part) pair certifying a part divisible by ell, if some row
     split leaves a column towering at least ell rows above it.
@@ -206,7 +201,7 @@ def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:
     for k, above in pairwise(sorted(cols)):
         if above - k >= ell:
             j = next(i for i, b in enumerate(cols) if b >= k + ell)
-            mask = _bead_mask(ab)
+            mask = _bead_mask(ell, cols)
             # beads of column j in rows k+1 .. k+ell cover every residue mod ell;
             # as in mask_parts, a part is its bead's position less the beads below
             for row in range(k + 1, k + ell + 1):
@@ -273,5 +268,5 @@ def max_regular_core(ell: int) -> int:
     return max(
         abacus_size(ab)
         for ab in _witness_free_abaci(ell)
-        if all(p % ell for p in mask_parts(_bead_mask(ab)))
+        if all(p % ell for p in mask_parts(_bead_mask(ab.ell, ab.cols)))
     )

@@ -50,12 +50,10 @@ from typing import NamedTuple
 from .partitions import (
     Partition,
     PartitionLike,
-    _iter_partition_buffers,
     bead_positions,
     beta_mask,
     canonical_mask,
     conjugate_mask,
-    count_p,
     enumerate_partitions,
     hook_mask,
     mask_parts,
@@ -115,8 +113,6 @@ class ColumnEvaluator:
         """chi_lam(mu) for the row lam given by a beta-set mask, with or
         without extra beads at 0..t-1.  The empty cycle type gives 1.
         Raises ValueError unless lam is a partition of self.size."""
-        if mask < 0:
-            raise ValueError(f"a beta-set mask is nonnegative, got {mask}")
         self._check_size(sum(mask_parts(mask)))
         return self._value(canonical_mask(mask))
 
@@ -352,8 +348,9 @@ def _whole_table(n: int) -> _WholeTable:
     # once per n.  Orbits get their bits in the order the partition walk
     # meets them.
     width = _lane_width(n)
-    ones = _lane_ones(width, count_p(n))
-    orbits = _orbits(enumerate_partitions(n))
+    columns = list(enumerate_partitions(n))
+    ones = _lane_ones(width, len(columns))
+    orbits = _orbits(columns)
     # orbit bit j of group g moves the zero flag of each lane, bit width - 1,
     # to bit j, so a group of 64 orbits fills the low word of each lane
     bits: dict[int, int] = {}
@@ -365,15 +362,13 @@ def _whole_table(n: int) -> _WholeTable:
         bits[key] = 1 << len(bits)
         groups[g] = groups.get(g, 0) | lanes >> (width - 1 - j)
         count += orbits[key][1] * lanes.bit_count()
-    zero = [0] * count_p(n)
+    zero = [0] * len(columns)
     words = len(zero) * width // 64
     for g, acc in groups.items():
         low = struct.unpack(f"<{words}Q", acc.to_bytes(8 * words, "little"))[:: width // 64]
         zero = [z | w << 64 * g for z, w in zip(zero, low)]
-    # lanes run in ascending lex order, the reverse of enumerate_partitions;
-    # the keys come from the walk's buffer stream, which builds no Partition
-    columns = (tuple(buf) for buf in _iter_partition_buffers(n))
-    return _WholeTable(count, bits, dict(zip(columns, reversed(zero))))
+    # lanes run in ascending lex order, the reverse of enumerate_partitions
+    return _WholeTable(count, bits, {mu.parts: z for mu, z in zip(columns, reversed(zero))})
 
 
 def _zero_reader(n: int, rows: Iterable[Partition]) -> Callable[..., int]:

@@ -25,14 +25,13 @@ class Partition:
     n: int
 
     def __init__(self, parts: Iterable[int] = ()):
-        cleaned = sorted(parts, reverse=True)
-        if cleaned and cleaned[-1] < 0:
-            raise ValueError("partition parts must be nonnegative integers")
+        cleaned = list(parts)
+        for p in cleaned:
+            if not isinstance(p, int) or p < 0:
+                raise ValueError("partition parts must be nonnegative integers")
+        cleaned.sort(reverse=True)
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        for p in cleaned:
-            if not isinstance(p, int):
-                raise ValueError("partition parts must be nonnegative integers")
         self.parts = tuple(cleaned)
         self.n = sum(cleaned)
 
@@ -107,6 +106,8 @@ def conjugate_mask(mask: int) -> int:
 
 def bead_positions(mask: int) -> Iterator[int]:
     """Bead positions of a beta-set mask, lowest first."""
+    if mask < 0:
+        raise ValueError(f"a beta-set mask is nonnegative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -276,20 +277,18 @@ def count_cores(n: int, ell: int) -> int:
     return _extend_quotient(table, n, lambda m: 0 if m % ell else e[m // ell])[n]
 
 
-def _iter_partition_buffers(n: int) -> Iterator[list[int]]:
-    # Reverse-lexicographic stream of partitions of n as a reused mutable
-    # list; callers must copy anything they keep.
-    if n == 0:
-        yield []
-        return
-    a = [n]
-    yield a
-    while True:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in reverse-lexicographic order, largest first."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    # each step lowers the last part above 1 by one and refills the parts
+    # after it greedily with the freed units
+    a = [n] if n else []
+    yield Partition._from_desc(tuple(a))
+    while a and a[0] > 1:
         i = len(a) - 1
-        while i >= 0 and a[i] == 1:
+        while a[i] == 1:
             i -= 1
-        if i < 0:
-            return
         v = a[i] - 1
         rem = len(a) - i
         a[i] = v
@@ -298,13 +297,4 @@ def _iter_partition_buffers(n: int) -> Iterator[list[int]]:
             c = v if v < rem else rem
             a.append(c)
             rem -= c
-        yield a
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order, largest first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for buf in _iter_partition_buffers(n):
-        yield Partition._from_desc(tuple(buf))
-
+        yield Partition._from_desc(tuple(a))

@@ -110,7 +110,7 @@ def test_count_cores_rejects_bad_modulus():
 
 
 def test_enumerate_cores_strategies_agree():
-    for ell in (2, 3, 5, 7):
+    for ell in (2, 3, 5, 7, 11, 13):
         for n in range(26):
             via_filter = {lam for lam in enumerate_partitions(n) if is_core(lam, ell)}
             via_abacus = set(enumerate_cores(n, ell))
@@ -120,7 +120,7 @@ def test_enumerate_cores_strategies_agree():
 
 def test_enumerate_cores_order():
     # by number of parts, then by column heights (b_1, ..., b_{ell-1})
-    for ell in (2, 3, 5):
+    for ell in (2, 3, 5, 7, 11):
         for n in range(30):
             keys = [(len(lam), to_abacus(lam, ell).cols) for lam in enumerate_cores(n, ell)]
             assert keys == sorted(keys), (n, ell)

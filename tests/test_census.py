@@ -35,7 +35,6 @@ from corz.numtheory import core_main_term
 from corz.suites import _count_cores_filter_pass, available_suites, verify
 from corz.partitions import (
     Partition,
-    _iter_partition_buffers,
     beta_mask,
     count_p,
     count_p_regular,
@@ -904,7 +903,7 @@ def test_core_filter_walk_matches_a_test_of_every_partition():
     ells = (2, 3, 4, 5, 6, 7)
     counts = _count_cores_filter_pass(22, ells)
     for n in range(23):
-        masks = [beta_mask(buf) for buf in _iter_partition_buffers(n)]
+        masks = [beta_mask(lam.parts) for lam in enumerate_partitions(n)]
         for ell in ells:
             want = sum(1 for mask in masks if not strip_ends(mask, ell))
             assert counts[ell][n] == want == count_cores(n, ell), (n, ell)

@@ -10,6 +10,7 @@ from corz import partitions
 from corz.characters import dimension
 from corz.partitions import (
     Partition,
+    bead_positions,
     beta_mask,
     canonical_mask,
     conjugate_mask,
@@ -37,8 +38,9 @@ def test_partition_normalizes_input():
 def test_partition_rejects_bad_parts():
     with pytest.raises(ValueError):
         Partition([2, -1])
-    with pytest.raises(ValueError):
-        Partition([2.5])
+    for bad in ([2.5], ["2"], [None], [2, "1"]):
+        with pytest.raises(ValueError):
+            Partition(bad)
 
 
 def test_partition_equality_and_hash():
@@ -174,6 +176,22 @@ def test_enumeration_order_is_reverse_lexicographic():
                    (1, 1, 1, 1, 1)]
     assert [lam.parts for lam in enumerate_partitions(0)] == [()]
     assert [lam.parts for lam in enumerate_partitions(1)] == [(1,)]
+    for n in range(25):
+        got = [lam.parts for lam in enumerate_partitions(n)]
+        assert all(a > b for a, b in zip(got, got[1:])), n
+        for parts in got:
+            assert list(parts) == sorted(parts, reverse=True) and 0 not in parts, parts
+            assert sum(parts) == n, parts
+        assert len(got) == count_p(n), n
+
+
+def test_negative_beta_set_masks_are_rejected():
+    # a negative int has infinitely many set bits; it raises before any bead
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mask_parts(mask)
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(bead_positions(mask))
 
 
 def test_enumerated_partitions_are_distinct_objects():
