@@ -4,6 +4,9 @@ An abacus for modulus ell is the tuple of column heights (b_0, ..., b_{ell-1});
 column i holds beads at positions ell*(m-1) + i for rows m = 1..b_i.  The bead
 positions of a flush abacus are exactly the first-column hook lengths of an
 ell-core, and every ell-core arises from a unique canonical abacus (b_0 = 0).
+enumerate_cores walks the heights with exact bounds (m beads on columns
+i..ell-1 weigh at least the sum of the m least positive integers of residue
+>= i mod ell) and solves the last two columns as the root of a quadratic.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate, pairwise, permutations, product
+from math import isqrt
 
 from .numtheory import _is_prime
 from .partitions import (
@@ -119,20 +123,12 @@ def abacus_size(ab: Abacus) -> int:
     return beta_sum - s * (s - 1) // 2
 
 
-def _min_weight(ell: int, base: int, r: int, m: int) -> int:
-    # Lower bound for sum of ell*C(b,2) + index*b over r columns holding m
-    # beads whose indices start at base: the quadratic part is Schur-minimal
-    # at an even spread and every bead sits at index >= base.
-    if r == 0:
-        return 0 if m == 0 else -1
-    q, extra = divmod(m, r)
-    quad = ell * (extra * (q + 1) * q // 2 + (r - extra) * q * (q - 1) // 2)
-    return quad + base * m
-
-
-def _max_weight(ell: int, m: int) -> int:
-    # concentration maximizes the quadratic part; indices top out at ell - 1
-    return ell * m * (m - 1) // 2 + (ell - 1) * m
+def _least_weight(ell: int, i: int, m: int) -> int:
+    # least sum_j (ell*C(b_j,2) + j*b_j) for m beads on columns i..ell-1: the
+    # m least integers of residue >= i, q rows of r = ell - i and e more
+    r = ell - i
+    q, e = divmod(m, r)
+    return q * r * (ell * q + i - 1) // 2 + e * (ell * q + i) + e * (e - 1) // 2
 
 
 def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
@@ -141,46 +137,67 @@ def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
     Cores come by increasing number of parts, then in lexicographic order of
     the column heights (b_1, ..., b_{ell-1}), not in the reverse-lexicographic
     order of enumerate_partitions.
+
+    With s beads, n = sum_i (ell*C(b_i,2) + i*b_i) - C(s,2): a knapsack of
+    s beads and weight t = n + C(s,2), pruned by exact bounds.  At most, m
+    beads on columns i..ell-1 weigh as all in the last column.  At least,
+    they weigh the sum of the m least positive integers of residue >= i, as
+    bead b+1 of column j adds ell*b + j, rising in b.  That least for all s
+    beads, less C(s,2), rises with s, so s stops at its first failure.  The
+    last two columns take b and m - b beads, where ell*b^2 - (ell*m + 1)*b
+    + ell*m*(m-1)/2 + (ell-1)*m = t; the roots sum to m + 1/ell, so at most
+    one is integral.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    # Canonical abaci of partition size n, found per bead count s.  The size
-    # identity n = sum_i (ell*C(b_i,2) + i*b_i) - C(s,2) turns each s into an
-    # exact two-constraint knapsack: beads s and weight n + C(s,2).  Size is
-    # not monotone in the heights, so pruning works on these bounds instead.
-    cols = [0] * ell
+    # the least-weight bound passes for s < top beads, and for no more
+    top = 0
+    while _least_weight(ell, 1, top) <= n + top * (top - 1) // 2:
+        top += 1
+    # runner[b]: beads in rows 1..b of column 0, shifted to column i by << i
+    runner = list(accumulate(range(top - 1), lambda r, b: r | 1 << ell * b, initial=0))
+    masks: list[int] = []
 
-    def rec(i: int, m: int, t: int) -> Iterator[Partition]:
-        if i == ell:
-            if m == 0 and t == 0:
-                yield Partition._from_desc(mask_parts(_bead_mask(ell, cols)))
-            return
-        left = ell - 1 - i
-        for b in range(m + 1):
-            w = ell * b * (b - 1) // 2 + i * b
-            if w > t:
-                break
-            m2 = m - b
-            t2 = t - w
-            if left == 0:
-                if m2 or t2:
-                    continue
-            else:
-                lo = _min_weight(ell, i + 1, left, m2)
-                if lo > t2 or t2 > _max_weight(ell, m2):
-                    continue
-            cols[i] = b
-            yield from rec(i + 1, m2, t2)
-        cols[i] = 0
+    def rec(i: int, m: int, t: int, mask: int) -> None:
+        # m beads of weight t go on columns i..ell-1, and both bounds hold
+        if m == 0:
+            masks.append(mask)
+        elif i == ell - 1:  # ell = 2: the bounds meet, so column 1 takes all
+            masks.append(mask | runner[m] << i)
+        elif i == ell - 2:
+            # the constant term is the most weight less t, so no root is < 0
+            c = ell * m + 1
+            d = c * c - 4 * ell * (m * (ell * m + ell - 2) // 2 - t)
+            r = isqrt(d)
+            if r * r == d:
+                for root in (c - r, c + r):
+                    b, rest = divmod(root, 2 * ell)
+                    if not rest and b <= m:
+                        masks.append(mask | runner[b] << i | runner[m - b] << i + 1)
+        else:
+            for b in range(m + 1):
+                t2 = t - ell * b * (b - 1) // 2 - i * b
+                if t2 < 0:
+                    break
+                m2 = m - b
+                if _least_weight(ell, i + 1, m2) <= t2 <= m2 * (ell * m2 + ell - 2) // 2:
+                    rec(i + 1, m2, t2, mask | runner[b] << i)
 
-    # a core with s beads has exactly s positive parts, so s <= n
-    for s in range(0, n + 1):
-        lb = _min_weight(ell, 1, ell - 1, s)
-        if lb < 0 or lb - s * (s - 1) // 2 > n:
-            continue
-        yield from rec(1, s, n + s * (s - 1) // 2)
+    for s in range(top):
+        t = n + s * (s - 1) // 2
+        if t <= s * (ell * s + ell - 2) // 2:
+            rec(1, s, t, 0)
+        for mask in masks:
+            # as in mask_parts: a bead's position less the beads below it
+            parts = []
+            for below in range(s - 1, -1, -1):
+                bead = mask.bit_length() - 1
+                parts.append(bead - below)
+                mask ^= 1 << bead
+            yield Partition._from_desc(tuple(parts))
+        masks.clear()
 
 
 def bead_jump_witness(ab: Abacus) -> tuple[int, int] | None:

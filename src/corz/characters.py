@@ -76,7 +76,7 @@ class ColumnEvaluator:
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
         parts = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
             raise ValueError("cycle type parts must be positive integers")
         # the empty column: level 0 alone
         self.parts: tuple[int, ...] = ()

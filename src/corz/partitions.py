@@ -27,7 +27,8 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = list(parts)
         for p in cleaned:
-            if not isinstance(p, int) or p < 0:
+            # bool is an int subclass, but True is no part
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
                 raise ValueError("partition parts must be nonnegative integers")
         cleaned.sort(reverse=True)
         while cleaned and cleaned[-1] == 0:

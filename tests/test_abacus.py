@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from corz.abacus import (
     Abacus,
+    _least_weight,
     _witness_free_abaci,
     abacus_size,
     bead_jump_witness,
@@ -121,9 +122,41 @@ def test_enumerate_cores_strategies_agree():
 def test_enumerate_cores_order():
     # by number of parts, then by column heights (b_1, ..., b_{ell-1})
     for ell in (2, 3, 5, 7, 11):
-        for n in range(30):
+        for n in range(61):
             keys = [(len(lam), to_abacus(lam, ell).cols) for lam in enumerate_cores(n, ell)]
             assert keys == sorted(keys), (n, ell)
+
+
+def test_least_weight_is_the_brute_force_minimum():
+    # least sum_j (ell*C(b_j,2) + j*b_j) over every height vector of
+    # columns i..ell-1 holding m beads
+    for ell in range(2, 8):
+        for i in range(1, ell):
+            for m in range(11):
+                least = min(
+                    sum(ell * b * (b - 1) // 2 + j * b for j, b in enumerate(heights, i))
+                    for heights in product(range(m + 1), repeat=ell - i)
+                    if sum(heights) == m
+                )
+                assert _least_weight(ell, i, m) == least, (ell, i, m)
+
+
+def test_enumerate_cores_counts_match_the_series():
+    # the exact bounds prune no core.  At ell = 11 and 13 the cores of
+    # n <= 150 number 14 and 75 million, so those moduli stop at n = 40
+    for ell in (2, 3, 4, 5, 6, 7, 11, 13):
+        for n in range(151 if ell < 11 else 41):
+            assert sum(1 for _ in enumerate_cores(n, ell)) == count_cores(n, ell), (n, ell)
+
+
+def test_every_partition_is_a_core_of_a_larger_modulus():
+    # no hook of a partition of n exceeds n, so for ell > n every one is an
+    # ell-core; at ell = 499 the walk puts every bead in the first row
+    for ell in (13, 499):
+        for n in range(13):
+            cores = list(enumerate_cores(n, ell))
+            assert len(cores) == len(set(cores)) == count_cores(n, ell), (n, ell)
+            assert set(cores) == set(enumerate_partitions(n)), (n, ell)
 
 
 def test_enumerate_cores_yields_cores():

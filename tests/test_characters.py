@@ -275,9 +275,12 @@ def test_column_evaluator_rejects_nonpositive_parts():
         ColumnEvaluator([-3])
     # and, as Partition does, parts that are not integers, before any row
     # meets them
-    for parts in ([1.5, 1.5], [2.0, 1], ["2"]):
+    for parts in ([1.5, 1.5], [2.0, 1], ["2"], [True, 1]):
         with pytest.raises(ValueError, match="positive integers"):
             ColumnEvaluator(parts)
+    # a row of bools is refused by Partition, before any strip is removed
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        mn_character([True, True], [2])
 
 
 def test_value_mask_rejects_a_negative_mask():

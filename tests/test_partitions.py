@@ -38,7 +38,8 @@ def test_partition_normalizes_input():
 def test_partition_rejects_bad_parts():
     with pytest.raises(ValueError):
         Partition([2, -1])
-    for bad in ([2.5], ["2"], [None], [2, "1"]):
+    # bool is an int subclass, but True and False are no parts
+    for bad in ([2.5], ["2"], [None], [2, "1"], [True, 0, 3], [False]):
         with pytest.raises(ValueError):
             Partition(bad)
 
