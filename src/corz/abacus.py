@@ -38,8 +38,10 @@ class Abacus:
     cols: tuple[int, ...]
 
     def __init__(self, ell: int, cols: tuple[int, ...]) -> None:
-        if ell < 2:
-            raise ValueError("ell must be at least 2")
+        if type(ell) is not int or ell < 2:
+            raise ValueError(f"ell must be an integer at least 2, got {ell!r}")
+        if not isinstance(cols, tuple) or any(type(b) is not int for b in cols):
+            raise ValueError("column heights must be a tuple of integers")
         if len(cols) != ell:
             raise ValueError("need exactly ell column heights")
         if any(b < 0 for b in cols):
@@ -148,10 +150,10 @@ def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
     + ell*m*(m-1)/2 + (ell-1)*m = t; the roots sum to m + 1/ell, so at most
     one is integral.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if type(ell) is not int or ell < 2:
+        raise ValueError(f"ell must be an integer at least 2, got {ell!r}")
     # the least-weight bound passes for s < top beads, and for no more
     top = 0
     while _least_weight(ell, 1, top) <= n + top * (top - 1) // 2:

@@ -10,11 +10,11 @@ the paper's statements live in `suites`; this module holds none.
 
 The three exhaustive counts are zeros over nested blocks of the table of
 one n, each a plain integer: Z* over core rows by core columns, Z over core
-rows by all columns, and the whole table.  A record computes Z* first, as
-the core-column block of Z, and Z as Z* plus the core rows' zeros on the
-other columns; so it adds no MN for Z*, and it caches both sums.  It asks
-`characters` for both counts: from the column loop, or, with_z_all, from
-the whole table, which runs no MN for the core blocks.
+rows by all columns, and the whole table.  Z* is the core-column block of
+Z, so a record asks `characters` for the pair (Z, Z*) in one pass, adds no
+MN for Z*, and caches both.  The pass is the column loop over every column,
+or, with_z_all, a read of the whole table, which runs no MN for the core
+blocks; above cap_exact it is the column loop over the cores, giving Z*.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Callable, Iterable
-from functools import cache, partial
+from collections.abc import Iterable
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
-from .characters import _count_zeros, _whole_table, _zero_reader
+from .characters import _count_zeros, _table_zeros, _whole_table
 from .numtheory import _is_prime, delta_ell, inv_alpha, sigma_twisted
 from .partitions import count_cores, count_p, count_p_regular, enumerate_partitions
 
@@ -74,14 +74,14 @@ def z_exact(n: int, ell: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Exhaustive count of zeros chi_lam(mu) = 0 with lam an ell-core of n,
     over all columns mu of n."""
     _check_cap(n, cap)
-    return _count_zeros(enumerate_cores(n, ell), enumerate_partitions(n))
+    return _count_zeros(enumerate_cores(n, ell), enumerate_partitions(n))[0]
 
 
 def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
     """Exhaustive count of zeros over ordered pairs of ell-cores of n."""
     _check_cap(n, cap, "exact star", "--cap-star")
     cores = tuple(enumerate_cores(n, ell))
-    return _count_zeros(cores, cores)
+    return _count_zeros(cores, cores)[0]
 
 
 def z_star_closed(n: int, ell: int) -> int:
@@ -247,46 +247,36 @@ def _exhaustive_counts(
     rec: CensusRecord, payload: dict, cap_exact: int, cap_star: int, with_z_all: bool
 ) -> list[str]:
     # z_all, z_exact and z_star_exact of rec within their caps, each read from
-    # the cache payload or computed into it; returns the keys computed.  The
-    # cores are enumerated once, and only if a count is not cached.
+    # the cache payload or computed into it; returns the keys computed.  One
+    # pass gives (Z, Z*), or (Z*, Z*) above cap_exact, so Z* is cached whatever
+    # cap_star is.  It enumerates the cores, and runs only for a missing count.
     n, ell = rec.n, rec.ell
+    exact = n <= cap_exact
     computed: list[str] = []
-
-    def lookup(key: str, compute: Callable[[], object]):
-        if payload.get(key) is None:
-            payload[key] = compute()
-            computed.append(key)
-        return payload[key]
-
-    # the cores in order, in a dict for their membership test
-    cores = cache(lambda: dict.fromkeys(enumerate_cores(n, ell)))
-    whole = with_z_all and n <= cap_exact
-    if whole:
-        rec.z_all = lookup("z_all_exact", partial(z_all_exact, n, cap=cap_exact))
-        # the whole table's verdicts give the core rows' zeros on any columns,
-        # from one set of orbit bits for both counts
-        read = cache(lambda: _zero_reader(n, cores()))
-
-    def star_zeros() -> int:
-        if whole:
-            return read()(cores())
-        return _count_zeros(cores(), cores())
-
-    # Z*, the core-column block of Z, is computed and cached whatever cap_star is
-    star = lookup("z_star_exact", star_zeros)
-
-    def all_zeros() -> int:
-        if whole:
-            return read()()
-        # Z is Z* plus the core rows' zeros on the other columns
-        off_core = [mu for mu in enumerate_partitions(n) if mu not in cores()]
-        return star + _count_zeros(cores(), off_core)
-
-    if n <= cap_exact:
-        rec.z_exact = lookup("z_exact", all_zeros)
+    if with_z_all and exact:
+        if payload.get("z_all_exact") is None:
+            payload["z_all_exact"] = z_all_exact(n, cap=cap_exact)
+            computed.append("z_all_exact")
+        rec.z_all = payload["z_all_exact"]
+    keys = ("z_exact", "z_star_exact") if exact else ("z_star_exact",)
+    missing = [key for key in keys if payload.get(key) is None]
+    if missing:
+        cores = tuple(enumerate_cores(n, ell))
+        if not exact:
+            pair = _count_zeros(cores, cores)
+        elif with_z_all:
+            # the whole table's verdicts give both counts with no MN
+            pair = _table_zeros(n, cores)
+        else:
+            pair = _count_zeros(cores, enumerate_partitions(n))
+        # a cached count is kept
+        payload.update((k, v) for k, v in zip(("z_exact", "z_star_exact"), pair) if k in missing)
+        computed += missing
+    if exact:
+        rec.z_exact = payload["z_exact"]
         _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
     if n <= cap_star:
-        rec.z_star_exact = star
+        rec.z_star_exact = payload["z_star_exact"]
     return computed
 
 

@@ -8,23 +8,26 @@ keyed on canonical masks, with no bead at 0.  A strip that lands above 0
 leaves bit 0 clear, so the rest is canonical as it stands; only a strip that
 lands at 0 leaves a run of beads at 0, 1, ... to shift out.
 
-Two kernels share that step, ColumnEvaluator and the row-side kernel of
-the whole table (below).  ColumnEvaluator evaluates rows on a column,
-with one memo level per suffix of the column's parts short of the whole;
-verify builds one per column.  The column's own value is met once per row,
-so it is summed over the row's strips of the first part and not memoised.
+ColumnEvaluator and the row-side kernel of the whole table (below) each
+inline that step, of which _strips is the plain form.  ColumnEvaluator
+evaluates rows on a column, with one memo level per suffix of the column's
+parts short of the whole; verify builds one per column.  The column's own
+value is met once per row, so it is summed over the row's strips of the
+first part and not memoised.
 
-Two routes count zeros, each a plain integer over a block of rows by
-columns; both group the rows into conjugate orbits (_orbits), as
+Two routes count zeros of distinct rows on columns of one n, each in one
+pass, as a pair: the zeros on the columns, and those on the columns that are
+also rows.  So the cores as rows give (Z, Z*) on every column of n, and
+(Z*, Z*) on the cores.  Both group the rows into conjugate orbits, as
 chi_lam'(mu) = sgn(mu) chi_lam(mu) vanishes with chi_lam(mu), and count a
 zero once per row of the orbit.  The column loop (_count_zeros) decides a
 pair by the hook prefilter, then by MN for the pairs it leaves open, on one
 ColumnEvaluator per call that moves to each column with an open pair.  It
-visits the columns in order of their reversed parts, so that each shares
-its smallest parts, and the MN memo levels of those, with the one before
-it, as chi_nu(remaining parts) does not depend on the parts already
-removed.  The evaluator keeps each row's strips of a largest part for every
-column that has it.  The loop keeps nothing from one call to the next.
+visits the columns in order of their reversed parts, so that each shares its
+smallest parts, and the MN memo levels of those, with the one before it, as
+chi_nu(remaining parts) does not depend on the parts already removed.  The
+evaluator keeps each row's strips of a largest part for every column that
+has it.  The loop keeps nothing from one call to the next.
 
 The whole table (_whole_table) comes from the row-side kernel, which
 decides every pair of n at once: it builds each row of n as one vector over
@@ -35,15 +38,15 @@ multiple of 64 with sqrt(n!) < 2^(W - 2), a bound on every character value
 of n; so every value is exact and no dependency is needed.  Its memo keeps
 each vector only as far as a parent reads it, about 4 MiB at n = 24 and
 40 MiB at n = 30.  The process keeps the table of its latest n as one
-value, from which _zero_reader counts the zeros of any rows of n on any
-columns with no MN.
+value, from which _table_zeros reads the pair for any rows of n, on every
+column and on the rows' own columns, with no MN.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,7 +79,7 @@ class ColumnEvaluator:
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
         parts = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
-        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
+        if any(type(p) is not int or p < 1 for p in parts):
             raise ValueError("cycle type parts must be positive integers")
         # the empty column: level 0 alone
         self.parts: tuple[int, ...] = ()
@@ -196,24 +199,27 @@ def _orbits(rows: Iterable[Partition]) -> dict[int, list[int]]:
     return orbits
 
 
-def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int:
+def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> tuple[int, int]:
     # zeros chi_row(column) over distinct rows and the given columns, all of
-    # one size.  A pair vanishes without MN when some part of the column is
-    # not a hook length of the row.  Conjugation keeps hook lengths, so each
-    # conjugate orbit is decided once per column.
-    orbits = [(mask, hook_mask(key), here) for key, (mask, here) in _orbits(rows).items()]
+    # one size: in total, and on the columns that are also rows.  A pair
+    # vanishes without MN when some part of the column is not a hook length
+    # of the row.  Conjugation keeps hook lengths, so each conjugate orbit is
+    # decided once per column.
+    rows = {lam.parts: lam for lam in rows}
+    orbits = [(mask, hook_mask(key), here) for key, (mask, here) in _orbits(rows.values()).items()]
     if not orbits:
-        return 0
+        return 0, 0
     # MN visits the columns by their reversed parts: a column then shares its
     # smallest parts, and the memo levels of those, with the one before.  The
     # rows' strips of a largest part serve every column with that part.
     # Entries are popped from the end, so each is freed once visited.
     todo = sorted((mu.parts[::-1] for mu in columns), reverse=True)
     col = ColumnEvaluator(())
-    count = 0
+    total = square = 0
     while todo:
         parts = todo.pop()[::-1]
         needed = sum(1 << p for p in set(parts))
+        count = 0
         for mask, hooks, here in orbits:
             if needed & ~hooks:
                 count += here
@@ -224,7 +230,10 @@ def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> int
             # masks from beta_mask are canonical, and rows have the column's size
             if col._value(mask) == 0:
                 count += here
-    return count
+        total += count
+        if parts in rows:
+            square += count
+    return total, square
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +380,20 @@ def _whole_table(n: int) -> _WholeTable:
     return _WholeTable(count, bits, {mu.parts: z for mu, z in zip(columns, reversed(zero))})
 
 
-def _zero_reader(n: int, rows: Iterable[Partition]) -> Callable[..., int]:
-    # counts the zeros of distinct rows of n on the given columns of n, or on
-    # every column, from the whole table with no MN; the rows' orbit bits are
-    # taken once for every call.  ones: orbits with a row here; twos: orbits
-    # with both conjugates here
+def _table_zeros(n: int, rows: Iterable[Partition]) -> tuple[int, int]:
+    # the zeros of distinct rows of n on every column of n, and on the rows'
+    # own columns, from the whole table with no MN.  ones: orbits with a row
+    # here; twos: orbits with both conjugates here
     table = _whole_table(n)
-    orbits = _orbits(rows)
+    rows = {lam.parts: lam for lam in rows}
+    orbits = _orbits(rows.values())
     ones = sum(table.bits[key] for key in orbits)
     twos = sum(table.bits[key] for key, (_, here) in orbits.items() if here == 2)
 
-    def read(columns: Iterable[Partition] | None = None) -> int:
-        zeros = table.zeros
-        words = zeros.values() if columns is None else [zeros[mu.parts] for mu in columns]
+    def read(words: Iterable[int]) -> int:
         return sum([(z & ones).bit_count() + (z & twos).bit_count() for z in words])
 
-    return read
+    return read(table.zeros.values()), read([table.zeros[parts] for parts in rows])
 
 
 def mn_character(lam: PartitionLike, mu: PartitionLike) -> int:

@@ -28,7 +28,7 @@ class Partition:
         cleaned = list(parts)
         for p in cleaned:
             # bool is an int subclass, but True is no part
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            if type(p) is not int or p < 0:
                 raise ValueError("partition parts must be nonnegative integers")
         cleaned.sort(reverse=True)
         while cleaned and cleaned[-1] == 0:
@@ -280,8 +280,8 @@ def count_cores(n: int, ell: int) -> int:
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order, largest first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     # each step lowers the last part above 1 by one and refills the parts
     # after it greedily with the freed units
     a = [n] if n else []

@@ -34,6 +34,17 @@ def test_abacus_validation():
         Abacus(3, (0, 1))
     with pytest.raises(ValueError):
         Abacus(3, (0, -1, 2))
+    # the fields are ints, and the heights a tuple, so the value hashes; a
+    # bool is neither a modulus nor a height
+    for ell, cols in (
+        (3, [0, 1, 2]),
+        (3, (0, True, 2)),
+        (3, (0, 1.5, 2)),
+        (3.0, (0, 1, 2)),
+        (True, (0, 1)),
+    ):
+        with pytest.raises(ValueError):
+            Abacus(ell, cols)
     ab = Abacus(3, (0, 2, 1))
     assert ab.canonical
     assert ab.beads() == 3

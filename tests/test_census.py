@@ -116,8 +116,8 @@ def test_count_zeros_matches_naive_loop():
         row_sets += [list(enumerate_cores(n, ell)) for ell in (2, 3, 5, 7)]
         for rows in row_sets:
             want = naive_count_zeros(rows, lams)
-            assert characters._count_zeros(rows, lams) == sum(want), (n, [lam.parts for lam in rows])
-            got = [characters._count_zeros(rows, [mu]) for mu in lams]
+            assert characters._count_zeros(rows, lams)[0] == sum(want), (n, [lam.parts for lam in rows])
+            got = [characters._count_zeros(rows, [mu])[0] for mu in lams]
             assert got == want, (n, [lam.parts for lam in rows])
 
 
@@ -127,7 +127,10 @@ def test_count_zeros_matches_naive_loop_on_row_subsets(n, data):
     lams = list(enumerate_partitions(n))
     rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
     columns = data.draw(st.lists(st.sampled_from(lams)))
-    assert characters._count_zeros(rows, columns) == sum(naive_count_zeros(rows, columns))
+    want = naive_count_zeros(rows, columns)
+    # the square block: the drawn columns that are among the rows, repeats included
+    square = sum(z for mu, z in zip(columns, want) if mu in rows)
+    assert characters._count_zeros(rows, columns) == (sum(want), square)
 
 
 @given(st.data())
@@ -140,7 +143,7 @@ def test_count_zeros_sequence_matches_naive_loop(data):
         lams = list(enumerate_partitions(n))
         rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
         columns = data.draw(st.lists(st.sampled_from(lams), max_size=2 * len(lams)))
-        got = characters._count_zeros(rows, columns)
+        got = characters._count_zeros(rows, columns)[0]
         assert got == sum(naive_count_zeros(rows, columns)), (n, [lam.parts for lam in rows])
 
 
@@ -156,7 +159,7 @@ def test_count_zeros_matches_naive_loop_on_columns_sharing_their_largest_part():
     for firsts in ((3,), (5,), (14,), (3, 5), (1, 7)):
         columns = [mu for mu in lams if mu.parts[0] in firsts]
         for group in (rows, others, rows[::2] + others[1::2]):
-            got = characters._count_zeros(group, columns)
+            got = characters._count_zeros(group, columns)[0]
             assert got == sum(naive_count_zeros(group, columns)), firsts
 
 
@@ -198,27 +201,20 @@ def test_whole_table_verdicts_match_the_zero_loop(n):
     lams = list(enumerate_partitions(n))
     characters._whole_table.cache_clear()
     table = characters._whole_table(n)
-    assert table.count == characters._count_zeros(lams, lams) == z_all_exact(n, cap=n)
+    assert table.count == characters._count_zeros(lams, lams)[0] == z_all_exact(n, cap=n)
     assert sorted(table.bits.values()) == [1 << j for j in range(len(table.bits))]
     assert list(table.zeros) == [mu.parts for mu in lams]
     # per orbit, the columns where its bit is set are those where the zero
     # loop finds its row vanishing
     for key, bit in table.bits.items():
         row = Partition(mask_parts(key))
-        want = [characters._count_zeros([row], [mu]) for mu in lams]
+        want = [characters._count_zeros([row], [mu])[0] for mu in lams]
         assert [int(bool(table.zeros[mu.parts] & bit)) for mu in lams] == want, row.parts
-
-    def read(rows, columns):
-        return characters._zero_reader(n, rows)(columns)
-
-    assert read(lams, lams) == table.count
+    assert characters._table_zeros(n, lams) == (table.count, table.count)
     for ell in (2, 3, 5, 7):
         cores = list(enumerate_cores(n, ell))
-        # per column, and on the core block
-        for mu in lams:
-            want = characters._count_zeros(cores, [mu])
-            assert read(cores, [mu]) == want, (ell, mu.parts)
-        assert read(cores, cores) == characters._count_zeros(cores, cores), ell
+        # every column, and the core block
+        assert characters._table_zeros(n, cores) == characters._count_zeros(cores, lams), ell
 
 
 def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
@@ -230,14 +226,14 @@ def test_count_zeros_matches_naive_loop_on_shuffled_columns_of_16():
         cores = list(enumerate_cores(16, ell))
         columns = lams[:]
         rng.shuffle(columns)
-        assert characters._count_zeros(cores, columns) == sum(naive_count_zeros(cores, columns)), ell
+        assert characters._count_zeros(cores, columns)[0] == sum(naive_count_zeros(cores, columns)), ell
 
 
 def test_census_leaves_zero_counting_to_characters():
     # census asks characters for counts: it holds no evaluator, no lane
     # helper of the whole-table kernel and no beta-set mask of its own
     held = set(vars(census))
-    assert "_count_zeros" in held and "_zero_reader" in held
+    assert "_count_zeros" in held and "_table_zeros" in held
     assert not held & {
         "ColumnEvaluator",
         "_lane_width",
@@ -268,12 +264,24 @@ def test_record_star_is_the_core_columns_share_of_z_exact():
 
 @pytest.mark.parametrize("n, ell", [(14, 3), (16, 5), (18, 7)])
 def test_record_star_adds_no_mn(monkeypatch, n, ell):
+    # a record takes Z* from its Z pass, so it makes the values and the
+    # memo-level evaluations of z_exact alone, and no more
     seen = counted_values(monkeypatch)
+    evals = []
+    evaluate = ColumnEvaluator._eval
+
+    def logged(self, mask, s):
+        evals.append(s)
+        return evaluate(self, mask, s)
+
+    monkeypatch.setattr(ColumnEvaluator, "_eval", logged)
     z_exact(n, ell)
-    alone = len(seen)
+    alone, alone_evals = len(seen), len(evals)
     seen.clear()
+    evals.clear()
     rec = build_record(n, ell)
     assert alone and len(seen) == alone
+    assert alone_evals and len(evals) == alone_evals
     assert rec.z_star_exact is not None
 
 
@@ -506,7 +514,7 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ColumnEvaluator, "_move", counted)
     # 4 is not triangular, so it has no 2-cores: no row, no zero
-    assert characters._count_zeros([], enumerate_partitions(4)) == 0
+    assert characters._count_zeros([], enumerate_partitions(4)) == (0, 0)
     rec = build_record(4, 2, cache_dir=tmp_path)
     assert built == []
     assert rec.z_exact == 0 and rec.z_star_exact == 0
@@ -516,9 +524,9 @@ def test_no_rows_builds_no_column_evaluator(monkeypatch, tmp_path):
     # hooks of (2, 2) are 1, 2, 3, so the prefilter settles column (4).  MN
     # visits them by their reversed parts
     columns = list(enumerate_partitions(4))
-    assert characters._count_zeros([Partition((2, 2))], columns) == 2
+    assert characters._count_zeros([Partition((2, 2))], columns)[0] == 2
     assert built == [(1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2)]
-    assert [characters._count_zeros([Partition((2, 2))], [mu]) for mu in columns] == [1, 0, 0, 1, 0]
+    assert [characters._count_zeros([Partition((2, 2))], [mu])[0] for mu in columns] == [1, 0, 0, 1, 0]
 
 
 def test_record_csv_row_empty_cells():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz import partitions
+from corz.abacus import enumerate_cores
 from corz.characters import dimension
 from corz.partitions import (
     Partition,
@@ -306,6 +307,20 @@ def test_series_reject_negative_n():
         count_cores(-1, 5)
     with pytest.raises(ValueError):
         count_p_regular(-1, 5)
+
+
+def test_enumerations_reject_sizes_that_are_not_ints():
+    # a float n once walked as a number: 2.5 gave the parts (1.5, 1) and five
+    # of 0.5, and 3.0 gave float parts that Partition refuses.  A bool is no
+    # size or modulus either
+    for n in (3.0, 2.5, True, False, "3"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            list(enumerate_partitions(n))
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            list(enumerate_cores(n, 3))
+    for ell in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="integer at least 2"):
+            list(enumerate_cores(6, ell))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=0, max_size=12))
