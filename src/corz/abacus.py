@@ -12,7 +12,7 @@ i..ell-1 weigh at least the sum of the m least positive integers of residue
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, pairwise, permutations, product
 from math import isqrt
 
@@ -20,6 +20,7 @@ from .numtheory import _is_prime
 from .partitions import (
     Partition,
     PartitionLike,
+    _require_int,
     bead_positions,
     beta_mask,
     count_cores,  # re-exported: corz.abacus.count_cores is public API
@@ -38,8 +39,7 @@ class Abacus:
     cols: tuple[int, ...]
 
     def __init__(self, ell: int, cols: tuple[int, ...]) -> None:
-        if type(ell) is not int or ell < 2:
-            raise ValueError(f"ell must be an integer at least 2, got {ell!r}")
+        _require_int(ell, "ell", 2)
         if not isinstance(cols, tuple) or any(type(b) is not int for b in cols):
             raise ValueError("column heights must be a tuple of integers")
         if len(cols) != ell:
@@ -80,9 +80,8 @@ class Abacus:
 
 def to_abacus(lam: PartitionLike, ell: int) -> Abacus:
     """Canonical abacus of an ell-core; rejects partitions that are not cores."""
+    _require_int(ell, "ell", 2)
     lam = Partition.of(lam)
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
     mask = beta_mask(lam.parts)
     if strip_ends(mask, ell):
         raise ValueError(f"not an {ell}-core: {lam!r}")
@@ -150,10 +149,8 @@ def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
     + ell*m*(m-1)/2 + (ell-1)*m = t; the roots sum to m + 1/ell, so at most
     one is integral.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if type(ell) is not int or ell < 2:
-        raise ValueError(f"ell must be an integer at least 2, got {ell!r}")
+    _require_int(n, "n")
+    _require_int(ell, "ell", 2)
     # the least-weight bound passes for s < top beads, and for no more
     top = 0
     while _least_weight(ell, 1, top) <= n + top * (top - 1) // 2:
@@ -253,15 +250,15 @@ def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
     return Abacus(ab.ell, tuple(cols))
 
 
-@cache
+# typed, so that a float or bool ell is never answered from an int's entry
+@lru_cache(maxsize=None, typed=True)
 def n_ell(ell: int) -> int:
     """(ell^6 - 2 ell^5 + 2 ell^4 - 3 ell^2 + 2 ell) / 24, the size of the
     extremal abacus: for prime ell, above it every ell-core has a part
     divisible by ell.  The bound is not attained: max_regular_core gives 10
     for ell = 3 (n_ell = 16) and 198 for ell = 5 (n_ell = 440).  It fails
     for composite ell: 4-regular 4-cores of 108, 110 and 113 exceed n_4 = 105."""
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    _require_int(ell, "ell", 2)
     num = ell**6 - 2 * ell**5 + 2 * ell**4 - 3 * ell**2 + 2 * ell
     q, r = divmod(num, 24)
     if r:
@@ -273,8 +270,7 @@ def extremal_abacus(ell: int) -> Abacus:
     """Canonical abacus (0, ell-1, 2(ell-1), ..., (ell-1)^2), for prime ell
     the largest one with no bead-jump witness; its size is n_ell(ell).  Its
     core still has parts divisible by ell: (6, 4, 2, 2, 1, 1) at ell = 3."""
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    _require_int(ell, "ell", 2)
     return Abacus(ell, tuple(i * (ell - 1) for i in range(ell)))
 
 

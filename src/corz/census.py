@@ -15,6 +15,9 @@ Z, so a record asks `characters` for the pair (Z, Z*) in one pass, adds no
 MN for Z*, and caches both.  The pass is the column loop over every column,
 or, with_z_all, a read of the whole table, which runs no MN for the core
 blocks; above cap_exact it is the column loop over the cores, giving Z*.
+build_record puts each missing count into the cache payload, reads the
+counts its caps report off that payload, and builds the record, an
+immutable CensusRecord, in one call at the end.
 """
 
 from __future__ import annotations
@@ -26,35 +29,19 @@ import os
 import tempfile
 from collections.abc import Iterable
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _count_zeros, _table_zeros, _whole_table
 from .numtheory import _is_prime, delta_ell, inv_alpha, sigma_twisted
-from .partitions import count_cores, count_p, count_p_regular, enumerate_partitions
+from .partitions import _require_int, count_cores, count_p, count_p_regular, enumerate_partitions
 
 DEFAULT_CAP_EXACT = 18
 DEFAULT_CAP_STAR = 60
 # written into each cache file under its checksum; bump it with any change
 # that can alter a cached count, so files from older code are recomputed
 ALGORITHM_VERSION = 2
-
-CSV_FIELDS = (
-    "n",
-    "ell",
-    "p_n",
-    "p_ell_n",
-    "c_ell_n",
-    "z_lower",
-    "z_exact",
-    "z_star_exact",
-    "z_star_closed",
-    "main_term_num",
-    "main_term_den",
-)
-_csv_values = attrgetter(*CSV_FIELDS)
 
 
 def z_lower_bound(n: int, ell: int) -> int:
@@ -100,8 +87,7 @@ def z_star_closed(n: int, ell: int) -> int:
 
 def z_all_exact(n: int, cap: int = DEFAULT_CAP_EXACT) -> int:
     """Zeros over the whole character table of S_n (no core restriction)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, "n")
     _check_cap(n, cap)
     return _whole_table(n).count
 
@@ -123,65 +109,39 @@ class CensusConfig(NamedTuple):
     with_z_all: bool = False
 
 
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One census row: the exact series of (n, ell) and the zero lower bound,
     then each count or closed form its caps and modulus allow (None where
-    they do not).  Fields are set freely; two records are equal when every
-    field is."""
+    they do not).  An immutable value; every field but the last, z_all, is a
+    CSV column, in order."""
 
-    __slots__ = (*CSV_FIELDS, "z_all")
-
-    def __init__(
-        self,
-        n: int,
-        ell: int,
-        p_n: int,
-        p_ell_n: int,
-        c_ell_n: int,
-        z_lower: int,
-        z_exact: int | None = None,
-        z_star_exact: int | None = None,
-        z_star_closed: int | None = None,
-        main_term_num: int | None = None,
-        main_term_den: int | None = None,
-        z_all: int | None = None,
-    ) -> None:
-        self.n = n
-        self.ell = ell
-        self.p_n = p_n
-        self.p_ell_n = p_ell_n
-        self.c_ell_n = c_ell_n
-        self.z_lower = z_lower
-        self.z_exact = z_exact
-        self.z_star_exact = z_star_exact
-        self.z_star_closed = z_star_closed
-        self.main_term_num = main_term_num
-        self.main_term_den = main_term_den
-        self.z_all = z_all
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CensusRecord({pairs})"
+    n: int
+    ell: int
+    p_n: int
+    p_ell_n: int
+    c_ell_n: int
+    z_lower: int
+    z_exact: int | None = None
+    z_star_exact: int | None = None
+    z_star_closed: int | None = None
+    main_term_num: int | None = None
+    main_term_den: int | None = None
+    z_all: int | None = None
 
     def csv_row(self, with_z_all: bool = False) -> str:
-        vals = _csv_values(self)
-        if with_z_all:
-            vals += (self.z_all,)
+        vals = self if with_z_all else self[:-1]
         return ",".join(["" if v is None else str(v) for v in vals])
 
     def json_obj(self) -> dict:
         obj: dict = {"n": self.n, "ell": self.ell}
-        for name in CSV_FIELDS[2:]:
-            v = getattr(self, name)
+        for name, v in zip(CSV_FIELDS[2:], self[2:-1]):
             obj[name] = None if v is None else str(v)
         if self.z_all is not None:
             obj["z_all"] = str(self.z_all)
         return obj
+
+
+CSV_FIELDS = CensusRecord._fields[:-1]
 
 
 def _require(ok: bool, detail: object) -> None:
@@ -243,21 +203,16 @@ def _store_cache(path: Path, n: int, ell: int, payload: dict) -> None:
         raise
 
 
-def _exhaustive_counts(
-    rec: CensusRecord, payload: dict, cap_exact: int, cap_star: int, with_z_all: bool
-) -> list[str]:
-    # z_all, z_exact and z_star_exact of rec within their caps, each read from
-    # the cache payload or computed into it; returns the keys computed.  One
-    # pass gives (Z, Z*), or (Z*, Z*) above cap_exact, so Z* is cached whatever
-    # cap_star is.  It enumerates the cores, and runs only for a missing count.
-    n, ell = rec.n, rec.ell
-    exact = n <= cap_exact
-    computed: list[str] = []
-    if with_z_all and exact:
-        if payload.get("z_all_exact") is None:
-            payload["z_all_exact"] = z_all_exact(n, cap=cap_exact)
-            computed.append("z_all_exact")
-        rec.z_all = payload["z_all_exact"]
+def _fill_counts(n: int, ell: int, payload: dict, exact: bool, with_z_all: bool) -> bool:
+    # puts z_all_exact (with_z_all and exact), z_exact (exact) and
+    # z_star_exact into the cache payload where it lacks them; returns whether
+    # it computed any.  One pass gives (Z, Z*), or (Z*, Z*) when not exact, so
+    # Z* is cached whatever cap_star is.  It enumerates the cores, and runs
+    # only for a missing count.
+    computed = False
+    if with_z_all and exact and payload.get("z_all_exact") is None:
+        payload["z_all_exact"] = z_all_exact(n, cap=n)
+        computed = True
     keys = ("z_exact", "z_star_exact") if exact else ("z_star_exact",)
     missing = [key for key in keys if payload.get(key) is None]
     if missing:
@@ -271,13 +226,7 @@ def _exhaustive_counts(
             pair = _count_zeros(cores, enumerate_partitions(n))
         # a cached count is kept
         payload.update((k, v) for k, v in zip(("z_exact", "z_star_exact"), pair) if k in missing)
-        computed += missing
-    if exact:
-        rec.z_exact = payload["z_exact"]
-        _require(rec.z_exact >= rec.z_lower, (n, ell, rec.z_exact, rec.z_lower))
-    if n <= cap_star:
-        rec.z_star_exact = payload["z_star_exact"]
-    return computed
+    return computed or bool(missing)
 
 
 def build_record(
@@ -294,34 +243,37 @@ def build_record(
     p = count_p(n)
     p_ell = count_p_regular(n, ell)
     c = count_cores(n, ell)
-    rec = CensusRecord(n=n, ell=ell, p_n=p, p_ell_n=p_ell, c_ell_n=c, z_lower=(p - p_ell) * c)
+    z_lower = (p - p_ell) * c
+    exact = n <= cap_exact
     payload: dict = {}
     path: Path | None = None
-    computed: list[str] = []
+    computed = False
     # above both caps a record holds no exhaustive count: no file is read, and
     # nothing is set up for one
     if n <= max(cap_exact, cap_star):
         if cache_dir is not None:
             path = _cache_path(cache_dir, n, ell)
             payload = _load_cache(path)
-        computed = _exhaustive_counts(rec, payload, cap_exact, cap_star, with_z_all)
+        computed = _fill_counts(n, ell, payload, exact, with_z_all)
+    z = payload["z_exact"] if exact else None
+    z_star = payload["z_star_exact"] if n <= cap_star else None
+    z_all = payload["z_all_exact"] if with_z_all and exact else None
+    _require(z is None or z >= z_lower, (n, ell, z, z_lower))
     prime = _is_prime(ell)
     # Theorem 2 holds for primes only: composite ell has regular cores above n_ell
-    if prime and n > n_ell(ell):
-        rec.z_star_closed = c * c
-        if rec.z_star_exact is not None:
-            _require(rec.z_star_exact == rec.z_star_closed, (n, ell))
+    closed = c * c if prime and n > n_ell(ell) else None
+    _require(closed is None or z_star is None or z_star == closed, (n, ell))
     # the analytic constant needs the quadratic character, so primes only.
     # core_main_term(n, ell) * p in lowest terms, from integers: inv_alpha > 0
+    num = den = None
     if prime and ell >= 5:
         num = sigma_twisted(n + delta_ell(ell), ell) * p
         den = inv_alpha(ell)
         g = math.gcd(num, den)
-        rec.main_term_num = num // g
-        rec.main_term_den = den // g
+        num, den = num // g, den // g
     if path is not None and computed:
         _store_cache(path, n, ell, payload)
-    return rec
+    return CensusRecord(n, ell, p, p_ell, c, z_lower, z, z_star, closed, num, den, z_all)
 
 
 def run_census(config: CensusConfig) -> list[CensusRecord]:

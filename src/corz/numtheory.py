@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .partitions import count_cores
+from .partitions import _require_int, count_cores
 
 
 def _is_prime(m: int) -> bool:
@@ -92,8 +92,7 @@ def _require_core_prime(ell: int) -> None:
 
 def delta_ell(ell: int) -> int:
     """(ell^2 - 1) / 24, the cusp shift constant; integral for primes >= 5."""
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    _require_int(ell, "ell", 2)
     q, r = divmod(ell * ell - 1, 24)
     if r:
         raise ValueError(f"(ell^2 - 1)/24 is not an integer for ell={ell}")

@@ -72,6 +72,17 @@ class Partition:
 PartitionLike = Partition | Iterable[int]
 
 
+def _require_int(x: object, name: str, least: int = 0) -> None:
+    # every size and modulus is an int of at least least: a float or a bool
+    # (an int subclass) would walk, count or index as a number
+    if type(x) is not int or x < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        if type(x) is int:
+            raise ValueError(f"{name} must be {bound}")
+        kind = "a nonnegative integer" if least == 0 else f"an integer at least {least}"
+        raise ValueError(f"{name} must be {kind}, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # beta-sets as bitmasks: bit b is set when b is a beta number (a bead), one of
 # the first-column hook lengths lam_i - i + s of a partition with s parts.
@@ -138,16 +149,14 @@ def hook_mask(mask: int) -> int:
 
 def is_core(lam: PartitionLike, ell: int) -> bool:
     """True iff no hook length of lam is divisible by ell."""
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    _require_int(ell, "ell", 2)
     # a hook of length divisible by ell exists iff one of length ell does
     return not strip_ends(beta_mask(Partition.of(lam).parts), ell)
 
 
 def is_regular(lam: PartitionLike, a: int) -> bool:
     """True iff no part of lam is divisible by a."""
-    if a < 2:
-        raise ValueError("a must be at least 2")
+    _require_int(a, "a", 2)
     return not any(p % a == 0 for p in Partition.of(lam).parts)
 
 
@@ -211,8 +220,7 @@ _P_CACHE: list[int] = [1]
 
 def count_p(n: int) -> int:
     """Number of partitions of n, by the pentagonal-number recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, "n")
     if n < len(_P_CACHE):
         return _P_CACHE[n]
     return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
@@ -224,10 +232,8 @@ def count_p_regular(n: int, a: int) -> int:
     Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
     p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if a < 2:
-        raise ValueError("a must be at least 2")
+    _require_int(n, "n")
+    _require_int(a, "a", 2)
     count_p(n)
     p = _P_CACHE
     top = n // a
@@ -267,10 +273,8 @@ def count_cores(n: int, ell: int) -> int:
     modulus: about 0.7 MiB for ell = 5 and 1.5 MiB for ell = 499 at
     n = 20000.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    _require_int(n, "n")
+    _require_int(ell, "ell", 2)
     table = _CORE_TABLES.setdefault(ell, [1])
     if n < len(table):
         return table[n]
@@ -280,8 +284,7 @@ def count_cores(n: int, ell: int) -> int:
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order, largest first."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _require_int(n, "n")
     # each step lowers the last part above 1 by one and refills the parts
     # after it greedily with the freed units
     a = [n] if n else []

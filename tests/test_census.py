@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from corz.abacus import count_cores, enumerate_cores, n_ell
 from corz import census, characters
 from corz.census import (
+    CSV_FIELDS,
     CensusConfig,
     CensusRecord,
     _load_cache,
@@ -191,8 +192,7 @@ def test_census_decides_each_pair_once(monkeypatch):
     assert seen
     assert [r.z_all for r in records] == [2230] * 3
     for rec, plain in zip(records, want):
-        rec.z_all = None
-        assert rec == plain
+        assert rec._replace(z_all=None) == plain
 
 
 # n = 16 has 118 orbits: two groups of 64 in the table
@@ -551,14 +551,16 @@ def test_census_record_fields_equality_and_rows():
     assert [getattr(rec, name) for name in fields] == [None] * 6
     same = CensusRecord(25, 3, 1958, 1, 2, 2)
     assert rec == same and rec != (25, 3) and pickle.loads(pickle.dumps(rec)) == rec
-    # fields are set after construction, as build_record does
-    rec.z_star_closed = 4
-    rec.z_all = 7
+    # one schema: the fields but z_all are the CSV columns, in order
+    assert CensusRecord._fields[:-1] == CSV_FIELDS
+    # an immutable value: a changed record is a new one
+    with pytest.raises(AttributeError):
+        rec.z_all = 7
+    rec = rec._replace(z_star_closed=4, z_all=7)
     assert rec != same
     assert rec.csv_row() == "25,3,1958,1,2,2,,,4,,"
     assert rec.csv_row(with_z_all=True) == "25,3,1958,1,2,2,,,4,,,7"
-    same.z_star_closed, same.z_all = 4, 7
-    assert rec == same
+    assert rec == same._replace(z_star_closed=4, z_all=7)
     assert repr(rec).startswith("CensusRecord(n=25, ell=3, p_n=1958, p_ell_n=1, c_ell_n=2,")
 
 
@@ -585,6 +587,13 @@ def test_run_census_json_golden():
     )
     # integers survive as exact strings
     assert json.loads(line)["z_exact"] == "1"
+    # a prime ell >= 5 carries its main term, and --z-all adds z_all last
+    line = census_text("json", n_min=6, n_max=6, ells=(5,), with_z_all=True).rstrip("\n")
+    assert line == (
+        '{"n": 6, "ell": 5, "p_n": "11", "p_ell_n": "10", "c_ell_n": "6", '
+        '"z_lower": "6", "z_exact": "14", "z_star_exact": "8", '
+        '"z_star_closed": null, "main_term_num": "66", "main_term_den": "1", "z_all": "29"}'
+    )
 
 
 def test_empty_range_emits_header_only():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz import partitions
-from corz.abacus import enumerate_cores
+from corz.abacus import Abacus, enumerate_cores, extremal_abacus, n_ell, to_abacus
+from corz.census import build_record
 from corz.characters import dimension
+from corz.numtheory import delta_ell
 from corz.partitions import (
     Partition,
     bead_positions,
@@ -321,6 +323,39 @@ def test_enumerations_reject_sizes_that_are_not_ints():
     for ell in (3.0, True, "3"):
         with pytest.raises(ValueError, match="integer at least 2"):
             list(enumerate_cores(6, ell))
+
+
+def test_series_and_core_helpers_reject_sizes_that_are_not_ints():
+    # the int answers first, so a cached entry cannot stand in for a float
+    assert (n_ell(5), delta_ell(5), count_p(1)) == (440, 1, 1)
+    # these once answered: 440.0, 1.0 and 1
+    for call in (lambda: n_ell(5.0), lambda: delta_ell(5.0)):
+        with pytest.raises(ValueError, match="ell must be an integer at least 2, got 5.0"):
+            call()
+    with pytest.raises(ValueError, match="n must be a nonnegative integer, got True"):
+        count_p(True)
+    # and these raised TypeError
+    for call in (
+        lambda: count_p(3.0),
+        lambda: count_cores(6.0, 3),
+        lambda: count_cores(6, 3.0),
+        lambda: count_p_regular(6, 2.0),
+        lambda: count_p_regular(6.0, 2),
+        lambda: is_core([2, 1], 3.0),
+        lambda: is_regular([2, 1], 3.0),
+        lambda: to_abacus([2], 3.0),
+        lambda: extremal_abacus(3.0),
+        lambda: Abacus(3.0, (0, 1, 2)),
+        lambda: build_record(6, 5.0),
+        lambda: build_record(6.0, 5),
+    ):
+        with pytest.raises(ValueError, match=r"must be (a nonnegative|an) integer.*, got "):
+            call()
+    # an int out of range keeps the short message
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        count_p(-1)
+    with pytest.raises(ValueError, match="^ell must be at least 2$"):
+        count_cores(6, 1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=0, max_size=12))
