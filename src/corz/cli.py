@@ -30,8 +30,15 @@ from .census import (
     z_all_exact,
 )
 from .abacus import n_ell
-from .numtheory import _is_prime, core_main_term, delta_ell, inv_alpha, sigma_twisted
-from .partitions import count_cores, count_p, count_p_regular
+from .numtheory import (
+    _fill_sigma_window,
+    _is_prime,
+    core_main_term,
+    delta_ell,
+    inv_alpha,
+    sigma_twisted,
+)
+from .partitions import _fill_regular_window, count_cores, count_p, count_p_regular
 
 _COUNT_QUANTITIES = {
     # name -> (argument names, callable)
@@ -237,6 +244,15 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
+    # a table of every n in its range grows c_ell once and reads p_ell(n) and
+    # the main term's sigma_ell(n + delta_ell) from windows filled once; a
+    # sparser one reads each n alone, as a window would hold step times the
+    # values it reads
+    if opts.step == 1:
+        count_cores(opts.n_max, opts.ell)
+        _fill_regular_window(opts.ell, opts.n_min, opts.n_max)
+        shift = delta_ell(opts.ell)
+        _fill_sigma_window(opts.ell, opts.n_min + shift, opts.n_max + shift)
     header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
     rows = [header]
     for n in range(opts.n_min, opts.n_max + 1, opts.step):

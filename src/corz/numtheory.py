@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from .partitions import _require_int, count_cores
 
@@ -61,30 +61,62 @@ def _chi_table(ell: int) -> tuple[int, ...]:
     return tuple(legendre(a, ell) for a in range(ell))
 
 
+# the stored sigma window of each prime ell: (lo, [sigma_ell(lo), ..., sigma_ell(hi)])
+_SIGMA_WINDOWS: dict[int, tuple[int, list[int]]] = {}
+
+
 def sigma_twisted(n: int, ell: int) -> int:
-    """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2).
+
+    Read from the window stored for ell when it covers n.  run_census fills
+    one per prime ell >= 5 over [n_min + delta_ell, n_max + delta_ell]
+    before any record is built or worker forked, and `corz asymptotics
+    --step 1` one over its own range.  A window over lo..hi holds hi - lo + 1
+    integers, up to about 3 500 bits each at ell = 499 near m = 20000 (about
+    9 MiB for 20 000 of them).  For an n outside it the same routine runs on
+    the window [n, n] and stores nothing.
+    """
+    _require_int(n, "n", 1)
     _require_core_prime(ell)
-    return _twisted_divisor_sum(n, ell, (ell - 3) // 2)
+    lo, window = _SIGMA_WINDOWS.get(ell, (1, ()))
+    if lo <= n < lo + len(window):
+        return window[n - lo]
+    return _twisted_divisor_sums(ell, (ell - 3) // 2, n, n)[0]
 
 
-def _twisted_divisor_sum(n: int, ell: int, e: int) -> int:
-    # sum over d | n of (n/d / ell) * d^e, pairing each d <= sqrt(n) with n/d
+def _fill_sigma_window(ell: int, lo: int, hi: int) -> None:
+    """Store sigma_ell(m) for lo <= m <= hi as the window sigma_twisted
+    reads, in place of any earlier window of ell."""
+    _require_core_prime(ell)
+    _require_int(lo, "lo", 1)
+    _require_int(hi, "hi", lo)
+    _SIGMA_WINDOWS[ell] = (lo, _twisted_divisor_sums(ell, (ell - 3) // 2, lo, hi))
+
+
+def _twisted_divisor_sums(ell: int, e: int, lo: int, hi: int) -> list[int]:
+    # sum over d | m of (m/d / ell) * d^e for lo <= m <= hi, 1 <= lo.  Each
+    # d <= sqrt(hi) pairs with its multiples m = d c, c >= d, in the window:
+    # it adds (c / ell) d^e, and (d / ell) c^e for the cofactor unless c = d.
+    # The m of one d lie d apart, so each d adds its terms to one strided
+    # slice; a d with no multiple in the window costs two divisions.
     chi = _chi_table(ell)
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            cod = n // d
-            total += chi[cod % ell] * d**e
-            if cod != d:
-                total += chi[d % ell] * cod**e
-        d += 1
-    return total
+    window = [0] * (hi - lo + 1)
+    for d in range(1, math.isqrt(hi) + 1):
+        first, last = (lo - 1) // d + 1, hi // d
+        if first > last:
+            continue
+        first = max(first, d)
+        de, chi_d = d**e, chi[d % ell]
+        terms = [chi[c % ell] * de + chi_d * c**e for c in range(first, last + 1)]
+        k = d * first - lo
+        window[k::d] = map(add, window[k::d], terms)
+        if first == d:
+            window[k] -= chi_d * de
+    return window
 
 
 def _require_core_prime(ell: int) -> None:
+    _require_int(ell, "ell", 2)
     if ell < 5:
         raise ValueError(f"ell must be a prime >= 5, got {ell}")
     _check_odd_prime(ell)
@@ -247,7 +279,9 @@ def _fixed_str(v: int, bits: int) -> str:
     return f"{'-' if v < 0 else ''}{whole}.{(frac * 10**12) >> bits:012d}"
 
 
-@lru_cache(maxsize=None)
+# typed: a float or bool ell that equals a cached int misses the cache and
+# reaches the int check
+@lru_cache(maxsize=None, typed=True)
 def inv_alpha(ell: int) -> int:
     """The integer 1/alpha_ell = ((ell-3)/2)! ell^(ell/2) L(chi, (ell-1)/2) / (2 pi)^((ell-1)/2).
 
@@ -332,8 +366,7 @@ def inv_alpha(ell: int) -> int:
 
 def c2_closed(n: int) -> int:
     """1 if n is triangular else 0 (the count of 2-cores of n)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, "n")
     m = math.isqrt(8 * n + 1)
     return 1 if m * m == 8 * n + 1 else 0
 
@@ -341,16 +374,14 @@ def c2_closed(n: int) -> int:
 def c3_closed(n: int) -> int:
     """Count of 3-cores of n: sum over d | 3n+1 of (d / 3), the ell = 3,
     exponent-0 case of the twisted divisor sum."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _twisted_divisor_sum(3 * n + 1, 3, 0)
+    _require_int(n, "n")
+    return _twisted_divisor_sums(3, 0, 3 * n + 1, 3 * n + 1)[0]
 
 
 def core_main_term(n: int, ell: int) -> Fraction:
     """Exact rational main term sigma_ell(n + delta_ell) / inv_alpha for the
     ell-core count of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, "n")
     return Fraction(sigma_twisted(n + delta_ell(ell), ell), inv_alpha(ell))
 
 

@@ -2,14 +2,18 @@
 
 Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
 integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
-recurrence, one for p and one per modulus for c_ell, and p_ell(n) from a short
-convolution with the p(n) table.
+recurrence, one for p and one per modulus for c_ell.  p_ell(n) is a pentagonal
+convolution of the p(n) table, formed for a whole window lo <= n <= hi at
+once: one slice of p per pentagonal number, added or subtracted in a C-level
+pass.  A sweep stores the window of each modulus; count_p_regular reads it,
+and runs the same routine on the one-n window [n, n] for any n outside it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import add, sub
 
 
 class Partition:
@@ -168,8 +172,9 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 # By the pentagonal number theorem E(q) = 1 + sum sign(g) q^g over the
 # generalized pentagonal numbers g, so it has O(sqrt N) terms up to q^N.
 # p(n) and c_ell(n) are tables grown in place by one recurrence, the
-# coefficients of E(q) times the series; p_a(n) is a short convolution with
-# the p(n) table.  Every sum runs over one list of the pentagonal numbers.
+# coefficients of E(q) times the series; p_a(n) is a convolution with the
+# p(n) table, over a window of n.  Every sum runs over one list of the
+# pentagonal numbers.
 
 # the generalized pentagonal numbers g = k(3k -+ 1)/2 for k = 1, 2, ...,
 # ascending, split by the sign (-1)^k of q^g in E(q): (minus, plus)
@@ -226,20 +231,56 @@ def count_p(n: int) -> int:
     return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
 
 
+# the stored p_a window of each modulus a: (lo, [p_a(lo), ..., p_a(hi)])
+_REGULAR_WINDOWS: dict[int, tuple[int, list[int]]] = {}
+
+
+def _regular_window(a: int, lo: int, hi: int) -> list[int]:
+    # p_a(n) for lo <= n <= hi as p(n) + sum sign(g) p(n - a g) over the
+    # generalized pentagonal g <= n/a.  A g whose shift a g is at most lo
+    # reaches every n of the window: those terms are summed column-wise in
+    # one zip per sign.  A larger g reaches only n >= a g, and adds or
+    # subtracts its slice of p over that tail of the window in one map pass.
+    # A one-n window has only the first kind: one short zip per sign.
+    count_p(hi)
+    p = _P_CACHE
+    minus, plus = _pentagonal(hi // a)
+    window = p[lo : hi + 1]
+    for terms, op in ((plus, add), (minus, sub)):
+        cut, end = bisect_right(terms, lo // a), bisect_right(terms, hi // a)
+        if cut:
+            full = [p[lo - a * g : hi + 1 - a * g] for g in terms[:cut]]
+            window = list(map(op, window, map(sum, zip(*full))))
+        for g in terms[cut:end]:
+            s = a * g
+            window[s - lo :] = map(op, window[s - lo :], p[: hi + 1 - s])
+    return window
+
+
+def _fill_regular_window(a: int, lo: int, hi: int) -> None:
+    """Store p_a(n) for lo <= n <= hi as the window count_p_regular reads,
+    in place of any earlier window of a: hi - lo + 1 integers."""
+    _require_int(a, "a", 2)
+    _require_int(lo, "lo")
+    _require_int(hi, "hi", lo)
+    _REGULAR_WINDOWS[a] = (lo, _regular_window(a, lo, hi))
+
+
 def count_p_regular(n: int, a: int) -> int:
     """Number of partitions of n with no part divisible by a.
 
     Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
     p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a.
+    Read from the window stored for a when it covers n (run_census fills one
+    per modulus over [n_min, n_max] before the sweep); for an n outside it
+    the same routine runs on the window [n, n] and stores nothing.
     """
     _require_int(n, "n")
     _require_int(a, "a", 2)
-    count_p(n)
-    p = _P_CACHE
-    top = n // a
-    minus, plus = _pentagonal(top)
-    minus, plus = minus[: bisect_right(minus, top)], plus[: bisect_right(plus, top)]
-    return p[n] + sum([p[n - a * g] for g in plus]) - sum([p[n - a * g] for g in minus])
+    lo, window = _REGULAR_WINDOWS.get(a, (0, ()))
+    if lo <= n < lo + len(window):
+        return window[n - lo]
+    return _regular_window(a, n, n)[0]
 
 
 _EULER_POWERS: dict[int, list[int]] = {}

@@ -1,7 +1,7 @@
 """Textbook definitions the tests compare corz against.  Only mask_strips,
 the strip generator the Murnaghan-Nakayama kernel inlines, uses beta-sets.
-The series convolutions, the Bernoulli recurrence and the window-bound scan
-are direct forms of what corz computes by recurrences, tangent numbers and
+The series convolutions, the divisor-sum sieve, the Bernoulli recurrence and
+the window-bound scan are direct forms of what corz computes by recurrences, tangent numbers and
 prefix sums."""
 
 import math
@@ -168,6 +168,16 @@ def regular_by_convolution(a, upto):
         count_p(n) + sum(sign * count_p(n - a * g) for g, sign in pentagonal_terms(n // a))
         for n in range(upto + 1)
     ]
+
+
+def twisted_divisor_sums(ell, e, upto):
+    """[0, sigma(1), ..., sigma(upto)] with sigma(m) the sum over every
+    divisor d of m of (m/d / ell) d^e, each d visiting all its multiples."""
+    sums = [0] * (upto + 1)
+    for d in range(1, upto + 1):
+        for m in range(d, upto + 1, d):
+            sums[m] += legendre(m // d, ell) * d**e
+    return sums
 
 
 def window_bound(ell):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz.abacus import count_cores, enumerate_cores, n_ell
-from corz import census, characters
+from corz import census, characters, numtheory, partitions
 from corz.census import (
     CSV_FIELDS,
     CensusConfig,
@@ -32,7 +32,7 @@ from corz.census import (
     z_star_exact,
 )
 from corz.characters import ColumnEvaluator, mn_character
-from corz.numtheory import core_main_term
+from corz.numtheory import core_main_term, delta_ell, inv_alpha
 from corz.suites import _count_cores_filter_pass, available_suites, verify
 from corz.partitions import (
     Partition,
@@ -44,7 +44,7 @@ from corz.partitions import (
     mask_parts,
     strip_ends,
 )
-from reference import conjugate, frobenius_character
+from reference import conjugate, frobenius_character, regular_by_convolution, twisted_divisor_sums
 
 
 def brute_zeros(n, ell=None, rows_cores=False, cols_cores=False):
@@ -462,6 +462,35 @@ def test_record_bound_and_closed_form_match_public_functions():
                 assert rec.z_star_closed == z_star_closed(n, ell), (n, ell)
             else:
                 assert rec.z_star_closed is None, (n, ell)
+
+
+def test_census_fills_each_window_once(monkeypatch):
+    # before any record, run_census fills the p_ell window of every modulus
+    # and the sigma_ell window of every prime ell >= 5; no record runs either
+    # routine again, and the records hold the reference values
+    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
+    monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
+    calls = Counter()
+    for mod, name in ((partitions, "_regular_window"), (numtheory, "_twisted_divisor_sums")):
+        def counted(*args, fn=getattr(mod, name), name=name):
+            calls[name, args[0]] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    ells = (2, 4, 5, 7)
+    records = run_census(CensusConfig(n_min=40, n_max=90, ells=ells, cap_exact=-1, cap_star=-1))
+    want_calls = {("_regular_window", a): 1 for a in ells}
+    want_calls.update({("_twisted_divisor_sums", ell): 1 for ell in (5, 7)})
+    assert calls == want_calls
+    assert sorted(partitions._REGULAR_WINDOWS) == list(ells)
+    assert numtheory._SIGMA_WINDOWS[5][0] == 41 and numtheory._SIGMA_WINDOWS[7][0] == 42
+    regular = {a: regular_by_convolution(a, 90) for a in ells}
+    sigma = {ell: twisted_divisor_sums(ell, (ell - 3) // 2, 92) for ell in (5, 7)}
+    for rec in records:
+        assert rec.p_ell_n == regular[rec.ell][rec.n], rec
+        if rec.ell in sigma:
+            num = sigma[rec.ell][rec.n + delta_ell(rec.ell)] * rec.p_n
+            assert num * rec.main_term_den == rec.main_term_num * inv_alpha(rec.ell), rec
 
 
 def test_each_count_is_computed_once(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corz import census, cli
+from corz import census, cli, numtheory, partitions
 from corz.cli import COUNT_N_MAX, ELL_MAX, main
 
 
@@ -317,6 +317,29 @@ def test_asymptotics_table(capsys):
     ]
     # right-aligned columns
     assert len({len(line) for line in lines}) == 1
+
+
+def test_asymptotics_reads_windows_for_every_n(capsys, monkeypatch):
+    # --step 1 reads p_ell and sigma_ell from windows filled once; a sparser
+    # table reads each n on its own; the rows they share agree
+    fills = []
+    for name in ("_fill_regular_window", "_fill_sigma_window"):
+        def logged(*args, fn=getattr(cli, name), name=name):
+            fills.append((name, args))
+            return fn(*args)
+
+        monkeypatch.setattr(cli, name, logged)
+    argv = ("asymptotics", "--ell", "11", "--n-min", "3", "--n-max", "300", "--format", "csv")
+    outs = {}
+    for step in ("1", "7"):
+        monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
+        monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
+        code, outs[step], err = run_cli(capsys, *argv, "--step", step)
+        assert code == 0, err
+    assert fills == [("_fill_regular_window", (11, 3, 300)), ("_fill_sigma_window", (11, 8, 305))]
+    dense = outs["1"].splitlines()
+    assert len(dense) == 299
+    assert outs["7"].splitlines() == dense[:1] + dense[1::7]
 
 
 def test_asymptotics_csv(capsys):

@@ -9,6 +9,7 @@ from corz import numtheory
 from corz.abacus import count_cores
 from corz.numtheory import (
     _dirichlet_l_numeric,
+    _fill_sigma_window,
     _iroot_ceil,
     _is_prime,
     _pi_fixed,
@@ -73,6 +74,51 @@ def test_sigma_twisted_rejects_bad_modulus():
         sigma_twisted(10, 4)
     with pytest.raises(ValueError):
         sigma_twisted(10, 3)
+
+
+def test_sigma_windows_match_the_divisor_sieve(monkeypatch):
+    # from 1, from an offset, and one m at a time, m <= 3000, ell up to 499;
+    # ell = 3 with exponent 0 is the routine behind c3_closed
+    monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
+    upto = 3000
+    for ell, e in ((3, 0), (5, 1), (7, 2), (11, 4), (499, 248)):
+        want = reference.twisted_divisor_sums(ell, e, upto)
+        assert numtheory._twisted_divisor_sums(ell, e, 1, upto) == want[1:], ell
+        assert numtheory._twisted_divisor_sums(ell, e, 777, 900) == want[777:901], ell
+        for lo, hi in ((1, 1), (2, 60), (48, 50), (2999, 3000)):
+            got = numtheory._twisted_divisor_sums(ell, e, lo, hi)
+            assert got == want[lo : hi + 1], (ell, lo, hi)
+        one_at_a_time = [numtheory._twisted_divisor_sums(ell, e, m, m) for m in range(1, upto + 1)]
+        assert one_at_a_time == [[v] for v in want[1:]], ell
+        if ell >= 5:
+            _fill_sigma_window(ell, 777, 900)
+            assert [sigma_twisted(m, ell) for m in range(1, upto + 1)] == want[1:], ell
+
+
+def test_sigma_twisted_outside_the_window_leaves_it(monkeypatch):
+    monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
+    want = reference.twisted_divisor_sums(7, 2, 1200)
+    _fill_sigma_window(7, 777, 900)
+    stored = numtheory._SIGMA_WINDOWS[7]
+    snapshot = (stored[0], list(stored[1]))
+    for m in (1, 776, 901, 1200):
+        assert sigma_twisted(m, 7) == want[m], m
+    assert numtheory._SIGMA_WINDOWS == {7: snapshot}
+    assert numtheory._SIGMA_WINDOWS[7][1] is stored[1]
+    _fill_sigma_window(7, 5, 9)
+    assert numtheory._SIGMA_WINDOWS == {7: (5, want[5:10])}
+    for args in ((9, 1, 5), (7, 0, 5), (7, 9, 5), (7, 1, 5.0)):
+        with pytest.raises(ValueError):
+            _fill_sigma_window(*args)
+
+
+def test_sigma_twisted_requires_int_arguments():
+    # a bool is an int subclass and a float compares equal to an int; both
+    # are refused with ValueError, as the CLI's bad input is
+    for n, ell in ((True, 5), (2.0, 5), (7, 5.0), (7, True)):
+        with pytest.raises(ValueError, match="integer"):
+            sigma_twisted(n, ell)
+    assert sigma_twisted(7, 5) == 6
 
 
 def test_sigma_twisted_multiplicative_on_coprime_pairs():
@@ -275,6 +321,37 @@ def test_inv_alpha_rejects_bad_modulus():
 
 # every n up to 500, then a sample up to the largest n the CLI accepts
 CLOSED_FORM_NS = [*range(501), *range(582, 20001, 97), 20000]
+
+
+def test_inv_alpha_requires_an_int_modulus():
+    inv_alpha(5)  # cached: an equal float or bool must still be refused
+    for ell in (5.0, True, 7.0):
+        with pytest.raises(ValueError, match="integer"):
+            inv_alpha(ell)
+    assert inv_alpha(5) == 1
+
+
+def test_c2_closed_requires_an_int():
+    for n in (True, 4.0, 3.0):
+        with pytest.raises(ValueError, match="integer"):
+            c2_closed(n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        c2_closed(-1)
+
+
+def test_c3_closed_requires_an_int():
+    for n in (True, 4.0):
+        with pytest.raises(ValueError, match="integer"):
+            c3_closed(n)
+    with pytest.raises(ValueError, match="nonnegative"):
+        c3_closed(-1)
+
+
+def test_core_main_term_requires_ints():
+    for n, ell in ((5.0, 5), (True, 5), (5, 5.0), (5, True)):
+        with pytest.raises(ValueError, match="integer"):
+            core_main_term(n, ell)
+    assert core_main_term(5, 5) == 2
 
 
 def test_c2_closed_matches_series():

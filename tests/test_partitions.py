@@ -13,6 +13,7 @@ from corz.characters import dimension
 from corz.numtheory import delta_ell
 from corz.partitions import (
     Partition,
+    _fill_regular_window,
     bead_positions,
     beta_mask,
     canonical_mask,
@@ -271,6 +272,40 @@ def test_series_match_convolutions():
         assert [count_p_regular(n, a) for n in range(upto + 1)] == regular_by_convolution(a, upto), a
 
 
+def test_regular_windows_match_the_convolution(monkeypatch):
+    # from 0, from an offset, and one n at a time, n <= 3000, moduli up to 499
+    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
+    upto = 3000
+    for a in (2, 3, 5, 7, 50, 499):
+        want = regular_by_convolution(a, upto)
+        assert partitions._regular_window(a, 0, upto) == want, a
+        assert partitions._regular_window(a, 777, 900) == want[777:901], a
+        for lo, hi in ((0, 0), (1, 60), (a - 1, a + 1), (2 * a, 2 * a + 5), (2999, 3000)):
+            assert partitions._regular_window(a, lo, hi) == want[lo : hi + 1], (a, lo, hi)
+        one_at_a_time = [partitions._regular_window(a, n, n) for n in range(upto + 1)]
+        assert one_at_a_time == [[v] for v in want], a
+        _fill_regular_window(a, 777, 900)
+        assert [count_p_regular(n, a) for n in range(upto + 1)] == want, a
+
+
+def test_count_p_regular_outside_the_window_leaves_it(monkeypatch):
+    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
+    want = regular_by_convolution(7, 1200)
+    _fill_regular_window(7, 777, 900)
+    stored = partitions._REGULAR_WINDOWS[7]
+    snapshot = (stored[0], list(stored[1]))
+    for n in (0, 776, 901, 1200):
+        assert count_p_regular(n, 7) == want[n], n
+    assert partitions._REGULAR_WINDOWS == {7: snapshot}
+    assert partitions._REGULAR_WINDOWS[7][1] is stored[1]
+    # a new window of the modulus replaces the old one
+    _fill_regular_window(7, 5, 9)
+    assert partitions._REGULAR_WINDOWS == {7: (5, want[5:10])}
+    for args in ((True, 0, 5), (7, 5.0, 9), (7, 9, 5), (7, -1, 5)):
+        with pytest.raises(ValueError):
+            _fill_regular_window(*args)
+
+
 def test_cores_below_the_modulus_are_all_partitions():
     # no hook of a partition of n < ell can have length ell
     for ell in (2, 3, 5, 13, 97, 499):
@@ -282,6 +317,7 @@ def _fresh_series_tables(monkeypatch):
     monkeypatch.setattr(partitions, "_P_CACHE", [1])
     monkeypatch.setattr(partitions, "_EULER_POWERS", {})
     monkeypatch.setattr(partitions, "_CORE_TABLES", {})
+    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
 
 
 def _series_at(cells):
