@@ -34,15 +34,8 @@ from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _count_zeros, _table_zeros, _whole_table
-from .numtheory import _fill_sigma_window, _is_prime, delta_ell, inv_alpha, sigma_twisted
-from .partitions import (
-    _fill_regular_window,
-    _require_int,
-    count_cores,
-    count_p,
-    count_p_regular,
-    enumerate_partitions,
-)
+from .numtheory import _fill_series_windows, _is_prime, delta_ell, inv_alpha, sigma_twisted
+from .partitions import _require_int, count_cores, count_p, count_p_regular, enumerate_partitions
 
 DEFAULT_CAP_EXACT = 18
 DEFAULT_CAP_STAR = 60
@@ -290,12 +283,12 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order, so
     output does not depend on scheduling.  Before any record is built or
-    any worker starts, the exact series tables are grown to n_max, and each
-    modulus gets its p_ell window over [n_min, n_max] and, for a prime
-    ell >= 5, its sigma_ell window over [n_min + delta_ell, n_max + delta_ell]:
-    n_max - n_min + 1 integers each per modulus, which forked workers
-    inherit (a worker that does not inherit them computes each value on its
-    own).  With with_z_all, the pool hands out the n-major grid in chunks of
+    any worker starts, the exact series tables are grown to n_max, and
+    numtheory._fill_series_windows gives each modulus its p_ell window over
+    [n_min, n_max] and, for a prime ell >= 5, its sigma_ell window over
+    [n_min + delta_ell, n_max + delta_ell]: n_max - n_min + 1 integers each
+    per modulus, which forked workers inherit (a worker that does not
+    inherit them computes each value on its own).  With with_z_all, the pool hands out the n-major grid in chunks of
     one n and all its moduli, so one worker computes the whole table of each
     n.  The process pool, and multiprocessing with it, is imported only when
     more than one worker runs, so a serial census starts without them.
@@ -318,10 +311,7 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
         count_p(config.n_max)
         for ell in moduli:
             count_cores(config.n_max, ell)
-            _fill_regular_window(ell, config.n_min, config.n_max)
-            if ell >= 5 and _is_prime(ell):
-                shift = delta_ell(ell)
-                _fill_sigma_window(ell, config.n_min + shift, config.n_max + shift)
+            _fill_series_windows(ell, config.n_min, config.n_max)
     workers = min(config.jobs, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -31,14 +31,14 @@ from .census import (
 )
 from .abacus import n_ell
 from .numtheory import (
-    _fill_sigma_window,
+    _fill_series_windows,
     _is_prime,
     core_main_term,
     delta_ell,
     inv_alpha,
     sigma_twisted,
 )
-from .partitions import _fill_regular_window, count_cores, count_p, count_p_regular
+from .partitions import count_cores, count_p, count_p_regular
 
 _COUNT_QUANTITIES = {
     # name -> (argument names, callable)
@@ -244,15 +244,13 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
-    # a table of every n in its range grows c_ell once and reads p_ell(n) and
-    # the main term's sigma_ell(n + delta_ell) from windows filled once; a
-    # sparser one reads each n alone, as a window would hold step times the
-    # values it reads
-    if opts.step == 1:
-        count_cores(opts.n_max, opts.ell)
-        _fill_regular_window(opts.ell, opts.n_min, opts.n_max)
-        shift = delta_ell(opts.ell)
-        _fill_sigma_window(opts.ell, opts.n_min + shift, opts.n_max + shift)
+    # p_ell(n) and the main term's sigma_ell(n + delta_ell) come from windows
+    # filled once over the whole range when the table reads at least every
+    # other n.  Reading every n of 1..20000 one at a time costs 1.9 times
+    # filling the windows at ell = 499 and 3.2 to 3.5 times at ell = 5 to 97,
+    # so a sparser table reads each n alone
+    if opts.step <= 2:
+        _fill_series_windows(opts.ell, opts.n_min, opts.n_max)
     header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
     rows = [header]
     for n in range(opts.n_min, opts.n_max + 1, opts.step):

@@ -23,9 +23,9 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 
-from .partitions import _require_int, count_cores
+from .partitions import _fill_regular_window, _require_int, count_cores
 
 
 def _is_prime(m: int) -> bool:
@@ -68,13 +68,13 @@ _SIGMA_WINDOWS: dict[int, tuple[int, list[int]]] = {}
 def sigma_twisted(n: int, ell: int) -> int:
     """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2).
 
-    Read from the window stored for ell when it covers n.  run_census fills
-    one per prime ell >= 5 over [n_min + delta_ell, n_max + delta_ell]
-    before any record is built or worker forked, and `corz asymptotics
-    --step 1` one over its own range.  A window over lo..hi holds hi - lo + 1
-    integers, up to about 3 500 bits each at ell = 499 near m = 20000 (about
-    9 MiB for 20 000 of them).  For an n outside it the same routine runs on
-    the window [n, n] and stores nothing.
+    Read from the window stored for ell when it covers n: _fill_series_windows
+    stores one over [lo + delta_ell, hi + delta_ell] for a sweep over
+    lo <= n <= hi, the values the main terms of those n read.  A window holds
+    hi - lo + 1 integers, up to about 3 500 bits each at ell = 499 near
+    m = 20000 (about 9 MiB for 20 000 of them).  For an n outside it the same
+    routine runs on the window [n, n], which is trial division, and stores
+    nothing.
     """
     _require_int(n, "n", 1)
     _require_core_prime(ell)
@@ -93,25 +93,40 @@ def _fill_sigma_window(ell: int, lo: int, hi: int) -> None:
     _SIGMA_WINDOWS[ell] = (lo, _twisted_divisor_sums(ell, (ell - 3) // 2, lo, hi))
 
 
+def _fill_series_windows(ell: int, lo: int, hi: int) -> None:
+    """Store the windows a sweep over lo <= n <= hi at modulus ell reads:
+    p_ell(n) for count_p_regular and, for a prime ell >= 5, the main term's
+    sigma_ell(n + delta_ell) for sigma_twisted.  Each holds hi - lo + 1
+    integers and replaces any earlier window of ell."""
+    _fill_regular_window(ell, lo, hi)
+    if ell >= 5 and _is_prime(ell):
+        shift = delta_ell(ell)
+        _fill_sigma_window(ell, lo + shift, hi + shift)
+
+
 def _twisted_divisor_sums(ell: int, e: int, lo: int, hi: int) -> list[int]:
     # sum over d | m of (m/d / ell) * d^e for lo <= m <= hi, 1 <= lo.  Each
-    # d <= sqrt(hi) pairs with its multiples m = d c, c >= d, in the window:
-    # it adds (c / ell) d^e, and (d / ell) c^e for the cofactor unless c = d.
-    # The m of one d lie d apart, so each d adds its terms to one strided
-    # slice; a d with no multiple in the window costs two divisions.
+    # d <= sqrt(hi) walks its multiples m = d c, c >= d, in the window down
+    # from the largest: it adds (c / ell) d^e, and (d / ell) c^e for the
+    # cofactor unless c = d.  A d with no multiple in the window costs one
+    # remainder, so a one-m window is plain trial division.
     chi = _chi_table(ell)
-    window = [0] * (hi - lo + 1)
+    span = hi - lo
+    window = [0] * (span + 1)
     for d in range(1, math.isqrt(hi) + 1):
-        first, last = (lo - 1) // d + 1, hi // d
-        if first > last:
+        # the largest multiple of d up to hi sits at window[k]
+        k = span - hi % d
+        if k < 0:
             continue
-        first = max(first, d)
+        c = (lo + k) // d
         de, chi_d = d**e, chi[d % ell]
-        terms = [chi[c % ell] * de + chi_d * c**e for c in range(first, last + 1)]
-        k = d * first - lo
-        window[k::d] = map(add, window[k::d], terms)
-        if first == d:
-            window[k] -= chi_d * de
+        while k >= 0 and c >= d:
+            window[k] += chi[c % ell] * de + chi_d * c**e
+            k -= d
+            c -= 1
+        if c < d:
+            # the walk reached m = d^2, whose two terms are one
+            window[k + d] -= chi_d * de
     return window
 
 

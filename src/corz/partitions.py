@@ -4,9 +4,11 @@ Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
 integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
 recurrence, one for p and one per modulus for c_ell.  p_ell(n) is a pentagonal
 convolution of the p(n) table, formed for a whole window lo <= n <= hi at
-once: one slice of p per pentagonal number, added or subtracted in a C-level
-pass.  A sweep stores the window of each modulus; count_p_regular reads it,
-and runs the same routine on the one-n window [n, n] for any n outside it.
+once: the terms of a pentagonal number that reaches only part of the window
+are one slice of p, added or subtracted in a C-level pass, and those of the
+rest are summed per n.  A sweep stores the window of each modulus;
+count_p_regular reads it, and runs the same routine on the one-n window
+[n, n], which is the plain convolution, for any n outside it.
 """
 
 from __future__ import annotations
@@ -237,21 +239,26 @@ _REGULAR_WINDOWS: dict[int, tuple[int, list[int]]] = {}
 
 def _regular_window(a: int, lo: int, hi: int) -> list[int]:
     # p_a(n) for lo <= n <= hi as p(n) + sum sign(g) p(n - a g) over the
-    # generalized pentagonal g <= n/a.  A g whose shift a g is at most lo
-    # reaches every n of the window: those terms are summed column-wise in
-    # one zip per sign.  A larger g reaches only n >= a g, and adds or
-    # subtracts its slice of p over that tail of the window in one map pass.
-    # A one-n window has only the first kind: one short zip per sign.
+    # generalized pentagonal g <= n/a.  A g with a g <= lo reaches every n of
+    # the window, and those terms are summed per n by indexing p, so a one-n
+    # window is the plain convolution.  A larger g reaches only the tail
+    # n >= a g, and adds or subtracts its slice of p there in one map pass.
     count_p(hi)
     p = _P_CACHE
-    minus, plus = _pentagonal(hi // a)
-    window = p[lo : hi + 1]
-    for terms, op in ((plus, add), (minus, sub)):
-        cut, end = bisect_right(terms, lo // a), bisect_right(terms, hi // a)
-        if cut:
-            full = [p[lo - a * g : hi + 1 - a * g] for g in terms[:cut]]
-            window = list(map(op, window, map(sum, zip(*full))))
-        for g in terms[cut:end]:
+    top = hi // a
+    minus, plus = _pentagonal(top)
+    i, j = bisect_right(minus, lo // a), bisect_right(plus, lo // a)
+    # minus starts at g = 1, so no g reaches every n when lo < a
+    if i:
+        full_minus, full_plus = minus[:i], plus[:j]
+        window = [
+            p[n] + sum([p[n - a * g] for g in full_plus]) - sum([p[n - a * g] for g in full_minus])
+            for n in range(lo, hi + 1)
+        ]
+    else:
+        window = p[lo : hi + 1]
+    for tail, op in ((plus[j : bisect_right(plus, top)], add), (minus[i : bisect_right(minus, top)], sub)):
+        for g in tail:
             s = a * g
             window[s - lo :] = map(op, window[s - lo :], p[: hi + 1 - s])
     return window
@@ -271,9 +278,10 @@ def count_p_regular(n: int, a: int) -> int:
 
     Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
     p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a.
-    Read from the window stored for a when it covers n (run_census fills one
-    per modulus over [n_min, n_max] before the sweep); for an n outside it
-    the same routine runs on the window [n, n] and stores nothing.
+    Read from the window stored for a when it covers n
+    (numtheory._fill_series_windows stores one per modulus for a sweep); for
+    an n outside it the same routine runs on the window [n, n], which is
+    that convolution term by term, and stores nothing.
     """
     _require_int(n, "n")
     _require_int(a, "a", 2)

@@ -28,7 +28,7 @@ from .abacus import (
 )
 from .census import _require, z_exact, z_lower_bound, z_star_closed, z_star_exact
 from .characters import ColumnEvaluator, centralizer_order, dimension, mn_character
-from .numtheory import _fill_sigma_window, c2_closed, c3_closed, inv_alpha, sigma_twisted
+from .numtheory import c2_closed, c3_closed, inv_alpha, sigma_twisted
 from .partitions import (
     Partition,
     count_cores,
@@ -83,12 +83,6 @@ def _inv_alpha_is(ell: int, want: int) -> None:
 def _closed_form_matches(closed: Callable[[int], int], ell: int, upto: int) -> None:
     for n in range(upto + 1):
         _require(closed(n) == count_cores(n, ell), f"n={n}")
-
-
-def _sigma_matches_cores(upto: int) -> None:
-    # c_5(n) = sigma_5(n + 1), read from one window
-    _fill_sigma_window(5, 1, upto + 1)
-    _closed_form_matches(lambda n: sigma_twisted(n + 1, 5), 5, upto)
 
 
 def _rows_vanish(rows: Sequence[Partition], columns: Iterable[Partition]) -> None:
@@ -280,7 +274,7 @@ _SUITES: dict[str, list[tuple[str, Callable[[], None]]]] = {
         ("three-core divisor sum matches series for n <= 500",
          partial(_closed_form_matches, c3_closed, 3, 500)),
         ("five-core twisted divisor sum matches series for n <= 300",
-         partial(_sigma_matches_cores, 300)),
+         partial(_closed_form_matches, lambda n: sigma_twisted(n + 1, 5), 5, 300)),
     ],
     "theorem2": [
         ("every ordered 3-core pair vanishes on (16, 60]", partial(_core_pairs_vanish, 3, 60)),

@@ -319,27 +319,34 @@ def test_asymptotics_table(capsys):
     assert len({len(line) for line in lines}) == 1
 
 
-def test_asymptotics_reads_windows_for_every_n(capsys, monkeypatch):
-    # --step 1 reads p_ell and sigma_ell from windows filled once; a sparser
-    # table reads each n on its own; the rows they share agree
+def test_asymptotics_reads_windows_for_every_other_n(capsys, monkeypatch):
+    # --step 1 and 2 read p_ell and sigma_ell from windows filled once over
+    # the range; a sparser table reads each n on its own; the rows they share
+    # agree
     fills = []
-    for name in ("_fill_regular_window", "_fill_sigma_window"):
-        def logged(*args, fn=getattr(cli, name), name=name):
-            fills.append((name, args))
-            return fn(*args)
 
-        monkeypatch.setattr(cli, name, logged)
+    def logged(*args, fn=cli._fill_series_windows):
+        fills.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(cli, "_fill_series_windows", logged)
     argv = ("asymptotics", "--ell", "11", "--n-min", "3", "--n-max", "300", "--format", "csv")
     outs = {}
-    for step in ("1", "7"):
+    for step in ("1", "2", "3", "7"):
         monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
         monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
         code, outs[step], err = run_cli(capsys, *argv, "--step", step)
         assert code == 0, err
-    assert fills == [("_fill_regular_window", (11, 3, 300)), ("_fill_sigma_window", (11, 8, 305))]
+        if step == "2":
+            # sigma_11 is read at n + delta_11 = n + 5
+            assert partitions._REGULAR_WINDOWS[11][0] == 3
+            assert numtheory._SIGMA_WINDOWS[11][0] == 8
+            assert len(numtheory._SIGMA_WINDOWS[11][1]) == 298
+    assert fills == [(11, 3, 300), (11, 3, 300)]
     dense = outs["1"].splitlines()
     assert len(dense) == 299
-    assert outs["7"].splitlines() == dense[:1] + dense[1::7]
+    for step in (2, 3, 7):
+        assert outs[str(step)].splitlines() == dense[:1] + dense[1::step]
 
 
 def test_asymptotics_csv(capsys):
