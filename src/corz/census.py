@@ -288,10 +288,11 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     [n_min, n_max] and, for a prime ell >= 5, its sigma_ell window over
     [n_min + delta_ell, n_max + delta_ell]: n_max - n_min + 1 integers each
     per modulus, which forked workers inherit (a worker that does not
-    inherit them computes each value on its own).  With with_z_all, the pool hands out the n-major grid in chunks of
-    one n and all its moduli, so one worker computes the whole table of each
-    n.  The process pool, and multiprocessing with it, is imported only when
-    more than one worker runs, so a serial census starts without them.
+    inherit them computes each value on its own).  With with_z_all, the pool
+    hands out the n-major grid in chunks of one n and all its moduli, so one
+    worker computes the whole table of each n.  The process pool, and
+    multiprocessing with it, is imported only when more than one worker runs,
+    so a serial census starts without them.
     """
     task = partial(
         build_record,

@@ -33,7 +33,6 @@ from .abacus import n_ell
 from .numtheory import (
     _fill_series_windows,
     _is_prime,
-    core_main_term,
     delta_ell,
     inv_alpha,
     sigma_twisted,
@@ -55,7 +54,7 @@ _COUNT_QUANTITIES = {
 # cores`, `census` and `asymptotics`; the tables and a count there take
 # 0.2-0.45 s end to end on a 2-core x86 VM (one census modulus; each further
 # modulus adds its own c_ell table, about 0.1 s at ell = 97).  The widest
-# `asymptotics` table, every n up to here at ell = 499, takes 2.0 s on the same
+# `asymptotics` table, every n up to here at ell = 499, takes 1.2 s on the same
 # VM.  It also bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
 # largest modulus for `census --ell`, `asymptotics --ell` and every `count`
@@ -245,25 +244,20 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
     # p_ell(n) and the main term's sigma_ell(n + delta_ell) come from windows
-    # filled once over the whole range when the table reads at least every
-    # other n.  Reading every n of 1..20000 one at a time costs 1.9 times
-    # filling the windows at ell = 499 and 3.2 to 3.5 times at ell = 5 to 97,
-    # so a sparser table reads each n alone
-    if opts.step <= 2:
-        _fill_series_windows(opts.ell, opts.n_min, opts.n_max)
+    # filled once over the n the table reads
+    _fill_series_windows(opts.ell, opts.n_min, opts.n_max, opts.step)
+    inv, shift = inv_alpha(opts.ell), delta_ell(opts.ell)
     header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
     rows = [header]
     for n in range(opts.n_min, opts.n_max + 1, opts.step):
         p = count_p(n)
         p_ell = count_p_regular(n, opts.ell)
         c = count_cores(n, opts.ell)
-        # exact ratios over the census's main term; it is never 0, since
-        # sigma_ell(n + delta_ell) > 0 for primes ell >= 5
-        main = core_main_term(n, opts.ell)
-        core_ratio = c / main
-        lower_ratio = (p - p_ell) * c / (main * p)
-        rows.append((str(n), str(p), str(p_ell), str(c),
-                     f"{float(core_ratio):.10f}", f"{float(lower_ratio):.10f}"))
+        # ratios over the census's main term sigma / inv_alpha, each one int true
+        # division, correctly rounded; sigma_ell(n + delta_ell) > 0 for ell >= 5
+        sigma = sigma_twisted(n + shift, opts.ell)
+        rows.append((str(n), str(p), str(p_ell), str(c), f"{c * inv / sigma:.10f}",
+                     f"{(p - p_ell) * c * inv / (sigma * p):.10f}"))
     if opts.format == "csv":
         for row in rows:
             print(",".join(row))

@@ -43,12 +43,16 @@ def _is_prime(m: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _check_odd_prime(ell: int) -> None:
+    # a float or bool equal to a cached int passes the cache, so callers
+    # check the type of ell first
     if ell % 2 == 0 or not _is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
 
 
 def legendre(a: int, ell: int) -> int:
-    """Legendre symbol (a / ell) in {-1, 0, 1} for an odd prime ell."""
+    """Legendre symbol (a / ell) in {-1, 0, 1} for any int a and an odd prime ell."""
+    _require_int(a, "a", None)
+    _require_int(ell, "ell", 2)
     _check_odd_prime(ell)
     r = pow(a % ell, (ell - 1) // 2, ell)
     return r - ell if r == ell - 1 else r
@@ -61,72 +65,70 @@ def _chi_table(ell: int) -> tuple[int, ...]:
     return tuple(legendre(a, ell) for a in range(ell))
 
 
-# the stored sigma window of each prime ell: (lo, [sigma_ell(lo), ..., sigma_ell(hi)])
-_SIGMA_WINDOWS: dict[int, tuple[int, list[int]]] = {}
+# the stored sigma window of each prime ell: {m: sigma_ell(m)}
+_SIGMA_WINDOWS: dict[int, dict[int, int]] = {}
 
 
 def sigma_twisted(n: int, ell: int) -> int:
     """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2).
 
-    Read from the window stored for ell when it covers n: _fill_series_windows
-    stores one over [lo + delta_ell, hi + delta_ell] for a sweep over
-    lo <= n <= hi, the values the main terms of those n read.  A window holds
-    hi - lo + 1 integers, up to about 3 500 bits each at ell = 499 near
-    m = 20000 (about 9 MiB for 20 000 of them).  For an n outside it the same
-    routine runs on the window [n, n], which is trial division, and stores
-    nothing.
+    Read from the window stored for ell when it holds n: _fill_series_windows
+    stores one over m = n + delta_ell for the n = lo, lo + step, ... <= hi of
+    a sweep, the values the main terms of those n read.  A window holds one
+    integer per n, up to about 3 500 bits each at ell = 499 near m = 20000
+    (about 9 MiB for 20 000 of them).  For any other n the same routine runs
+    on the window [n, n], which is trial division, and stores nothing.
     """
     _require_int(n, "n", 1)
     _require_core_prime(ell)
-    lo, window = _SIGMA_WINDOWS.get(ell, (1, ()))
-    if lo <= n < lo + len(window):
-        return window[n - lo]
+    value = _SIGMA_WINDOWS.get(ell, {}).get(n)
+    if value is not None:
+        return value
     return _twisted_divisor_sums(ell, (ell - 3) // 2, n, n)[0]
 
 
-def _fill_sigma_window(ell: int, lo: int, hi: int) -> None:
-    """Store sigma_ell(m) for lo <= m <= hi as the window sigma_twisted
-    reads, in place of any earlier window of ell."""
-    _require_core_prime(ell)
-    _require_int(lo, "lo", 1)
-    _require_int(hi, "hi", lo)
-    _SIGMA_WINDOWS[ell] = (lo, _twisted_divisor_sums(ell, (ell - 3) // 2, lo, hi))
-
-
-def _fill_series_windows(ell: int, lo: int, hi: int) -> None:
-    """Store the windows a sweep over lo <= n <= hi at modulus ell reads:
-    p_ell(n) for count_p_regular and, for a prime ell >= 5, the main term's
-    sigma_ell(n + delta_ell) for sigma_twisted.  Each holds hi - lo + 1
-    integers and replaces any earlier window of ell."""
-    _fill_regular_window(ell, lo, hi)
+def _fill_series_windows(ell: int, lo: int, hi: int, step: int = 1) -> None:
+    """Store the windows a sweep over n = lo, lo + step, ... <= hi at modulus
+    ell reads: p_ell(n) for count_p_regular and, for a prime ell >= 5, the
+    main term's sigma_ell(n + delta_ell) for sigma_twisted.  Each holds one
+    integer per n and replaces any earlier window of ell."""
+    _fill_regular_window(ell, lo, hi, step)
     if ell >= 5 and _is_prime(ell):
-        shift = delta_ell(ell)
-        _fill_sigma_window(ell, lo + shift, hi + shift)
+        lo, hi = lo + delta_ell(ell), hi + delta_ell(ell)
+        sums = _twisted_divisor_sums(ell, (ell - 3) // 2, lo, hi, step)
+        _SIGMA_WINDOWS[ell] = dict(zip(range(lo, hi + 1, step), sums))
 
 
-def _twisted_divisor_sums(ell: int, e: int, lo: int, hi: int) -> list[int]:
-    # sum over d | m of (m/d / ell) * d^e for lo <= m <= hi, 1 <= lo.  Each
-    # d <= sqrt(hi) walks its multiples m = d c, c >= d, in the window down
-    # from the largest: it adds (c / ell) d^e, and (d / ell) c^e for the
-    # cofactor unless c = d.  A d with no multiple in the window costs one
-    # remainder, so a one-m window is plain trial division.
+def _twisted_divisor_sums(ell: int, e: int, lo: int, hi: int, step: int = 1) -> list[int]:
+    # sum over d | m of (m/d / ell) * d^e for m = lo, lo + step, ... <= hi, 1 <= lo.
+    # Each d <= sqrt(hi) walks its multiples m = d c, c >= d, in the window down
+    # from the largest: it adds (c / ell) d^e, and (d / ell) c^e for the cofactor
+    # unless c = d.  With g = gcd(d, step), d has multiples in the window only
+    # when g | lo; their cofactors then run through one class mod step/g, so c
+    # steps by step/g and the window index by d/g.  A d with no multiple in
+    # [lo, hi] costs one remainder, so a one-m window is plain trial division.
     chi = _chi_table(ell)
-    span = hi - lo
-    window = [0] * (span + 1)
+    width = hi - lo
+    window = [0] * (width // step + 1)
     for d in range(1, math.isqrt(hi) + 1):
-        # the largest multiple of d up to hi sits at window[k]
-        k = span - hi % d
-        if k < 0:
+        if hi % d > width:
             continue
-        c = (lo + k) // d
+        top = hi // d
+        g = math.gcd(d, step)
+        if lo % g:
+            continue
+        dk, dc = d // g, step // g
+        # the largest cofactor c <= top with d c = lo (mod step)
+        c = top - (top - lo // g * pow(dk, -1, dc)) % dc
+        k = (d * c - lo) // step
         de, chi_d = d**e, chi[d % ell]
         while k >= 0 and c >= d:
             window[k] += chi[c % ell] * de + chi_d * c**e
-            k -= d
-            c -= 1
-        if c < d:
+            k -= dk
+            c -= dc
+        if c + dc == d:
             # the walk reached m = d^2, whose two terms are one
-            window[k + d] -= chi_d * de
+            window[k + dk] -= chi_d * de
     return window
 
 
@@ -172,8 +174,7 @@ def bernoulli_number(m: int) -> Fraction:
     tan^(2j-1)(0); the even ones are cached, the cache at least doubling
     when it grows.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _require_int(m, "m")
     if m < 2:
         return Fraction(1) if m == 0 else Fraction(-1, 2)
     if m % 2:
@@ -198,6 +199,8 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
     summed in integers over the least common denominator D of B_0 .. B_k,
     and one Fraction is formed from the total over ell D.
     """
+    _require_int(k, "k")
+    _require_int(ell, "ell", 2)
     _check_odd_prime(ell)
     chi = _chi_table(ell)
     residues = [a for a in range(1, ell) if chi[a] > 0]

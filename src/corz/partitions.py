@@ -3,12 +3,12 @@
 Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
 integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
 recurrence, one for p and one per modulus for c_ell.  p_ell(n) is a pentagonal
-convolution of the p(n) table, formed for a whole window lo <= n <= hi at
-once: the terms of a pentagonal number that reaches only part of the window
-are one slice of p, added or subtracted in a C-level pass, and those of the
-rest are summed per n.  A sweep stores the window of each modulus;
-count_p_regular reads it, and runs the same routine on the one-n window
-[n, n], which is the plain convolution, for any n outside it.
+convolution of the p(n) table, formed for a whole window n = lo, lo + step,
+... <= hi at once: the terms of a pentagonal number that reaches only part of
+the window are one strided slice of p, added or subtracted in a C-level pass,
+and those of the rest are summed per n.  A sweep stores the window of each
+modulus; count_p_regular reads it, and runs the same routine on the one-n
+window [n, n], which is the plain convolution, for any n outside it.
 """
 
 from __future__ import annotations
@@ -78,14 +78,15 @@ class Partition:
 PartitionLike = Partition | Iterable[int]
 
 
-def _require_int(x: object, name: str, least: int = 0) -> None:
-    # every size and modulus is an int of at least least: a float or a bool
-    # (an int subclass) would walk, count or index as a number
-    if type(x) is not int or x < least:
+def _require_int(x: object, name: str, least: int | None = 0) -> None:
+    # every size and modulus is an int of at least least, and every other
+    # integer argument an int (least None): a float or a bool (an int
+    # subclass) would walk, count or index as a number
+    if type(x) is not int or least is not None and x < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         if type(x) is int:
             raise ValueError(f"{name} must be {bound}")
-        kind = "a nonnegative integer" if least == 0 else f"an integer at least {least}"
+        kind = {None: "an integer", 0: "a nonnegative integer"}.get(least, f"an integer {bound}")
         raise ValueError(f"{name} must be {kind}, got {x!r}")
 
 
@@ -233,16 +234,18 @@ def count_p(n: int) -> int:
     return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
 
 
-# the stored p_a window of each modulus a: (lo, [p_a(lo), ..., p_a(hi)])
-_REGULAR_WINDOWS: dict[int, tuple[int, list[int]]] = {}
+# the stored p_a window of each modulus a: {n: p_a(n)}
+_REGULAR_WINDOWS: dict[int, dict[int, int]] = {}
 
 
-def _regular_window(a: int, lo: int, hi: int) -> list[int]:
-    # p_a(n) for lo <= n <= hi as p(n) + sum sign(g) p(n - a g) over the
-    # generalized pentagonal g <= n/a.  A g with a g <= lo reaches every n of
-    # the window, and those terms are summed per n by indexing p, so a one-n
-    # window is the plain convolution.  A larger g reaches only the tail
-    # n >= a g, and adds or subtracts its slice of p there in one map pass.
+def _regular_window(a: int, lo: int, hi: int, step: int = 1) -> list[int]:
+    # p_a(n) for n = lo, lo + step, ... <= hi as p(n) + sum sign(g) p(n - a g) over
+    # the generalized pentagonal g <= n/a.  A g with a g <= lo reaches every n of
+    # the window, and those terms are summed per n by indexing p, so a one-n window
+    # is the plain convolution.  A larger g reaches only the tail n >= a g, from
+    # index k = ceil((a g - lo) / step), and adds or subtracts its strided slice of
+    # p there in one map pass.
+    hi -= (hi - lo) % step  # the last n of the window: p grows no further
     count_p(hi)
     p = _P_CACHE
     top = hi // a
@@ -253,24 +256,26 @@ def _regular_window(a: int, lo: int, hi: int) -> list[int]:
         full_minus, full_plus = minus[:i], plus[:j]
         window = [
             p[n] + sum([p[n - a * g] for g in full_plus]) - sum([p[n - a * g] for g in full_minus])
-            for n in range(lo, hi + 1)
+            for n in range(lo, hi + 1, step)
         ]
     else:
-        window = p[lo : hi + 1]
+        window = p[lo : hi + 1 : step]
     for tail, op in ((plus[j : bisect_right(plus, top)], add), (minus[i : bisect_right(minus, top)], sub)):
         for g in tail:
             s = a * g
-            window[s - lo :] = map(op, window[s - lo :], p[: hi + 1 - s])
+            k = -((lo - s) // step)
+            window[k:] = map(op, window[k:], p[lo + k * step - s : hi + 1 - s : step])
     return window
 
 
-def _fill_regular_window(a: int, lo: int, hi: int) -> None:
-    """Store p_a(n) for lo <= n <= hi as the window count_p_regular reads,
-    in place of any earlier window of a: hi - lo + 1 integers."""
+def _fill_regular_window(a: int, lo: int, hi: int, step: int = 1) -> None:
+    """Store p_a(n) for n = lo, lo + step, ... <= hi as the window count_p_regular
+    reads, in place of any earlier window of a: one integer per n."""
     _require_int(a, "a", 2)
     _require_int(lo, "lo")
     _require_int(hi, "hi", lo)
-    _REGULAR_WINDOWS[a] = (lo, _regular_window(a, lo, hi))
+    _require_int(step, "step", 1)
+    _REGULAR_WINDOWS[a] = dict(zip(range(lo, hi + 1, step), _regular_window(a, lo, hi, step)))
 
 
 def count_p_regular(n: int, a: int) -> int:
@@ -278,16 +283,16 @@ def count_p_regular(n: int, a: int) -> int:
 
     Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
     p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a.
-    Read from the window stored for a when it covers n
-    (numtheory._fill_series_windows stores one per modulus for a sweep); for
-    an n outside it the same routine runs on the window [n, n], which is
-    that convolution term by term, and stores nothing.
+    Read from the window stored for a when it holds n
+    (numtheory._fill_series_windows stores one per modulus for a sweep, over
+    the n it reads); for any other n the same routine runs on the window
+    [n, n], which is that convolution term by term, and stores nothing.
     """
     _require_int(n, "n")
     _require_int(a, "a", 2)
-    lo, window = _REGULAR_WINDOWS.get(a, (0, ()))
-    if lo <= n < lo + len(window):
-        return window[n - lo]
+    value = _REGULAR_WINDOWS.get(a, {}).get(n)
+    if value is not None:
+        return value
     return _regular_window(a, n, n)[0]
 
 

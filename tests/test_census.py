@@ -483,7 +483,9 @@ def test_census_fills_each_window_once(monkeypatch):
     want_calls.update({("_twisted_divisor_sums", ell): 1 for ell in (5, 7)})
     assert calls == want_calls
     assert sorted(partitions._REGULAR_WINDOWS) == list(ells)
-    assert numtheory._SIGMA_WINDOWS[5][0] == 41 and numtheory._SIGMA_WINDOWS[7][0] == 42
+    # sigma_ell is read at n + delta_ell: delta_5 = 1 and delta_7 = 2
+    assert list(numtheory._SIGMA_WINDOWS[5]) == list(range(41, 92))
+    assert list(numtheory._SIGMA_WINDOWS[7]) == list(range(42, 93))
     regular = {a: regular_by_convolution(a, 90) for a in ells}
     sigma = {ell: twisted_divisor_sums(ell, (ell - 3) // 2, 92) for ell in (5, 7)}
     for rec in records:

@@ -169,7 +169,8 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the work ran")
 
-    for name in ("run_census", "count_p", "count_p_regular", "count_cores", "core_main_term"):
+    for name in ("run_census", "_fill_series_windows", "count_p", "count_p_regular",
+                 "count_cores", "sigma_twisted"):
         monkeypatch.setattr(cli, name, no_work)
     for command in ("census", "asymptotics"):
         code, out, err = run_cli(capsys, command, "--n-max", str(COUNT_N_MAX + 1))
@@ -319,10 +320,9 @@ def test_asymptotics_table(capsys):
     assert len({len(line) for line in lines}) == 1
 
 
-def test_asymptotics_reads_windows_for_every_other_n(capsys, monkeypatch):
-    # --step 1 and 2 read p_ell and sigma_ell from windows filled once over
-    # the range; a sparser table reads each n on its own; the rows they share
-    # agree
+def test_asymptotics_fills_windows_at_every_step(capsys, monkeypatch):
+    # every --step reads p_ell and sigma_ell from windows filled once over the
+    # n it prints; the rows the steps share agree
     fills = []
 
     def logged(*args, fn=cli._fill_series_windows):
@@ -332,21 +332,19 @@ def test_asymptotics_reads_windows_for_every_other_n(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_fill_series_windows", logged)
     argv = ("asymptotics", "--ell", "11", "--n-min", "3", "--n-max", "300", "--format", "csv")
     outs = {}
-    for step in ("1", "2", "3", "7"):
+    for step in (1, 2, 3, 7):
         monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
         monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
-        code, outs[step], err = run_cli(capsys, *argv, "--step", step)
+        code, outs[step], err = run_cli(capsys, *argv, "--step", str(step))
         assert code == 0, err
-        if step == "2":
-            # sigma_11 is read at n + delta_11 = n + 5
-            assert partitions._REGULAR_WINDOWS[11][0] == 3
-            assert numtheory._SIGMA_WINDOWS[11][0] == 8
-            assert len(numtheory._SIGMA_WINDOWS[11][1]) == 298
-    assert fills == [(11, 3, 300), (11, 3, 300)]
-    dense = outs["1"].splitlines()
+        # sigma_11 is read at n + delta_11 = n + 5
+        assert list(partitions._REGULAR_WINDOWS[11]) == list(range(3, 301, step))
+        assert list(numtheory._SIGMA_WINDOWS[11]) == list(range(8, 306, step))
+    assert fills == [(11, 3, 300, step) for step in (1, 2, 3, 7)]
+    dense = outs[1].splitlines()
     assert len(dense) == 299
     for step in (2, 3, 7):
-        assert outs[str(step)].splitlines() == dense[:1] + dense[1::step]
+        assert outs[step].splitlines() == dense[:1] + dense[1::step]
 
 
 def test_asymptotics_csv(capsys):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corz import numtheory
+from corz import numtheory, partitions
 from corz.abacus import count_cores
 from corz.numtheory import (
     _dirichlet_l_numeric,
-    _fill_sigma_window,
+    _fill_series_windows,
     _iroot_ceil,
     _is_prime,
     _pi_fixed,
@@ -52,6 +52,19 @@ def test_legendre_rejects_bad_modulus():
         legendre(3, 2)
 
 
+def test_legendre_and_bernoulli_require_int_arguments():
+    # a bool is an int subclass and a float compares equal to an int; both
+    # are refused with ValueError, also for a modulus whose check is cached
+    legendre(1, 5)
+    calls = ((legendre, True, 5), (legendre, 1, 5.0), (bernoulli_number, True),
+             (bernoulli_number, 4.0), (generalized_bernoulli, 2, 5.0))
+    for fn, *args in calls:
+        with pytest.raises(ValueError, match="integer"):
+            fn(*args)
+    # a may be any int, negatives too
+    assert legendre(-1, 5) == 1 and legendre(-3, 7) == 1
+
+
 def test_legendre_completely_multiplicative():
     for ell in (5, 7, 11, 13):
         for a in range(1, 201):
@@ -77,39 +90,59 @@ def test_sigma_twisted_rejects_bad_modulus():
 
 
 def test_sigma_windows_match_the_divisor_sieve(monkeypatch):
-    # from 1, from an offset, and one m at a time, m <= 3000, ell up to 499;
-    # ell = 3 with exponent 0 is the routine behind c3_closed
+    # from 1, from an offset, and one m at a time, m <= 3000, ell up to 499,
+    # at strides 1, 2, 3, 7 and 1000; ell = 3 with exponent 0 is the routine
+    # behind c3_closed
     monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
+    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
     upto = 3000
+    windows = ((1, upto), (777, 900), (777, upto), (1, 1), (2, 60), (48, 50), (2999, 3000), (1234, 1234))
     for ell, e in ((3, 0), (5, 1), (7, 2), (11, 4), (499, 248)):
-        want = reference.twisted_divisor_sums(ell, e, upto)
-        assert numtheory._twisted_divisor_sums(ell, e, 1, upto) == want[1:], ell
-        assert numtheory._twisted_divisor_sums(ell, e, 777, 900) == want[777:901], ell
-        for lo, hi in ((1, 1), (2, 60), (48, 50), (2999, 3000)):
-            got = numtheory._twisted_divisor_sums(ell, e, lo, hi)
-            assert got == want[lo : hi + 1], (ell, lo, hi)
+        # a sweep over n <= 1000 reads m = n + delta_ell
+        shift = delta_ell(ell) if ell >= 5 else 0
+        want = reference.twisted_divisor_sums(ell, e, max(upto, 1000 + shift))
+        for step in (1, 2, 3, 7, 1000):
+            for lo, hi in windows:
+                got = numtheory._twisted_divisor_sums(ell, e, lo, hi, step)
+                assert got == want[lo : hi + 1 : step], (ell, step, lo, hi)
         one_at_a_time = [numtheory._twisted_divisor_sums(ell, e, m, m) for m in range(1, upto + 1)]
-        assert one_at_a_time == [[v] for v in want[1:]], ell
+        assert one_at_a_time == [[v] for v in want[1 : upto + 1]], ell
         if ell >= 5:
-            _fill_sigma_window(ell, 777, 900)
-            assert [sigma_twisted(m, ell) for m in range(1, upto + 1)] == want[1:], ell
+            ms = [*range(1, upto + 1), *range(700 + shift, 1000 + shift)]
+            for step in (1, 3, 1000):
+                _fill_series_windows(ell, 777, 900, step)
+                assert [sigma_twisted(m, ell) for m in ms] == [want[m] for m in ms], (ell, step)
 
 
 def test_sigma_twisted_outside_the_window_leaves_it(monkeypatch):
     monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
+    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
     want = reference.twisted_divisor_sums(7, 2, 1200)
-    _fill_sigma_window(7, 777, 900)
+    # sigma_7 is read at n + delta_7 = n + 2
+    _fill_series_windows(7, 775, 898)
     stored = numtheory._SIGMA_WINDOWS[7]
-    snapshot = (stored[0], list(stored[1]))
+    snapshot = dict(stored)
+    assert snapshot == dict(zip(range(777, 901), want[777:901]))
     for m in (1, 776, 901, 1200):
         assert sigma_twisted(m, 7) == want[m], m
     assert numtheory._SIGMA_WINDOWS == {7: snapshot}
-    assert numtheory._SIGMA_WINDOWS[7][1] is stored[1]
-    _fill_sigma_window(7, 5, 9)
-    assert numtheory._SIGMA_WINDOWS == {7: (5, want[5:10])}
-    for args in ((9, 1, 5), (7, 0, 5), (7, 9, 5), (7, 1, 5.0)):
+    assert numtheory._SIGMA_WINDOWS[7] is stored
+    # a new window of the modulus replaces the old one; a strided window
+    # holds only its own m
+    _fill_series_windows(7, 3, 7)
+    assert numtheory._SIGMA_WINDOWS == {7: dict(zip(range(5, 10), want[5:10]))}
+    _fill_series_windows(7, 3, 12, 3)
+    strided = dict(zip(range(5, 15, 3), want[5:15:3]))
+    assert numtheory._SIGMA_WINDOWS == {7: strided}
+    for m in (6, 7, 9, 13, 15):
+        assert sigma_twisted(m, 7) == want[m], m
+    assert numtheory._SIGMA_WINDOWS == {7: strided}
+    # a non-prime modulus has no sigma window, and a bad sweep stores nothing
+    _fill_series_windows(9, 1, 5)
+    for args in ((7, -1, 5), (7, 9, 5), (7, 1, 5.0), (7, 1, 5, 0), (7, 1, 5, 2.0), (True, 1, 5)):
         with pytest.raises(ValueError):
-            _fill_sigma_window(*args)
+            _fill_series_windows(*args)
+    assert numtheory._SIGMA_WINDOWS == {7: strided}
 
 
 def test_sigma_twisted_requires_int_arguments():
