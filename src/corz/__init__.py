@@ -1,9 +1,10 @@
 """Exact counting of zero entries in symmetric-group character tables
 restricted to rows indexed by ell-core partitions.
 
-Everything here computes over exact integers and rationals.  Floating point
-appears only in the numeric cross-check of inv_alpha and in the rounding of
-ratios that `corz asymptotics` prints; neither feeds back into a count.
+Everything here computes over exact integers and rationals; the numeric
+cross-check of inv_alpha runs in integer fixed point.  Floating point appears
+only in the rounding of ratios that `corz asymptotics` prints, and it never
+feeds back into a count.
 
 The verify suites (`Report`, `available_suites`, `verify`) load from
 `corz.suites` on first use, so importing corz, or running `corz count`,

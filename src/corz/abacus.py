@@ -241,6 +241,8 @@ def _witness_free_abaci(ell: int) -> Iterator[Abacus]:
 def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
     """Swap a taller earlier column i into a later position j (b_j < b_i,
     0 < i < j < ell); the represented partition strictly grows."""
+    _require_int(i, "i", None)
+    _require_int(j, "j", None)
     if not (1 <= i < j <= ab.ell - 1):
         raise ValueError("need 1 <= i < j <= ell - 1")
     if not ab.cols[j] < ab.cols[i]:
@@ -278,6 +280,7 @@ def max_regular_core(ell: int) -> int:
     """R_ell, the largest size of an ell-core with no part divisible by ell,
     for prime ell (0 is the empty partition).  A regular core has no bead-jump
     witness, so scanning the finitely many witness-free abaci covers every n."""
+    _require_int(ell, "ell", None)
     if not _is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     return max(

@@ -15,9 +15,9 @@ Z, so a record asks `characters` for the pair (Z, Z*) in one pass, adds no
 MN for Z*, and caches both.  The pass is the column loop over every column,
 or, with_z_all, a read of the whole table, which runs no MN for the core
 blocks; above cap_exact it is the column loop over the cores, giving Z*.
-build_record puts each missing count into the cache payload, reads the
-counts its caps report off that payload, and builds the record, an
-immutable CensusRecord, in one call at the end.
+run_census builds every record, build_record's too: it puts each missing
+count into the cache payload, reads the counts its caps report off that
+payload, and builds the immutable CensusRecord in one call at the end.
 """
 
 from __future__ import annotations
@@ -29,13 +29,21 @@ import os
 import tempfile
 from collections.abc import Iterable
 from functools import partial
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _count_zeros, _table_zeros, _whole_table
-from .numtheory import _fill_series_windows, _is_prime, delta_ell, inv_alpha, sigma_twisted
-from .partitions import _require_int, count_cores, count_p, count_p_regular, enumerate_partitions
+from .numtheory import _is_prime, _main_sigmas, inv_alpha
+from .partitions import (
+    _regular_window,
+    _require_int,
+    count_cores,
+    count_p,
+    count_p_regular,
+    enumerate_partitions,
+)
 
 DEFAULT_CAP_EXACT = 18
 DEFAULT_CAP_STAR = 60
@@ -237,11 +245,24 @@ def build_record(
     cache_dir: Path | None = None,
     with_z_all: bool = False,
 ) -> CensusRecord:
-    """One census row; caches the expensive exhaustive counts when a cache
-    directory is given (the cache is an optimization only)."""
-    # each series once; z_lower and z_star_closed are arithmetic on them
+    """One census row, the census of the one cell (n, ell); caches the expensive
+    exhaustive counts under cache_dir when given (an optimization only)."""
+    return run_census(CensusConfig(n, n, (ell,), cap_exact, cap_star, 1, cache_dir, with_z_all))[0]
+
+
+def _record(
+    n: int,
+    ell: int,
+    p_ell: int,
+    sigma: int | None,
+    cap_exact: int,
+    cap_star: int,
+    cache_dir: Path | None,
+    with_z_all: bool,
+) -> CensusRecord:
+    # sigma is the main term's sigma_ell(n + delta_ell), None unless ell is a
+    # prime >= 5; z_lower and z_star_closed are arithmetic on the series
     p = count_p(n)
-    p_ell = count_p_regular(n, ell)
     c = count_cores(n, ell)
     z_lower = (p - p_ell) * c
     exact = n <= cap_exact
@@ -259,15 +280,13 @@ def build_record(
     z_star = payload["z_star_exact"] if n <= cap_star else None
     z_all = payload["z_all_exact"] if with_z_all and exact else None
     _require(z is None or z >= z_lower, (n, ell, z, z_lower))
-    prime = _is_prime(ell)
     # Theorem 2 holds for primes only: composite ell has regular cores above n_ell
-    closed = c * c if prime and n > n_ell(ell) else None
+    closed = c * c if _is_prime(ell) and n > n_ell(ell) else None
     _require(closed is None or z_star is None or z_star == closed, (n, ell))
-    # the analytic constant needs the quadratic character, so primes only.
     # core_main_term(n, ell) * p in lowest terms, from integers: inv_alpha > 0
     num = den = None
-    if prime and ell >= 5:
-        num = sigma_twisted(n + delta_ell(ell), ell) * p
+    if sigma is not None:
+        num = sigma * p
         den = inv_alpha(ell)
         g = math.gcd(num, den)
         num, den = num // g, den // g
@@ -280,47 +299,52 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     """All records of the sweep in (n, ell) order; it writes nothing, and
     write_records renders the list as CSV or JSON.
 
-    Worker count config.jobs shards record computation across at most one
-    process per grid cell; workers share nothing and map keeps grid order, so
-    output does not depend on scheduling.  Before any record is built or
-    any worker starts, the exact series tables are grown to n_max, and
-    numtheory._fill_series_windows gives each modulus its p_ell window over
-    [n_min, n_max] and, for a prime ell >= 5, its sigma_ell window over
-    [n_min + delta_ell, n_max + delta_ell]: n_max - n_min + 1 integers each
-    per modulus, which forked workers inherit (a worker that does not
-    inherit them computes each value on its own).  With with_z_all, the pool
-    hands out the n-major grid in chunks of one n and all its moduli, so one
-    worker computes the whole table of each n.  The process pool, and
-    multiprocessing with it, is imported only when more than one worker runs,
-    so a serial census starts without them.
+    n_min must be a nonnegative int and n_max an int; a sweep with
+    n_max < n_min is empty.  Before any record is built or any worker starts,
+    the exact series tables are grown to n_max, and each modulus takes its
+    column of p_ell(n) over [n_min, n_max] from one window and, for a prime
+    ell >= 5, the main terms' sigma_ell(n + delta_ell) from another.  Each
+    record gets its two values as arguments.  Worker count config.jobs
+    shards record computation across at most one process per grid cell;
+    workers share nothing and map keeps grid order, so output does not depend
+    on scheduling.  With with_z_all, the pool hands out the n-major grid in
+    chunks of one n and all its moduli, so one worker computes the whole
+    table of each n.  The process pool, and multiprocessing with it, is
+    imported only when more than one worker runs, so a serial census starts
+    without them.
     """
+    _require_int(config.n_min, "n_min")
+    _require_int(config.n_max, "n_max", None)
+    ns = range(config.n_min, config.n_max + 1)
+    if not ns:
+        return []
     task = partial(
-        build_record,
+        _record,
         cap_exact=config.cap_exact,
         cap_star=config.cap_star,
         cache_dir=config.cache_dir,
         with_z_all=config.with_z_all,
     )
     moduli = sorted(set(config.ells))
-    grid = [(n, ell) for n in range(config.n_min, config.n_max + 1) for ell in moduli]
-    ns = [n for n, _ in grid]
-    ells = [ell for _, ell in grid]
-    # each series table grows once, in bulk, to the top of the sweep, and
-    # each window is filled once, so a record only reads its series; forked
-    # workers inherit the tables and windows
-    if grid:
-        count_p(config.n_max)
-        for ell in moduli:
-            count_cores(config.n_max, ell)
-            _fill_series_windows(ell, config.n_min, config.n_max)
+    # each series table grows once, in bulk, to the top of the sweep, so a
+    # record only reads it; forked workers inherit the tables
+    count_p(config.n_max)
+    columns = []
+    for ell in moduli:
+        count_cores(config.n_max, ell)
+        main = ell >= 5 and _is_prime(ell)
+        sigmas = _main_sigmas(ell, config.n_min, config.n_max) if main else repeat(None)
+        columns.append(zip(ns, repeat(ell), _regular_window(ell, config.n_min, config.n_max), sigmas))
+    # n-major: the cells of every modulus at one n, then the next n
+    grid = [cell for row in zip(*columns) for cell in row]
     workers = min(config.jobs, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = len(moduli) if config.with_z_all else 1
-            return list(pool.map(task, ns, ells, chunksize=chunk))
-    return list(map(task, ns, ells))
+            return list(pool.map(task, *zip(*grid), chunksize=chunk))
+    return list(starmap(task, grid))
 
 
 def write_records(records: Iterable[CensusRecord], fmt: str, fh: IO[str]) -> None:

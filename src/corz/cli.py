@@ -2,7 +2,8 @@
 
 Subcommands: count (single exact values), census (sweeps to CSV or JSON),
 verify (named self-check suites), asymptotics (exact counts against the
-paper's main term alpha_ell sigma_ell(n + delta_ell), as exact ratios).
+paper's main term alpha_ell sigma_ell(n + delta_ell), as correctly rounded
+quotients of exact integers).
 Exit codes: 0 success, 1 failed verification, 2 bad usage or input.
 
 Importing this module loads what count, census and asymptotics run, and no
@@ -30,14 +31,8 @@ from .census import (
     z_all_exact,
 )
 from .abacus import n_ell
-from .numtheory import (
-    _fill_series_windows,
-    _is_prime,
-    delta_ell,
-    inv_alpha,
-    sigma_twisted,
-)
-from .partitions import count_cores, count_p, count_p_regular
+from .numtheory import _is_prime, _main_sigmas, delta_ell, inv_alpha, sigma_twisted
+from .partitions import _regular_window, count_cores, count_p, count_p_regular
 
 _COUNT_QUANTITIES = {
     # name -> (argument names, callable)
@@ -243,19 +238,18 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
-    # p_ell(n) and the main term's sigma_ell(n + delta_ell) come from windows
-    # filled once over the n the table reads
-    _fill_series_windows(opts.ell, opts.n_min, opts.n_max, opts.step)
-    inv, shift = inv_alpha(opts.ell), delta_ell(opts.ell)
+    # p_ell(n) and the main term's sigma_ell(n + delta_ell) come from one
+    # window each over the n the table reads
+    ell, lo, hi, step = opts.ell, opts.n_min, opts.n_max, opts.step
+    p_ells, sigmas = _regular_window(ell, lo, hi, step), _main_sigmas(ell, lo, hi, step)
+    inv = inv_alpha(ell)
     header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
     rows = [header]
-    for n in range(opts.n_min, opts.n_max + 1, opts.step):
+    for n, p_ell, sigma in zip(range(lo, hi + 1, step), p_ells, sigmas):
         p = count_p(n)
-        p_ell = count_p_regular(n, opts.ell)
-        c = count_cores(n, opts.ell)
+        c = count_cores(n, ell)
         # ratios over the census's main term sigma / inv_alpha, each one int true
         # division, correctly rounded; sigma_ell(n + delta_ell) > 0 for ell >= 5
-        sigma = sigma_twisted(n + shift, opts.ell)
         rows.append((str(n), str(p), str(p_ell), str(c), f"{c * inv / sigma:.10f}",
                      f"{(p - p_ell) * c * inv / (sigma * p):.10f}"))
     if opts.format == "csv":

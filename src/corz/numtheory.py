@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .partitions import _fill_regular_window, _require_int, count_cores
+from .partitions import _require_int, count_cores
 
 
 def _is_prime(m: int) -> bool:
@@ -65,38 +65,22 @@ def _chi_table(ell: int) -> tuple[int, ...]:
     return tuple(legendre(a, ell) for a in range(ell))
 
 
-# the stored sigma window of each prime ell: {m: sigma_ell(m)}
-_SIGMA_WINDOWS: dict[int, dict[int, int]] = {}
-
-
 def sigma_twisted(n: int, ell: int) -> int:
     """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2).
 
-    Read from the window stored for ell when it holds n: _fill_series_windows
-    stores one over m = n + delta_ell for the n = lo, lo + step, ... <= hi of
-    a sweep, the values the main terms of those n read.  A window holds one
-    integer per n, up to about 3 500 bits each at ell = 499 near m = 20000
-    (about 9 MiB for 20 000 of them).  For any other n the same routine runs
-    on the window [n, n], which is trial division, and stores nothing.
+    The one-m window [n, n] of the sieve below, which is trial division.  A
+    sweep over many n takes its main terms' values from _main_sigmas instead.
     """
     _require_int(n, "n", 1)
     _require_core_prime(ell)
-    value = _SIGMA_WINDOWS.get(ell, {}).get(n)
-    if value is not None:
-        return value
     return _twisted_divisor_sums(ell, (ell - 3) // 2, n, n)[0]
 
 
-def _fill_series_windows(ell: int, lo: int, hi: int, step: int = 1) -> None:
-    """Store the windows a sweep over n = lo, lo + step, ... <= hi at modulus
-    ell reads: p_ell(n) for count_p_regular and, for a prime ell >= 5, the
-    main term's sigma_ell(n + delta_ell) for sigma_twisted.  Each holds one
-    integer per n and replaces any earlier window of ell."""
-    _fill_regular_window(ell, lo, hi, step)
-    if ell >= 5 and _is_prime(ell):
-        lo, hi = lo + delta_ell(ell), hi + delta_ell(ell)
-        sums = _twisted_divisor_sums(ell, (ell - 3) // 2, lo, hi, step)
-        _SIGMA_WINDOWS[ell] = dict(zip(range(lo, hi + 1, step), sums))
+def _main_sigmas(ell: int, lo: int, hi: int, step: int = 1) -> list[int]:
+    # sigma_ell(n + delta_ell) for n = lo, lo + step, ... <= hi, the sums the
+    # main terms of a sweep read, for a prime ell >= 5 and n >= 0
+    shift = delta_ell(ell)
+    return _twisted_divisor_sums(ell, (ell - 3) // 2, lo + shift, hi + shift, step)
 
 
 def _twisted_divisor_sums(ell: int, e: int, lo: int, hi: int, step: int = 1) -> list[int]:

@@ -6,9 +6,9 @@ recurrence, one for p and one per modulus for c_ell.  p_ell(n) is a pentagonal
 convolution of the p(n) table, formed for a whole window n = lo, lo + step,
 ... <= hi at once: the terms of a pentagonal number that reaches only part of
 the window are one strided slice of p, added or subtracted in a C-level pass,
-and those of the rest are summed per n.  A sweep stores the window of each
-modulus; count_p_regular reads it, and runs the same routine on the one-n
-window [n, n], which is the plain convolution, for any n outside it.
+and those of the rest are summed per n.  A sweep over n hands each value of
+its window to the row that reads it; count_p_regular runs the same routine
+on the one-n window [n, n], which is the plain convolution.
 """
 
 from __future__ import annotations
@@ -234,10 +234,6 @@ def count_p(n: int) -> int:
     return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
 
 
-# the stored p_a window of each modulus a: {n: p_a(n)}
-_REGULAR_WINDOWS: dict[int, dict[int, int]] = {}
-
-
 def _regular_window(a: int, lo: int, hi: int, step: int = 1) -> list[int]:
     # p_a(n) for n = lo, lo + step, ... <= hi as p(n) + sum sign(g) p(n - a g) over
     # the generalized pentagonal g <= n/a.  A g with a g <= lo reaches every n of
@@ -268,31 +264,16 @@ def _regular_window(a: int, lo: int, hi: int, step: int = 1) -> list[int]:
     return window
 
 
-def _fill_regular_window(a: int, lo: int, hi: int, step: int = 1) -> None:
-    """Store p_a(n) for n = lo, lo + step, ... <= hi as the window count_p_regular
-    reads, in place of any earlier window of a: one integer per n."""
-    _require_int(a, "a", 2)
-    _require_int(lo, "lo")
-    _require_int(hi, "hi", lo)
-    _require_int(step, "step", 1)
-    _REGULAR_WINDOWS[a] = dict(zip(range(lo, hi + 1, step), _regular_window(a, lo, hi, step)))
-
-
 def count_p_regular(n: int, a: int) -> int:
     """Number of partitions of n with no part divisible by a.
 
     Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
-    p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a.
-    Read from the window stored for a when it holds n
-    (numtheory._fill_series_windows stores one per modulus for a sweep, over
-    the n it reads); for any other n the same routine runs on the window
-    [n, n], which is that convolution term by term, and stores nothing.
+    p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a,
+    formed term by term as the one-n window [n, n].  A sweep over many n
+    takes its values from one window of its own instead.
     """
     _require_int(n, "n")
     _require_int(a, "a", 2)
-    value = _REGULAR_WINDOWS.get(a, {}).get(n)
-    if value is not None:
-        return value
     return _regular_window(a, n, n)[0]
 
 

@@ -191,6 +191,11 @@ def test_swap_columns_validation():
         swap_columns(Abacus(3, (0, 4, 2)), 0, 2)  # column 0 is pinned
     with pytest.raises(ValueError):
         swap_columns(Abacus(3, (0, 4, 2)), 2, 1)
+    # a bool or float index would swap or fail as a number
+    ab = Abacus(5, (0, 3, 1, 2, 0))
+    for i, j in ((True, 2), (1.0, 2), (1, 2.0)):
+        with pytest.raises(ValueError, match=r"^[ij] must be an integer, got "):
+            swap_columns(ab, i, j)
 
 
 @given(st.data())
@@ -282,6 +287,9 @@ def test_max_regular_core():
         assert is_core(lam, 3) and is_regular(lam, 3)
     for ell in (-1, 0, 1, 4, 6, 9):
         with pytest.raises(ValueError):
+            max_regular_core(ell)
+    for ell in (5.0, True):
+        with pytest.raises(ValueError, match="^ell must be an integer, got "):
             max_regular_core(ell)
 
 

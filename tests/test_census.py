@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz.abacus import count_cores, enumerate_cores, n_ell
-from corz import census, characters, numtheory, partitions
+from corz import census, characters, numtheory
 from corz.census import (
     CSV_FIELDS,
     CensusConfig,
@@ -465,13 +465,11 @@ def test_record_bound_and_closed_form_match_public_functions():
 
 
 def test_census_fills_each_window_once(monkeypatch):
-    # before any record, run_census fills the p_ell window of every modulus
+    # before any record, run_census takes the p_ell window of every modulus
     # and the sigma_ell window of every prime ell >= 5; no record runs either
     # routine again, and the records hold the reference values
-    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
-    monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
     calls = Counter()
-    for mod, name in ((partitions, "_regular_window"), (numtheory, "_twisted_divisor_sums")):
+    for mod, name in ((census, "_regular_window"), (numtheory, "_twisted_divisor_sums")):
         def counted(*args, fn=getattr(mod, name), name=name):
             calls[name, args[0]] += 1
             return fn(*args)
@@ -482,10 +480,6 @@ def test_census_fills_each_window_once(monkeypatch):
     want_calls = {("_regular_window", a): 1 for a in ells}
     want_calls.update({("_twisted_divisor_sums", ell): 1 for ell in (5, 7)})
     assert calls == want_calls
-    assert sorted(partitions._REGULAR_WINDOWS) == list(ells)
-    # sigma_ell is read at n + delta_ell: delta_5 = 1 and delta_7 = 2
-    assert list(numtheory._SIGMA_WINDOWS[5]) == list(range(41, 92))
-    assert list(numtheory._SIGMA_WINDOWS[7]) == list(range(42, 93))
     regular = {a: regular_by_convolution(a, 90) for a in ells}
     sigma = {ell: twisted_divisor_sums(ell, (ell - 3) // 2, 92) for ell in (5, 7)}
     for rec in records:
@@ -493,6 +487,21 @@ def test_census_fills_each_window_once(monkeypatch):
         if rec.ell in sigma:
             num = sigma[rec.ell][rec.n + delta_ell(rec.ell)] * rec.p_n
             assert num * rec.main_term_den == rec.main_term_num * inv_alpha(rec.ell), rec
+
+
+def test_run_census_checks_its_bounds():
+    # n_min is a nonnegative int and n_max an int, checked before any
+    # series grows; a bool or float would sweep or index as a number
+    cases = (({"n_min": -1}, "^n_min must be nonnegative$"),
+             ({"n_min": True}, "^n_min must be a nonnegative integer, got True$"),
+             ({"n_min": 2.0}, "^n_min must be a nonnegative integer, got 2.0$"),
+             ({"n_max": 3.0}, "^n_max must be an integer, got 3.0$"))
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_census(CensusConfig(**kwargs))
+    # n_max below n_min is an empty sweep
+    assert run_census(CensusConfig(n_min=5, n_max=4)) == []
+    assert run_census(CensusConfig(n_min=0, n_max=-1)) == []
 
 
 def test_each_count_is_computed_once(monkeypatch):
@@ -508,15 +517,16 @@ def test_each_count_is_computed_once(monkeypatch):
 
         return wrapper
 
-    for name in ("count_p_regular", "count_cores", "enumerate_cores"):
+    for name in ("_regular_window", "count_cores", "enumerate_cores"):
         monkeypatch.setattr(census, name, counted(name))
     for ell in (2, 3, 5, 7):
         for n in (0, 6, 17, 25, 441):
             calls.clear()
             build_record(n, ell, cap_exact=10, cap_star=20)
             # z_exact and z_star_exact share one enumeration of the cores;
-            # above both caps there is none
-            want = {"count_p_regular": 1, "count_cores": 1}
+            # above both caps there is none.  The sweep grows the c_ell table
+            # through n, and the record reads c_ell(n) off it
+            want = {"_regular_window": 1, "count_cores": 2}
             if n <= 20:
                 want["enumerate_cores"] = 1
             assert calls == want, (n, ell)

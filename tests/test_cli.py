@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corz import census, cli, numtheory, partitions
+from corz import census, cli
 from corz.cli import COUNT_N_MAX, ELL_MAX, main
 
 
@@ -169,7 +169,7 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the work ran")
 
-    for name in ("run_census", "_fill_series_windows", "count_p", "count_p_regular",
+    for name in ("run_census", "_regular_window", "_main_sigmas", "count_p", "count_p_regular",
                  "count_cores", "sigma_twisted"):
         monkeypatch.setattr(cli, name, no_work)
     for command in ("census", "asymptotics"):
@@ -321,26 +321,22 @@ def test_asymptotics_table(capsys):
 
 
 def test_asymptotics_fills_windows_at_every_step(capsys, monkeypatch):
-    # every --step reads p_ell and sigma_ell from windows filled once over the
-    # n it prints; the rows the steps share agree
+    # every --step takes p_ell and sigma_ell from one window each over the n
+    # it prints; the rows the steps share agree
     fills = []
+    for name in ("_regular_window", "_main_sigmas"):
+        def logged(*args, fn=getattr(cli, name), name=name):
+            fills.append((name, *args))
+            return fn(*args)
 
-    def logged(*args, fn=cli._fill_series_windows):
-        fills.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(cli, "_fill_series_windows", logged)
+        monkeypatch.setattr(cli, name, logged)
     argv = ("asymptotics", "--ell", "11", "--n-min", "3", "--n-max", "300", "--format", "csv")
     outs = {}
     for step in (1, 2, 3, 7):
-        monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
-        monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
         code, outs[step], err = run_cli(capsys, *argv, "--step", str(step))
         assert code == 0, err
-        # sigma_11 is read at n + delta_11 = n + 5
-        assert list(partitions._REGULAR_WINDOWS[11]) == list(range(3, 301, step))
-        assert list(numtheory._SIGMA_WINDOWS[11]) == list(range(8, 306, step))
-    assert fills == [(11, 3, 300, step) for step in (1, 2, 3, 7)]
+    assert fills == [(name, 11, 3, 300, step) for step in (1, 2, 3, 7)
+                     for name in ("_regular_window", "_main_sigmas")]
     dense = outs[1].splitlines()
     assert len(dense) == 299
     for step in (2, 3, 7):

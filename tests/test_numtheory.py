@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corz import numtheory, partitions
+from corz import numtheory
 from corz.abacus import count_cores
 from corz.numtheory import (
     _dirichlet_l_numeric,
-    _fill_series_windows,
     _iroot_ceil,
     _is_prime,
     _pi_fixed,
@@ -89,12 +88,10 @@ def test_sigma_twisted_rejects_bad_modulus():
         sigma_twisted(10, 3)
 
 
-def test_sigma_windows_match_the_divisor_sieve(monkeypatch):
+def test_sigma_windows_match_the_divisor_sieve():
     # from 1, from an offset, and one m at a time, m <= 3000, ell up to 499,
     # at strides 1, 2, 3, 7 and 1000; ell = 3 with exponent 0 is the routine
     # behind c3_closed
-    monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
-    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
     upto = 3000
     windows = ((1, upto), (777, 900), (777, upto), (1, 1), (2, 60), (48, 50), (2999, 3000), (1234, 1234))
     for ell, e in ((3, 0), (5, 1), (7, 2), (11, 4), (499, 248)):
@@ -109,40 +106,11 @@ def test_sigma_windows_match_the_divisor_sieve(monkeypatch):
         assert one_at_a_time == [[v] for v in want[1 : upto + 1]], ell
         if ell >= 5:
             ms = [*range(1, upto + 1), *range(700 + shift, 1000 + shift)]
+            assert [sigma_twisted(m, ell) for m in ms] == [want[m] for m in ms], ell
+            # the main terms of a sweep over n read m = n + delta_ell
             for step in (1, 3, 1000):
-                _fill_series_windows(ell, 777, 900, step)
-                assert [sigma_twisted(m, ell) for m in ms] == [want[m] for m in ms], (ell, step)
-
-
-def test_sigma_twisted_outside_the_window_leaves_it(monkeypatch):
-    monkeypatch.setattr(numtheory, "_SIGMA_WINDOWS", {})
-    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
-    want = reference.twisted_divisor_sums(7, 2, 1200)
-    # sigma_7 is read at n + delta_7 = n + 2
-    _fill_series_windows(7, 775, 898)
-    stored = numtheory._SIGMA_WINDOWS[7]
-    snapshot = dict(stored)
-    assert snapshot == dict(zip(range(777, 901), want[777:901]))
-    for m in (1, 776, 901, 1200):
-        assert sigma_twisted(m, 7) == want[m], m
-    assert numtheory._SIGMA_WINDOWS == {7: snapshot}
-    assert numtheory._SIGMA_WINDOWS[7] is stored
-    # a new window of the modulus replaces the old one; a strided window
-    # holds only its own m
-    _fill_series_windows(7, 3, 7)
-    assert numtheory._SIGMA_WINDOWS == {7: dict(zip(range(5, 10), want[5:10]))}
-    _fill_series_windows(7, 3, 12, 3)
-    strided = dict(zip(range(5, 15, 3), want[5:15:3]))
-    assert numtheory._SIGMA_WINDOWS == {7: strided}
-    for m in (6, 7, 9, 13, 15):
-        assert sigma_twisted(m, 7) == want[m], m
-    assert numtheory._SIGMA_WINDOWS == {7: strided}
-    # a non-prime modulus has no sigma window, and a bad sweep stores nothing
-    _fill_series_windows(9, 1, 5)
-    for args in ((7, -1, 5), (7, 9, 5), (7, 1, 5.0), (7, 1, 5, 0), (7, 1, 5, 2.0), (True, 1, 5)):
-        with pytest.raises(ValueError):
-            _fill_series_windows(*args)
-    assert numtheory._SIGMA_WINDOWS == {7: strided}
+                got = numtheory._main_sigmas(ell, 777, 900, step)
+                assert got == want[777 + shift : 901 + shift : step], (ell, step)
 
 
 def test_sigma_twisted_requires_int_arguments():

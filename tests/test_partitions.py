@@ -13,7 +13,6 @@ from corz.characters import dimension
 from corz.numtheory import delta_ell
 from corz.partitions import (
     Partition,
-    _fill_regular_window,
     bead_positions,
     beta_mask,
     canonical_mask,
@@ -272,10 +271,9 @@ def test_series_match_convolutions():
         assert [count_p_regular(n, a) for n in range(upto + 1)] == regular_by_convolution(a, upto), a
 
 
-def test_regular_windows_match_the_convolution(monkeypatch):
+def test_regular_windows_match_the_convolution():
     # from 0, from an offset, and one n at a time, n <= 3000, moduli up to
     # 499, at strides 1, 2, 3, 7 and 1000
-    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
     upto = 3000
     for a in (2, 3, 5, 7, 11, 50, 499):
         want = regular_by_convolution(a, upto)
@@ -287,35 +285,7 @@ def test_regular_windows_match_the_convolution(monkeypatch):
                 assert got == want[lo : hi + 1 : step], (a, step, lo, hi)
         one_at_a_time = [partitions._regular_window(a, n, n) for n in range(upto + 1)]
         assert one_at_a_time == [[v] for v in want], a
-        for step in (1, 3, 1000):
-            _fill_regular_window(a, 777, 900, step)
-            assert [count_p_regular(n, a) for n in range(upto + 1)] == want, (a, step)
-
-
-def test_count_p_regular_outside_the_window_leaves_it(monkeypatch):
-    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
-    want = regular_by_convolution(7, 1200)
-    _fill_regular_window(7, 777, 900)
-    stored = partitions._REGULAR_WINDOWS[7]
-    snapshot = dict(stored)
-    assert snapshot == dict(zip(range(777, 901), want[777:901]))
-    for n in (0, 776, 901, 1200):
-        assert count_p_regular(n, 7) == want[n], n
-    assert partitions._REGULAR_WINDOWS == {7: snapshot}
-    assert partitions._REGULAR_WINDOWS[7] is stored
-    # a new window of the modulus replaces the old one; a strided window
-    # holds only its own n
-    _fill_regular_window(7, 5, 9)
-    assert partitions._REGULAR_WINDOWS == {7: dict(zip(range(5, 10), want[5:10]))}
-    _fill_regular_window(7, 5, 14, 3)
-    strided = dict(zip(range(5, 15, 3), want[5:15:3]))
-    assert partitions._REGULAR_WINDOWS == {7: strided}
-    for n in (4, 6, 7, 9, 13, 15):
-        assert count_p_regular(n, 7) == want[n], n
-    for args in ((True, 0, 5), (7, 5.0, 9), (7, 9, 5), (7, -1, 5), (7, 0, 5, 0), (7, 0, 5, 2.0)):
-        with pytest.raises(ValueError):
-            _fill_regular_window(*args)
-    assert partitions._REGULAR_WINDOWS == {7: strided}
+        assert [count_p_regular(n, a) for n in range(upto + 1)] == want, a
 
 
 def test_cores_below_the_modulus_are_all_partitions():
@@ -329,7 +299,6 @@ def _fresh_series_tables(monkeypatch):
     monkeypatch.setattr(partitions, "_P_CACHE", [1])
     monkeypatch.setattr(partitions, "_EULER_POWERS", {})
     monkeypatch.setattr(partitions, "_CORE_TABLES", {})
-    monkeypatch.setattr(partitions, "_REGULAR_WINDOWS", {})
 
 
 def _series_at(cells):
