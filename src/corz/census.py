@@ -15,9 +15,9 @@ Z, so a record asks `characters` for the pair (Z, Z*) in one pass, adds no
 MN for Z*, and caches both.  The pass is the column loop over every column,
 or, with_z_all, a read of the whole table, which runs no MN for the core
 blocks; above cap_exact it is the column loop over the cores, giving Z*.
-run_census builds every record, build_record's too: it puts each missing
-count into the cache payload, reads the counts its caps report off that
-payload, and builds the immutable CensusRecord in one call at the end.
+run_census builds every record through build_record, which puts each
+missing count into the cache payload, reads the counts its caps report off
+that payload, and builds the immutable CensusRecord in one call at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable
-from functools import partial
 from itertools import repeat, starmap
 from pathlib import Path
 from typing import IO, NamedTuple
@@ -244,24 +243,24 @@ def build_record(
     cap_star: int = DEFAULT_CAP_STAR,
     cache_dir: Path | None = None,
     with_z_all: bool = False,
+    series: tuple[int, int | None] | None = None,
 ) -> CensusRecord:
-    """One census row, the census of the one cell (n, ell); caches the expensive
-    exhaustive counts under cache_dir when given (an optimization only)."""
-    return run_census(CensusConfig(n, n, (ell,), cap_exact, cap_star, 1, cache_dir, with_z_all))[0]
+    """One census row; caches the expensive exhaustive counts under cache_dir
+    when given (an optimization only).
 
-
-def _record(
-    n: int,
-    ell: int,
-    p_ell: int,
-    sigma: int | None,
-    cap_exact: int,
-    cap_star: int,
-    cache_dir: Path | None,
-    with_z_all: bool,
-) -> CensusRecord:
-    # sigma is the main term's sigma_ell(n + delta_ell), None unless ell is a
-    # prime >= 5; z_lower and z_star_closed are arithmetic on the series
+    series is the pair (p_ell(n), sigma_ell(n + delta_ell)) that run_census
+    reads off its windows for each record it builds here, with sigma None
+    unless ell is a prime >= 5.  Without it the row is the census of the one
+    cell (n, ell), so every record comes from run_census.
+    """
+    if series is None:
+        config = CensusConfig(
+            n_min=n, n_max=n, ells=(ell,), cap_exact=cap_exact, cap_star=cap_star,
+            cache_dir=cache_dir, with_z_all=with_z_all,
+        )
+        return run_census(config)[0]
+    # z_lower and z_star_closed are arithmetic on the series
+    p_ell, sigma = series
     p = count_p(n)
     c = count_cores(n, ell)
     z_lower = (p - p_ell) * c
@@ -304,10 +303,10 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     the exact series tables are grown to n_max, and each modulus takes its
     column of p_ell(n) over [n_min, n_max] from one window and, for a prime
     ell >= 5, the main terms' sigma_ell(n + delta_ell) from another.  Each
-    record gets its two values as arguments.  Worker count config.jobs
-    shards record computation across at most one process per grid cell;
-    workers share nothing and map keeps grid order, so output does not depend
-    on scheduling.  With with_z_all, the pool hands out the n-major grid in
+    cell's build_record call gets its two values as its series argument.
+    Worker count config.jobs shards record computation across at most one
+    process per grid cell; workers share nothing and map keeps grid order,
+    so output does not depend on scheduling.  With with_z_all, the pool hands out the n-major grid in
     chunks of one n and all its moduli, so one worker computes the whole
     table of each n.  The process pool, and multiprocessing with it, is
     imported only when more than one worker runs, so a serial census starts
@@ -318,14 +317,8 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     ns = range(config.n_min, config.n_max + 1)
     if not ns:
         return []
-    task = partial(
-        _record,
-        cap_exact=config.cap_exact,
-        cap_star=config.cap_star,
-        cache_dir=config.cache_dir,
-        with_z_all=config.with_z_all,
-    )
     moduli = sorted(set(config.ells))
+    settings = (config.cap_exact, config.cap_star, config.cache_dir, config.with_z_all)
     # each series table grows once, in bulk, to the top of the sweep, so a
     # record only reads it; forked workers inherit the tables
     count_p(config.n_max)
@@ -334,17 +327,22 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
         count_cores(config.n_max, ell)
         main = ell >= 5 and _is_prime(ell)
         sigmas = _main_sigmas(ell, config.n_min, config.n_max) if main else repeat(None)
-        columns.append(zip(ns, repeat(ell), _regular_window(ell, config.n_min, config.n_max), sigmas))
-    # n-major: the cells of every modulus at one n, then the next n
-    grid = [cell for row in zip(*columns) for cell in row]
+        columns.append(zip(_regular_window(ell, config.n_min, config.n_max), sigmas))
+    # n-major: the cells of every modulus at one n, then the next n; a cell is
+    # the argument list of its build_record call
+    grid = [
+        (n, ell, *settings, series)
+        for n, row in zip(ns, zip(*columns))
+        for ell, series in zip(moduli, row)
+    ]
     workers = min(config.jobs, len(grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = len(moduli) if config.with_z_all else 1
-            return list(pool.map(task, *zip(*grid), chunksize=chunk))
-    return list(starmap(task, grid))
+            return list(pool.map(build_record, *zip(*grid), chunksize=chunk))
+    return list(starmap(build_record, grid))
 
 
 def write_records(records: Iterable[CensusRecord], fmt: str, fh: IO[str]) -> None:

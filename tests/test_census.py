@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz.abacus import count_cores, enumerate_cores, n_ell
-from corz import census, characters, numtheory
+from corz import census, characters, numtheory, partitions
 from corz.census import (
     CSV_FIELDS,
     CensusConfig,
@@ -508,25 +508,31 @@ def test_each_count_is_computed_once(monkeypatch):
     calls = Counter()
     walked = []
 
-    def counted(name):
-        fn = getattr(census, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_regular_window", "count_cores", "enumerate_cores"):
-        monkeypatch.setattr(census, name, counted(name))
+    for name in ("_regular_window", "enumerate_cores"):
+        counted(census, name)
+    # each growth of a c_ell table extends E(q)^ell once
+    counted(partitions, "_euler_power")
     for ell in (2, 3, 5, 7):
+        # a fresh c_ell table for each modulus, so each n below grows it
+        monkeypatch.setattr(partitions, "_CORE_TABLES", {})
         for n in (0, 6, 17, 25, 441):
             calls.clear()
             build_record(n, ell, cap_exact=10, cap_star=20)
             # z_exact and z_star_exact share one enumeration of the cores;
-            # above both caps there is none.  The sweep grows the c_ell table
-            # through n, and the record reads c_ell(n) off it
-            want = {"_regular_window": 1, "count_cores": 2}
+            # above both caps there is none.  The c_ell table grows through
+            # n once, and the record reads c_ell(n) off it
+            want = {"_regular_window": 1}
+            if n:
+                want["_euler_power"] = 1
             if n <= 20:
                 want["enumerate_cores"] = 1
             assert calls == want, (n, ell)
