@@ -36,6 +36,7 @@ from .abacus import enumerate_cores, n_ell
 from .characters import _count_zeros, _table_zeros, _whole_table
 from .numtheory import _is_prime, _main_sigmas, inv_alpha
 from .partitions import (
+    _core_tables,
     _regular_window,
     _require_int,
     count_cores,
@@ -243,15 +244,16 @@ def build_record(
     cap_star: int = DEFAULT_CAP_STAR,
     cache_dir: Path | None = None,
     with_z_all: bool = False,
-    series: tuple[int, int | None] | None = None,
+    series: tuple[int, int, int, int | None] | None = None,
 ) -> CensusRecord:
     """One census row; caches the expensive exhaustive counts under cache_dir
     when given (an optimization only).
 
-    series is the pair (p_ell(n), sigma_ell(n + delta_ell)) that run_census
-    reads off its windows for each record it builds here, with sigma None
-    unless ell is a prime >= 5.  Without it the row is the census of the one
-    cell (n, ell), so every record comes from run_census.
+    series is (p(n), p_ell(n), c_ell(n), sigma_ell(n + delta_ell)), which
+    run_census reads off its tables and windows for each record it builds
+    here, with sigma None unless ell is a prime >= 5; the record reads no
+    table itself.  Without it the row is the census of the one cell (n, ell),
+    so every record comes from run_census.
     """
     if series is None:
         config = CensusConfig(
@@ -260,9 +262,7 @@ def build_record(
         )
         return run_census(config)[0]
     # z_lower and z_star_closed are arithmetic on the series
-    p_ell, sigma = series
-    p = count_p(n)
-    c = count_cores(n, ell)
+    p, p_ell, c, sigma = series
     z_lower = (p - p_ell) * c
     exact = n <= cap_exact
     payload: dict = {}
@@ -299,11 +299,13 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     write_records renders the list as CSV or JSON.
 
     n_min must be a nonnegative int and n_max an int; a sweep with
-    n_max < n_min is empty.  Before any record is built or any worker starts,
-    the exact series tables are grown to n_max, and each modulus takes its
-    column of p_ell(n) over [n_min, n_max] from one window and, for a prime
-    ell >= 5, the main terms' sigma_ell(n + delta_ell) from another.  Each
-    cell's build_record call gets its two values as its series argument.
+    n_max < n_min is empty, and jobs must be an int >= 1 and each cap an int.
+    Before any record is built or any worker starts, the p(n) table and the
+    c_ell(n) tables of every modulus are grown to n_max in one call of
+    _core_tables, and each modulus takes its column of p_ell(n) over
+    [n_min, n_max] from one window and, for a prime ell >= 5, the main terms'
+    sigma_ell(n + delta_ell) from another.  Each cell's build_record call gets
+    its four values p, p_ell, c_ell and sigma as its series argument.
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order,
     so output does not depend on scheduling.  With with_z_all, the pool hands out the n-major grid in
@@ -314,20 +316,23 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     """
     _require_int(config.n_min, "n_min")
     _require_int(config.n_max, "n_max", None)
-    ns = range(config.n_min, config.n_max + 1)
+    _require_int(config.jobs, "jobs", 1)
+    _require_int(config.cap_exact, "cap_exact", None)
+    _require_int(config.cap_star, "cap_star", None)
+    lo, hi = config.n_min, config.n_max
+    ns = range(lo, hi + 1)
     if not ns:
         return []
     moduli = sorted(set(config.ells))
     settings = (config.cap_exact, config.cap_star, config.cache_dir, config.with_z_all)
-    # each series table grows once, in bulk, to the top of the sweep, so a
-    # record only reads it; forked workers inherit the tables
-    count_p(config.n_max)
+    # the series are grown once, in bulk, to the top of the sweep, and each
+    # record gets its values as arguments
+    p, tables = _core_tables(moduli, hi)
     columns = []
-    for ell in moduli:
-        count_cores(config.n_max, ell)
+    for ell, table in zip(moduli, tables):
         main = ell >= 5 and _is_prime(ell)
-        sigmas = _main_sigmas(ell, config.n_min, config.n_max) if main else repeat(None)
-        columns.append(zip(_regular_window(ell, config.n_min, config.n_max), sigmas))
+        sigmas = _main_sigmas(ell, lo, hi) if main else repeat(None)
+        columns.append(zip(p[lo : hi + 1], _regular_window(ell, lo, hi), table[lo : hi + 1], sigmas))
     # n-major: the cells of every modulus at one n, then the next n; a cell is
     # the argument list of its build_record call
     grid = [

@@ -32,7 +32,7 @@ from .census import (
 )
 from .abacus import n_ell
 from .numtheory import _is_prime, _main_sigmas, delta_ell, inv_alpha, sigma_twisted
-from .partitions import _regular_window, count_cores, count_p, count_p_regular
+from .partitions import _core_tables, _regular_window, count_cores, count_p, count_p_regular
 
 _COUNT_QUANTITIES = {
     # name -> (argument names, callable)
@@ -47,10 +47,12 @@ _COUNT_QUANTITIES = {
 }
 # largest n for the p(n) and c_ell(n) tables behind `count p | p-regular |
 # cores`, `census` and `asymptotics`; the tables and a count there take
-# 0.2-0.45 s end to end on a 2-core x86 VM (one census modulus; each further
-# modulus adds its own c_ell table, about 0.1 s at ell = 97).  The widest
-# `asymptotics` table, every n up to here at ell = 499, takes 1.2 s on the same
-# VM.  It also bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
+# 0.4-0.9 s end to end on a 2-core x86 VM (one census modulus).  A census grows
+# the c_ell tables of all its moduli as lanes of shared passes, so each further
+# modulus adds about 0.085 s near ell = 97: the 23 primes 5..97 take 2.3-3.7 s,
+# and took 4.7-6.2 s with a pass per modulus.  The widest `asymptotics` table,
+# every n up to here at ell = 499, takes 1.5-1.7 s on the same VM.  It also
+# bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
 # largest modulus for `census --ell`, `asymptotics --ell` and every `count`
 # argument named ell: the core enumeration recurses once per abacus column,
@@ -238,16 +240,17 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
-    # p_ell(n) and the main term's sigma_ell(n + delta_ell) come from one
-    # window each over the n the table reads
+    # p(n) and c_ell(n) come from their tables, grown once to n_max, and p_ell(n)
+    # and the main term's sigma_ell(n + delta_ell) from one window each over the
+    # n the table reads
     ell, lo, hi, step = opts.ell, opts.n_min, opts.n_max, opts.step
+    ps, (cores,) = _core_tables((ell,), hi)
     p_ells, sigmas = _regular_window(ell, lo, hi, step), _main_sigmas(ell, lo, hi, step)
     inv = inv_alpha(ell)
     header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
     rows = [header]
     for n, p_ell, sigma in zip(range(lo, hi + 1, step), p_ells, sigmas):
-        p = count_p(n)
-        c = count_cores(n, ell)
+        p, c = ps[n], cores[n]
         # ratios over the census's main term sigma / inv_alpha, each one int true
         # division, correctly rounded; sigma_ell(n + delta_ell) > 0 for ell >= 5
         rows.append((str(n), str(p), str(p_ell), str(c), f"{c * inv / sigma:.10f}",

@@ -2,7 +2,8 @@
 
 Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
 integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
-recurrence, one for p and one per modulus for c_ell.  p_ell(n) is a pentagonal
+recurrence, one for p and one per modulus for c_ell; the c_ell tables that
+grow together share passes of it over packed ints.  p_ell(n) is a pentagonal
 convolution of the p(n) table, formed for a whole window n = lo, lo + step,
 ... <= hi at once: the terms of a pentagonal number that reaches only part of
 the window are one strided slice of p, added or subtracted in a C-level pass,
@@ -175,9 +176,11 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 # By the pentagonal number theorem E(q) = 1 + sum sign(g) q^g over the
 # generalized pentagonal numbers g, so it has O(sqrt N) terms up to q^N.
 # p(n) and c_ell(n) are tables grown in place by one recurrence, the
-# coefficients of E(q) times the series; p_a(n) is a convolution with the
-# p(n) table, over a window of n.  Every sum runs over one list of the
-# pentagonal numbers.
+# coefficients of E(q) times the series.  It is linear, so the c_ell tables of
+# several moduli grow in shared passes of it over packed ints, one lane per
+# modulus; a pass of one lane is the table itself.  p_a(n) is a convolution
+# with the p(n) table, over a window of n.  Every sum runs over one list of
+# the pentagonal numbers.
 
 # the generalized pentagonal numbers g = k(3k -+ 1)/2 for k = 1, 2, ...,
 # ascending, split by the sign (-1)^k of q^g in E(q): (minus, plus)
@@ -295,6 +298,60 @@ def _euler_power(ell: int, upto: int) -> list[int]:
 
 
 _CORE_TABLES: dict[int, list[int]] = {}
+# bits of packed lanes per pass of _core_tables: a wider pass makes fewer passes
+# over larger ints and holds a larger packed list.  At 3072 bits an entry stays
+# within CPython's 512-byte small-object allocator; at n = 20000, where W is 508
+# bits, a pass holds 6 lanes
+_PASS_BITS = 3072
+
+
+def _core_tables(ells: Sequence[int], upto: int) -> tuple[list[int], list[list[int]]]:
+    """The p(n) table and the c_ell(n) table of each ell in ells, in that
+    order, each grown in place through n = upto.
+
+    Every c_ell obeys the recurrence of _extend_quotient with its own top,
+    the coefficients of E(q^ell)^ell, so the tables that must grow share
+    passes of it over packed ints.  Lane k holds c_ell_k in W bits from bit
+    k W, where W = p(upto).bit_length() + 1, and the packed top adds e_j << k W
+    at q^(ell_k j), with e_j the coefficient of q^j in E(q)^ell_k.  The
+    recurrence is linear, so each packed entry is the sum of its lanes'
+    values, each shifted into place.  Since 0 <= c_ell(m) <= p(m) <= p(upto)
+    < 2^(W-1), no lane reaches the next, and a plain bit slice decodes each
+    one exactly.  A pass starts at its shortest table and recomputes what the
+    longer ones hold.  A pass holds at most _PASS_BITS bits of lanes, and at
+    least one lane; a pass of one lane at shift 0 is the table itself,
+    extended in place with no packing.
+    """
+    for ell in ells:
+        _require_int(ell, "ell", 2)
+    count_p(upto)
+    p = _P_CACHE
+    tables = [_CORE_TABLES.setdefault(ell, [1]) for ell in ells]
+    grow = [(ell, table) for ell, table in dict(zip(ells, tables)).items() if len(table) <= upto]
+    width = p[upto].bit_length() + 1
+    per_pass = max(1, _PASS_BITS // width)
+    for first in range(0, len(grow), per_pass):
+        lanes = grow[first : first + per_pass]
+        lo = min(len(table) for _, table in lanes)
+        tops: dict[int, int] = {}
+        for k, (ell, _) in enumerate(lanes):
+            e = _euler_power(ell, upto // ell)
+            for j in range(-(-lo // ell), upto // ell + 1):
+                tops[ell * j] = tops.get(ell * j, 0) + (e[j] << k * width)
+        if len(lanes) == 1:
+            _extend_quotient(lanes[0][1], upto, lambda m: tops.get(m, 0))
+            continue
+        packed = [
+            sum([table[m] << k * width for k, (_, table) in enumerate(lanes)]) for m in range(lo)
+        ]
+        _extend_quotient(packed, upto, lambda m: tops.get(m, 0))
+        for k, (_, table) in enumerate(lanes):
+            # mask before the shift: a shift sizes its result to the value, where a
+            # mask would keep the full lane width allocated
+            shift = k * width
+            lane = ((1 << width) - 1) << shift
+            table.extend([(v & lane) >> shift for v in packed[len(table) :]])
+    return p, tables
 
 
 def count_cores(n: int, ell: int) -> int:
@@ -304,17 +361,17 @@ def count_cores(n: int, ell: int) -> int:
     grown in place through n by the pentagonal recurrence
     c_ell(m) = [ell | m] e_{m/ell} - sum_g sign(g) c_ell(m - g), where e_k is
     the coefficient of q^k in E(q)^ell.  Each new entry costs O(sqrt m)
-    integer additions.  The table keeps one list of n + 1 integers per
-    modulus: about 0.7 MiB for ell = 5 and 1.5 MiB for ell = 499 at
-    n = 20000.
+    integer additions.  The table grows through _core_tables, as a pass of
+    one lane; a census grows the tables of all its moduli in that call, as
+    lanes of shared packed passes.  Each table is one list of n + 1 integers:
+    about 0.7 MiB for ell = 5 and 1.5 MiB for ell = 499 at n = 20000.
     """
     _require_int(n, "n")
     _require_int(ell, "ell", 2)
-    table = _CORE_TABLES.setdefault(ell, [1])
+    table = _CORE_TABLES.get(ell, ())
     if n < len(table):
         return table[n]
-    e = _euler_power(ell, n // ell)
-    return _extend_quotient(table, n, lambda m: 0 if m % ell else e[m // ell])[n]
+    return _core_tables((ell,), n)[1][0][n]
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

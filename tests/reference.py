@@ -1,8 +1,9 @@
 """Textbook definitions the tests compare corz against.  Only mask_strips,
 the strip generator the Murnaghan-Nakayama kernel inlines, uses beta-sets.
 The series convolutions, the divisor-sum sieve, the Bernoulli recurrence and
-the window-bound scan are direct forms of what corz computes by recurrences, tangent numbers and
-prefix sums."""
+the window-bound scan are direct forms of what corz computes by recurrences,
+tangent numbers and prefix sums.  The c_ell recurrence here runs one series
+alone, the form that corz runs over packed lanes of many."""
 
 import math
 from collections import Counter
@@ -159,6 +160,19 @@ def cores_by_convolution(ell, upto):
     in E(q^ell)^ell * 1/E(q), with e_m the coefficient of q^m in E(q)^ell."""
     e = euler_power(ell, upto // ell)
     return [sum(e[m] * count_p(n - ell * m) for m in range(n // ell + 1)) for n in range(upto + 1)]
+
+
+def cores_by_recurrence(ell, upto):
+    """c_ell(n) for n <= upto, one series alone, by the pentagonal recurrence
+    c(m) = [ell | m] e_{m/ell} - sum sign(g) c(m - g) read off
+    E(q) C(q) = E(q^ell)^ell, with E(q)^ell built factor by factor."""
+    e = euler_power(ell, upto // ell)
+    terms = list(pentagonal_terms(upto))
+    c = []
+    for m in range(upto + 1):
+        top = 0 if m % ell else e[m // ell]
+        c.append(top - sum(sign * c[m - g] for g, sign in terms if g <= m))
+    return c
 
 
 def regular_by_convolution(a, upto):

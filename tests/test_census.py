@@ -489,16 +489,31 @@ def test_census_fills_each_window_once(monkeypatch):
             assert num * rec.main_term_den == rec.main_term_num * inv_alpha(rec.ell), rec
 
 
-def test_run_census_checks_its_bounds():
+def test_run_census_checks_its_bounds(monkeypatch):
     # n_min is a nonnegative int and n_max an int, checked before any
     # series grows; a bool or float would sweep or index as a number
     cases = (({"n_min": -1}, "^n_min must be nonnegative$"),
              ({"n_min": True}, "^n_min must be a nonnegative integer, got True$"),
              ({"n_min": 2.0}, "^n_min must be a nonnegative integer, got 2.0$"),
              ({"n_max": 3.0}, "^n_max must be an integer, got 3.0$"))
+    # jobs is an int >= 1 and each cap an int, checked before any series
+    # grows: jobs 0 and -2 ran serially, 2.5 raised TypeError in the pool
+    # after the tables grew, and cap_star True meant a cap of 1
+    cases += (({"jobs": 0}, "^jobs must be at least 1$"),
+              ({"jobs": -2}, "^jobs must be at least 1$"),
+              ({"jobs": 2.5}, "^jobs must be an integer at least 1, got 2.5$"),
+              ({"jobs": True}, "^jobs must be an integer at least 1, got True$"),
+              ({"cap_star": True}, "^cap_star must be an integer, got True$"),
+              ({"cap_exact": 12.5}, "^cap_exact must be an integer, got 12.5$"))
+
+    def refused(*args):
+        raise AssertionError("a series grew before the checks")
+
+    monkeypatch.setattr(census, "_core_tables", refused)
+    monkeypatch.setattr(census, "_regular_window", refused)
     for kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
-            run_census(CensusConfig(**kwargs))
+            run_census(CensusConfig(**{"n_max": 30, **kwargs}))
     # n_max below n_min is an empty sweep
     assert run_census(CensusConfig(n_min=5, n_max=4)) == []
     assert run_census(CensusConfig(n_min=0, n_max=-1)) == []
@@ -517,7 +532,9 @@ def test_each_count_is_computed_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_regular_window", "enumerate_cores"):
+    # a sweep grows its series in one _core_tables call and hands each record
+    # its values: no record reads count_p or count_cores
+    for name in ("_regular_window", "enumerate_cores", "_core_tables", "count_p", "count_cores"):
         counted(census, name)
     # each growth of a c_ell table extends E(q)^ell once
     counted(partitions, "_euler_power")
@@ -530,12 +547,18 @@ def test_each_count_is_computed_once(monkeypatch):
             # z_exact and z_star_exact share one enumeration of the cores;
             # above both caps there is none.  The c_ell table grows through
             # n once, and the record reads c_ell(n) off it
-            want = {"_regular_window": 1}
+            want = {"_regular_window": 1, "_core_tables": 1}
             if n:
                 want["_euler_power"] = 1
             if n <= 20:
                 want["enumerate_cores"] = 1
             assert calls == want, (n, ell)
+    # many moduli grow in the one call, each extending E(q)^ell once
+    monkeypatch.setattr(partitions, "_CORE_TABLES", {})
+    calls.clear()
+    records = run_census(CensusConfig(n_min=3, n_max=600, ells=(7, 2, 5, 3), cap_exact=0, cap_star=0))
+    assert len(records) == 4 * 598
+    assert calls == {"_regular_window": 4, "_core_tables": 1, "_euler_power": 4}
 
     row_vectors = characters._row_vectors
 
@@ -827,9 +850,9 @@ import corz.suites as s
 s.inv_alpha = lambda ell: 0
 assert False, "asserts are live"
 print(s.verify("constants").passed)
-c.count_cores = lambda n, ell: -1
 try:
-    c.build_record(17, 3, cap_exact=0)
+    # a wrong c_ell(n) in the record's series
+    c.build_record(17, 3, cap_exact=0, series=(c.count_p(17), c.count_p_regular(17, 3), -1, None))
 except AssertionError:
     print("record guard raised")
 """

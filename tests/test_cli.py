@@ -169,8 +169,8 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the work ran")
 
-    for name in ("run_census", "_regular_window", "_main_sigmas", "count_p", "count_p_regular",
-                 "count_cores", "sigma_twisted"):
+    for name in ("run_census", "_core_tables", "_regular_window", "_main_sigmas", "count_p",
+                 "count_p_regular", "count_cores", "sigma_twisted"):
         monkeypatch.setattr(cli, name, no_work)
     for command in ("census", "asymptotics"):
         code, out, err = run_cli(capsys, command, "--n-max", str(COUNT_N_MAX + 1))

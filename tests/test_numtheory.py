@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corz import numtheory
+from corz import numtheory, partitions
 from corz.abacus import count_cores
+from corz.census import CensusConfig, run_census
 from corz.numtheory import (
     _dirichlet_l_numeric,
     _iroot_ceil,
@@ -377,6 +378,31 @@ def test_c3_sparsity_trend():
 
     d100, d1000, d10000 = density(100), density(1000), density(10000)
     assert d100 > d1000 > d10000
+
+
+def test_census_lanes_match_the_closed_forms(monkeypatch):
+    # one census sweep from fresh tables grows c_2, c_3, c_5 and c_7 as lanes
+    # of one packed pass; the closed forms check each lane on its own
+    for name, fresh in (("_PENTAGONAL", ([], [])), ("_P_CACHE", [1]), ("_EULER_POWERS", {}),
+                        ("_CORE_TABLES", {})):
+        monkeypatch.setattr(partitions, name, fresh)
+    extend = partitions._extend_quotient
+    grown = []
+
+    def spied(series, upto, top):
+        grown.append(series)
+        return extend(series, upto, top)
+
+    monkeypatch.setattr(partitions, "_extend_quotient", spied)
+    config = CensusConfig(n_min=0, n_max=5000, ells=(2, 3, 5, 7), cap_exact=0, cap_star=0)
+    c = {(r.n, r.ell): r.c_ell_n for r in run_census(config)}
+    # p(n), then the four lanes together
+    assert len(grown) == 2 and grown[0] is partitions._P_CACHE
+    assert all(grown[1] is not table for table in partitions._CORE_TABLES.values())
+    for n in (n for n in CLOSED_FORM_NS if n <= 5000):
+        assert c[n, 2] == c2_closed(n), n
+        assert c[n, 3] == c3_closed(n), n
+        assert c[n, 5] == sigma_twisted(n + 1, 5), n
 
 
 def test_core_main_term_exact_at_5():

@@ -26,7 +26,13 @@ from corz.partitions import (
     is_regular,
     mask_parts,
 )
-from reference import conjugate, cores_by_convolution, hook_lengths, regular_by_convolution
+from reference import (
+    conjugate,
+    cores_by_convolution,
+    cores_by_recurrence,
+    hook_lengths,
+    regular_by_convolution,
+)
 
 
 def test_partition_normalizes_input():
@@ -319,6 +325,57 @@ def test_series_do_not_depend_on_table_growth_order(monkeypatch):
     for order in orders:
         _fresh_series_tables(monkeypatch)
         assert _series_at(order) == want
+
+
+PACKED_ELLS = (2, 3, 4, 5, 7, 11, 97, 499)
+
+
+@pytest.fixture(scope="module")
+def one_series_cores():
+    return {ell: cores_by_recurrence(ell, 3000) for ell in PACKED_ELLS}
+
+
+@pytest.mark.parametrize("pass_bits", [1, 400, partitions._PASS_BITS])
+def test_packed_growth_matches_the_one_series_recurrence(monkeypatch, one_series_cores, pass_bits):
+    # one lane per pass, a few, and the production width.  The tables grow in
+    # uneven steps from n = 0, some of them first alone, so passes start
+    # from tables of unequal lengths; ell = 499 stays above n for a while
+    _fresh_series_tables(monkeypatch)
+    monkeypatch.setattr(partitions, "_PASS_BITS", pass_bits)
+    count_cores(40, 7)
+    count_cores(1234, 97)
+    lengths = {ell: 1 for ell in PACKED_ELLS} | {7: 41, 97: 1235}
+    for upto in (0, 1, 2, 13, 100, 101, 498, 500, 1150, 2999, 3000):
+        p, tables = partitions._core_tables(PACKED_ELLS, upto)
+        assert p is partitions._P_CACHE and len(p) > upto
+        for ell, table in zip(PACKED_ELLS, tables):
+            lengths[ell] = max(lengths[ell], upto + 1)
+            assert table is partitions._CORE_TABLES[ell]
+            assert table == one_series_cores[ell][: lengths[ell]], (pass_bits, upto, ell)
+
+
+def test_one_modulus_grows_its_table_in_place(monkeypatch):
+    # a pass of one lane runs the recurrence on the table itself: nothing is
+    # packed or decoded, and the list object stays the same
+    _fresh_series_tables(monkeypatch)
+    table = partitions._core_tables((11,), 300)[1][0]
+    count_p(2500)  # so that every recurrence below grows a c_11 table
+    extend = partitions._extend_quotient
+    grown = []
+
+    def spied(series, upto, top):
+        grown.append(series)
+        return extend(series, upto, top)
+
+    monkeypatch.setattr(partitions, "_extend_quotient", spied)
+    want = cores_by_recurrence(11, 2000)
+    for n in (301, 777, 2000):
+        assert count_cores(n, 11) == want[n]
+    assert partitions._core_tables((11, 11), 2500)[1] == [table, table]
+    assert all(series is table for series in grown) and len(grown) == 4
+    assert partitions._CORE_TABLES[11] is table and len(table) == 2501
+    with pytest.raises(ValueError, match="ell must be at least 2"):
+        partitions._core_tables((11, 1), 10)
 
 
 def test_series_reject_negative_n():
