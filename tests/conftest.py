@@ -1,5 +1,6 @@
 import pytest
 
+from corz import characters
 from corz.suites import verify
 
 _reports = {}
@@ -17,3 +18,9 @@ def suite_report():
 
     return get
 
+
+@pytest.fixture(autouse=True)
+def empty_suffix_store():
+    """Each test starts on an empty store of MN suffix levels, so a count of
+    MN calls does not depend on the tests run before it."""
+    characters._SUFFIX_LEVELS.clear()

@@ -37,6 +37,7 @@ from corz.suites import _count_cores_filter_pass, available_suites, verify
 from corz.partitions import (
     Partition,
     beta_mask,
+    canonical_mask,
     count_p,
     count_p_regular,
     enumerate_partitions,
@@ -45,6 +46,8 @@ from corz.partitions import (
     strip_ends,
 )
 from reference import conjugate, frobenius_character, regular_by_convolution, twisted_divisor_sums
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
 
 
 def brute_zeros(n, ell=None, rows_cores=False, cols_cores=False):
@@ -178,6 +181,20 @@ def counted_values(monkeypatch):
     return seen
 
 
+def counted_evals(monkeypatch):
+    """Patch ColumnEvaluator._eval, which fills a memo level, to log the
+    level of each call."""
+    evals = []
+    evaluate = ColumnEvaluator._eval
+
+    def logged(self, mask, s):
+        evals.append(s)
+        return evaluate(self, mask, s)
+
+    monkeypatch.setattr(ColumnEvaluator, "_eval", logged)
+    return evals
+
+
 def test_census_decides_each_pair_once(monkeypatch):
     # z_all runs first and its kernel decides every pair of n = 12; z_exact
     # and z_star of the three moduli then read their blocks from the whole
@@ -267,22 +284,62 @@ def test_record_star_adds_no_mn(monkeypatch, n, ell):
     # a record takes Z* from its Z pass, so it makes the values and the
     # memo-level evaluations of z_exact alone, and no more
     seen = counted_values(monkeypatch)
-    evals = []
-    evaluate = ColumnEvaluator._eval
-
-    def logged(self, mask, s):
-        evals.append(s)
-        return evaluate(self, mask, s)
-
-    monkeypatch.setattr(ColumnEvaluator, "_eval", logged)
+    evals = counted_evals(monkeypatch)
+    # both start on an empty store of suffix levels, or the second would
+    # read what the first left there
+    characters._SUFFIX_LEVELS.clear()
     z_exact(n, ell)
     alone, alone_evals = len(seen), len(evals)
     seen.clear()
     evals.clear()
+    characters._SUFFIX_LEVELS.clear()
     rec = build_record(n, ell)
     assert alone and len(seen) == alone
     assert alone_evals and len(evals) == alone_evals
     assert rec.z_star_exact is not None
+
+
+def test_suffix_store_stays_within_its_bound():
+    # after a Z pass at (24, 5), a star sweep and a column given out of
+    # order, every key of the store is a partition of at most SUFFIX_MAX,
+    # each level holds rows of its size, at most p(|sigma|) of them, and the
+    # total is within the stated bound
+    z_exact(24, 5, cap=24)
+    for n in range(20, 29):
+        for ell in (5, 7, 11):
+            z_star_exact(n, ell)
+    # parts out of order leave no level under an unordered key
+    ColumnEvaluator((1, 3, 1, 2, 1)).value((4, 3, 1))
+    store = characters._SUFFIX_LEVELS
+    assert store
+    for sigma, level in store.items():
+        m = sum(sigma)
+        assert 0 < m <= characters.SUFFIX_MAX, sigma
+        assert list(sigma) == sorted(sigma, reverse=True), sigma
+        assert len(level) <= count_p(m), sigma
+        for mask in level:
+            assert mask == canonical_mask(mask) and sum(mask_parts(mask)) == m, (sigma, mask)
+    bound = sum(count_p(m) ** 2 for m in range(characters.SUFFIX_MAX + 1))
+    assert sum(map(len, store.values())) <= bound
+
+
+def test_chunked_star_census_reuses_suffix_levels(monkeypatch):
+    # two census calls in one process, n = 26, 27 then 28, 29: the second
+    # reads the suffix levels the first left, makes fewer memo-level
+    # evaluations than on an empty store, and both give the reference rows
+    evals = counted_evals(monkeypatch)
+    first = CensusConfig(n_min=26, n_max=27, ells=(5, 7))
+    second = first._replace(n_min=28, n_max=29)
+    records = run_census(first)
+    evals.clear()
+    records += run_census(second)
+    warm = len(evals)
+    want = (REFS / "census-star-window.csv").read_text().splitlines()[1:]
+    assert [rec.csv_row() for rec in records] == want
+    characters._SUFFIX_LEVELS.clear()
+    evals.clear()
+    assert run_census(second) == records[4:]
+    assert 0 < warm < len(evals)
 
 
 def test_cache_completion_fills_star_without_mn(monkeypatch, tmp_path):
@@ -1016,7 +1073,7 @@ def test_suites_pass(suite, suite_report):
     assert all(c.seconds >= 0 for c in rep.checks)
 
 
-VERIFY_REF = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "verify.json"
+VERIFY_REF = REFS / "verify.json"
 
 
 def test_suite_verdicts_match_the_benchmark_reference(suite_report):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corz.characters import (
     ColumnEvaluator,
+    _count_zeros,
     _lane_ones,
     _lane_width,
     _orbits,
@@ -129,6 +130,32 @@ def test_suffix_levels_match_reference_in_adversarial_order():
         rng.shuffle(lams)
         for lam in lams:
             assert col.value(lam) == ref.value(lam), (parts, lam.parts)
+
+
+def test_warm_suffix_store_matches_reference_across_n():
+    # the levels of suffixes of at most SUFFIX_MAX outlive their evaluator:
+    # the cores x cores and cores x all-columns blocks of n = 12, 20, 16 and
+    # 20 again, for ell = 3, 5, 7, each read what the blocks before them left
+    # in the store.  Every value, moved through in the zero loop's column
+    # order, and the loop's own pair equal the reference
+    refs = {}
+    for n in (12, 20, 16, 20):
+        columns = list(enumerate_partitions(n))
+        for ell in (3, 5, 7):
+            cores = list(enumerate_cores(n, ell))
+            rows = {lam.parts for lam in cores}
+            for block in (cores, columns):
+                col = ColumnEvaluator(())
+                total = square = 0
+                for mu in sorted(block, key=lambda mu: mu.parts[::-1]):
+                    col._move(mu.parts)
+                    ref = refs.setdefault(mu.parts, _ReferenceEvaluator(mu.parts))
+                    for lam in cores:
+                        want = ref.value(lam)
+                        assert col.value(lam) == want, (n, ell, lam.parts, mu.parts)
+                        total += want == 0
+                        square += want == 0 and mu.parts in rows
+                assert _count_zeros(cores, block) == (total, square), (n, ell)
 
 
 def test_kernel_on_one_part_and_all_ones_columns():
