@@ -17,7 +17,8 @@ or, with_z_all, a read of the whole table, which runs no MN for the core
 blocks; above cap_exact it is the column loop over the cores, giving Z*.
 run_census builds every record through build_record, which puts each
 missing count into the cache payload, reads the counts its caps report off
-that payload, and builds the immutable CensusRecord in one call at the end.
+that payload, stores the payload only when it differs from the one it
+loaded, and builds the immutable CensusRecord in one call at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import IO, NamedTuple
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _count_zeros, _table_zeros, _whole_table
-from .numtheory import _is_prime, _main_sigmas, inv_alpha
+from .numtheory import _is_prime, _twisted_divisor_sums, delta_ell, inv_alpha
 from .partitions import (
     _core_tables,
     _regular_window,
@@ -169,7 +170,7 @@ def _cache_path(cache_dir: Path, n: int, ell: int) -> Path:
     return Path(cache_dir) / f"census-{ell}-{n}.json"
 
 
-def _load_cache(path: Path) -> dict:
+def _load_cache(path: Path, n: int, ell: int) -> dict:
     # one read, no stat first: a file that is absent, or removed by an
     # overlapping run after any check, is a miss
     try:
@@ -184,6 +185,8 @@ def _load_cache(path: Path) -> dict:
         raise RuntimeError(f"unsupported census cache format in {path}")
     if doc.get("algorithm") != ALGORITHM_VERSION:
         return {}  # filled by other code: a miss, overwritten by the next store
+    if (doc.get("n"), doc.get("ell")) != (n, ell):
+        raise RuntimeError(f"census cache file holds another cell than n={n}, ell={ell}: {path}")
     payload = doc.get("payload", {})
     if doc.get("sha256") != _cache_digest(payload):
         raise RuntimeError(f"census cache file corrupt (checksum mismatch): {path}")
@@ -211,32 +214,6 @@ def _store_cache(path: Path, n: int, ell: int, payload: dict) -> None:
         raise
 
 
-def _fill_counts(n: int, ell: int, payload: dict, exact: bool, with_z_all: bool) -> bool:
-    # puts z_all_exact (with_z_all and exact), z_exact (exact) and
-    # z_star_exact into the cache payload where it lacks them; returns whether
-    # it computed any.  One pass gives (Z, Z*), or (Z*, Z*) when not exact, so
-    # Z* is cached whatever cap_star is.  It enumerates the cores, and runs
-    # only for a missing count.
-    computed = False
-    if with_z_all and exact and payload.get("z_all_exact") is None:
-        payload["z_all_exact"] = z_all_exact(n, cap=n)
-        computed = True
-    keys = ("z_exact", "z_star_exact") if exact else ("z_star_exact",)
-    missing = [key for key in keys if payload.get(key) is None]
-    if missing:
-        cores = tuple(enumerate_cores(n, ell))
-        if not exact:
-            pair = _count_zeros(cores, cores)
-        elif with_z_all:
-            # the whole table's verdicts give both counts with no MN
-            pair = _table_zeros(n, cores)
-        else:
-            pair = _count_zeros(cores, enumerate_partitions(n))
-        # a cached count is kept
-        payload.update((k, v) for k, v in zip(("z_exact", "z_star_exact"), pair) if k in missing)
-    return computed or bool(missing)
-
-
 def build_record(
     n: int,
     ell: int,
@@ -250,9 +227,8 @@ def build_record(
     when given (an optimization only).
 
     series is (p(n), p_ell(n), c_ell(n), sigma_ell(n + delta_ell)), which
-    run_census reads off its tables and windows for each record it builds
-    here, with sigma None unless ell is a prime >= 5; the record reads no
-    table itself.  Without it the row is the census of the one cell (n, ell),
+    run_census takes from _sweep_series for each record it builds here, with
+    sigma None unless ell is a prime >= 5; the record reads no table itself.  Without it the row is the census of the one cell (n, ell),
     so every record comes from run_census.
     """
     if series is None:
@@ -266,15 +242,32 @@ def build_record(
     z_lower = (p - p_ell) * c
     exact = n <= cap_exact
     payload: dict = {}
-    path: Path | None = None
-    computed = False
+    path = None
     # above both caps a record holds no exhaustive count: no file is read, and
     # nothing is set up for one
     if n <= max(cap_exact, cap_star):
         if cache_dir is not None:
             path = _cache_path(cache_dir, n, ell)
-            payload = _load_cache(path)
-        computed = _fill_counts(n, ell, payload, exact, with_z_all)
+            loaded = _load_cache(path, n, ell)
+            payload = dict(loaded)
+        # z_all_exact (with_z_all and exact), z_exact (exact) and z_star_exact
+        # go into the payload where it lacks them, and a cached count is kept.
+        # One pass gives (Z, Z*), or (Z*, Z*) when not exact, so Z* is cached
+        # whatever cap_star is; the cores are enumerated only for a missing count
+        if with_z_all and exact and payload.get("z_all_exact") is None:
+            payload["z_all_exact"] = z_all_exact(n, cap=n)
+        keys = ("z_exact", "z_star_exact") if exact else ("z_star_exact",)
+        missing = [key for key in keys if payload.get(key) is None]
+        if missing:
+            cores = tuple(enumerate_cores(n, ell))
+            if not exact:
+                pair = _count_zeros(cores, cores)
+            elif with_z_all:
+                # the whole table's verdicts give both counts with no MN
+                pair = _table_zeros(n, cores)
+            else:
+                pair = _count_zeros(cores, enumerate_partitions(n))
+            payload.update((k, v) for k, v in zip(("z_exact", "z_star_exact"), pair) if k in missing)
     z = payload["z_exact"] if exact else None
     z_star = payload["z_star_exact"] if n <= cap_star else None
     z_all = payload["z_all_exact"] if with_z_all and exact else None
@@ -289,9 +282,27 @@ def build_record(
         den = inv_alpha(ell)
         g = math.gcd(num, den)
         num, den = num // g, den // g
-    if path is not None and computed:
+    # loaded is set with path; the file is stored only when a count was added
+    if path is not None and payload != loaded:
         _store_cache(path, n, ell, payload)
     return CensusRecord(n, ell, p, p_ell, c, z_lower, z, z_star, closed, num, den, z_all)
+
+
+def _sweep_series(moduli: list[int], lo: int, hi: int, step: int = 1) -> list[list[tuple]]:
+    # for each modulus ell, (p(n), p_ell(n), c_ell(n), sigma_ell(n + delta_ell))
+    # for n = lo, lo + step, ... <= hi, with sigma None unless ell is a prime
+    # >= 5.  The p(n) table and the c_ell(n) tables of every modulus grow to hi
+    # in one _core_tables call; p_ell and sigma come from one window each
+    p, tables = _core_tables(moduli, hi)
+    rows = slice(lo, hi + 1, step)
+    columns = []
+    for ell, table in zip(moduli, tables):
+        sigmas = repeat(None)
+        if ell >= 5 and _is_prime(ell):
+            shift = delta_ell(ell)
+            sigmas = _twisted_divisor_sums(ell, (ell - 3) // 2, lo + shift, hi + shift, step)
+        columns.append(list(zip(p[rows], _regular_window(ell, lo, hi, step), table[rows], sigmas)))
+    return columns
 
 
 def run_census(config: CensusConfig) -> list[CensusRecord]:
@@ -300,12 +311,10 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
 
     n_min must be a nonnegative int and n_max an int; a sweep with
     n_max < n_min is empty, and jobs must be an int >= 1 and each cap an int.
-    Before any record is built or any worker starts, the p(n) table and the
-    c_ell(n) tables of every modulus are grown to n_max in one call of
-    _core_tables, and each modulus takes its column of p_ell(n) over
-    [n_min, n_max] from one window and, for a prime ell >= 5, the main terms'
-    sigma_ell(n + delta_ell) from another.  Each cell's build_record call gets
-    its four values p, p_ell, c_ell and sigma as its series argument.
+    Before any record is built or any worker starts, _sweep_series, which
+    `corz asymptotics` calls too, forms the series of every modulus over
+    [n_min, n_max] in one call.  Each cell's build_record call gets its four
+    values p, p_ell, c_ell and sigma as its series argument.
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order,
     so output does not depend on scheduling.  With with_z_all, the pool hands out the n-major grid in
@@ -325,19 +334,11 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
         return []
     moduli = sorted(set(config.ells))
     settings = (config.cap_exact, config.cap_star, config.cache_dir, config.with_z_all)
-    # the series are grown once, in bulk, to the top of the sweep, and each
-    # record gets its values as arguments
-    p, tables = _core_tables(moduli, hi)
-    columns = []
-    for ell, table in zip(moduli, tables):
-        main = ell >= 5 and _is_prime(ell)
-        sigmas = _main_sigmas(ell, lo, hi) if main else repeat(None)
-        columns.append(zip(p[lo : hi + 1], _regular_window(ell, lo, hi), table[lo : hi + 1], sigmas))
     # n-major: the cells of every modulus at one n, then the next n; a cell is
     # the argument list of its build_record call
     grid = [
         (n, ell, *settings, series)
-        for n, row in zip(ns, zip(*columns))
+        for n, row in zip(ns, zip(*_sweep_series(moduli, lo, hi)))
         for ell, series in zip(moduli, row)
     ]
     workers = min(config.jobs, len(grid))

@@ -26,13 +26,14 @@ from .census import (
     DEFAULT_CAP_EXACT,
     DEFAULT_CAP_STAR,
     CensusConfig,
+    _sweep_series,
     run_census,
     write_records,
     z_all_exact,
 )
 from .abacus import n_ell
-from .numtheory import _is_prime, _main_sigmas, delta_ell, inv_alpha, sigma_twisted
-from .partitions import _core_tables, _regular_window, count_cores, count_p, count_p_regular
+from .numtheory import _is_prime, delta_ell, inv_alpha, sigma_twisted
+from .partitions import count_cores, count_p, count_p_regular
 
 _COUNT_QUANTITIES = {
     # name -> (argument names, callable)
@@ -240,17 +241,14 @@ def _cmd_asymptotics(opts: argparse.Namespace) -> int:
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
-    # p(n) and c_ell(n) come from their tables, grown once to n_max, and p_ell(n)
-    # and the main term's sigma_ell(n + delta_ell) from one window each over the
-    # n the table reads
+    # p(n), p_ell(n), c_ell(n) and the main term's sigma_ell(n + delta_ell) of
+    # the n the table reads come from census._sweep_series, as a census's do
     ell, lo, hi, step = opts.ell, opts.n_min, opts.n_max, opts.step
-    ps, (cores,) = _core_tables((ell,), hi)
-    p_ells, sigmas = _regular_window(ell, lo, hi, step), _main_sigmas(ell, lo, hi, step)
+    (series,) = _sweep_series((ell,), lo, hi, step)
     inv = inv_alpha(ell)
     header = ("n", "p_n", "p_ell_n", "c_ell_n", "core_ratio", "lower_ratio")
     rows = [header]
-    for n, p_ell, sigma in zip(range(lo, hi + 1, step), p_ells, sigmas):
-        p, c = ps[n], cores[n]
+    for n, (p, p_ell, c, sigma) in zip(range(lo, hi + 1, step), series):
         # ratios over the census's main term sigma / inv_alpha, each one int true
         # division, correctly rounded; sigma_ell(n + delta_ell) > 0 for ell >= 5
         rows.append((str(n), str(p), str(p_ell), str(c), f"{c * inv / sigma:.10f}",

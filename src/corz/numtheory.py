@@ -69,18 +69,11 @@ def sigma_twisted(n: int, ell: int) -> int:
     """Twisted divisor sum over d | n of (n/d / ell) * d^((ell-3)/2).
 
     The one-m window [n, n] of the sieve below, which is trial division.  A
-    sweep over many n takes its main terms' values from _main_sigmas instead.
+    sweep over many n takes its main terms' values from one window instead.
     """
     _require_int(n, "n", 1)
     _require_core_prime(ell)
     return _twisted_divisor_sums(ell, (ell - 3) // 2, n, n)[0]
-
-
-def _main_sigmas(ell: int, lo: int, hi: int, step: int = 1) -> list[int]:
-    # sigma_ell(n + delta_ell) for n = lo, lo + step, ... <= hi, the sums the
-    # main terms of a sweep read, for a prime ell >= 5 and n >= 0
-    shift = delta_ell(ell)
-    return _twisted_divisor_sums(ell, (ell - 3) // 2, lo + shift, hi + shift, step)
 
 
 def _twisted_divisor_sums(ell: int, e: int, lo: int, hi: int, step: int = 1) -> list[int]:

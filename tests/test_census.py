@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corz.abacus import count_cores, enumerate_cores, n_ell
-from corz import census, characters, numtheory, partitions
+from corz import census, characters, cli, partitions
 from corz.census import (
     CSV_FIELDS,
     CensusConfig,
@@ -266,6 +266,12 @@ def test_census_leaves_zero_counting_to_characters():
         "hook_mask",
         "_iter_partition_buffers",
     }
+
+
+def test_cli_takes_its_series_from_census():
+    # asymptotics forms its series through census._sweep_series, as a census
+    # does, so the CLI holds none of the series routines behind it
+    assert not set(vars(cli)) & {"_core_tables", "_regular_window", "_main_sigmas"}
 
 
 def test_record_star_is_the_core_columns_share_of_z_exact():
@@ -526,7 +532,7 @@ def test_census_fills_each_window_once(monkeypatch):
     # and the sigma_ell window of every prime ell >= 5; no record runs either
     # routine again, and the records hold the reference values
     calls = Counter()
-    for mod, name in ((census, "_regular_window"), (numtheory, "_twisted_divisor_sums")):
+    for mod, name in ((census, "_regular_window"), (census, "_twisted_divisor_sums")):
         def counted(*args, fn=getattr(mod, name), name=name):
             calls[name, args[0]] += 1
             return fn(*args)
@@ -780,7 +786,7 @@ def test_unreadable_cache_file_is_named(tmp_path, text):
     path = cache / "census-3-6.json"
     path.write_text(text)
     with pytest.raises(RuntimeError, match="census-3-6.json"):
-        _load_cache(path)
+        _load_cache(path, 6, 3)
     with pytest.raises(RuntimeError, match="census-3-6.json"):
         build_record(6, 3, cache_dir=cache)
 
@@ -789,10 +795,10 @@ def test_missing_cache_file_is_a_miss(tmp_path, monkeypatch):
     # absent file, absent directory, and a file that an overlapping run
     # removes after any check for it: each is a miss, never an error
     path = tmp_path / "cache" / "census-3-6.json"
-    assert _load_cache(path) == {}
-    assert _load_cache(tmp_path / "census-3-6.json") == {}
+    assert _load_cache(path, 6, 3) == {}
+    assert _load_cache(tmp_path / "census-3-6.json", 6, 3) == {}
     monkeypatch.setattr(Path, "exists", lambda self: True)
-    assert _load_cache(path) == {}
+    assert _load_cache(path, 6, 3) == {}
     monkeypatch.undo()
     assert build_record(6, 3, cache_dir=tmp_path / "cache") == build_record(6, 3)
     assert path.exists()
@@ -808,9 +814,9 @@ def test_cache_is_not_read_above_both_caps(tmp_path, monkeypatch):
     loaded = []
     load = census._load_cache
 
-    def spy(where):
+    def spy(where, *cell):
         loaded.append(where)
-        return load(where)
+        return load(where, *cell)
 
     monkeypatch.setattr(census, "_load_cache", spy)
     rec = build_record(30, 3, cap_exact=12, cap_star=26, cache_dir=cache)
@@ -827,6 +833,63 @@ def test_unsupported_cache_version_is_rejected(tmp_path):
     (cache / "census-3-6.json").write_text('{"format": 99, "payload": {}}')
     with pytest.raises(RuntimeError, match="format"):
         build_record(6, 3, cache_dir=cache)
+
+
+@pytest.mark.parametrize("source, target", [(20, 21), (10, 20)])
+def test_cache_file_of_another_cell_is_refused(tmp_path, monkeypatch, source, target):
+    # a file copied over another cell's keeps a valid checksum.  Read as that
+    # cell's, 20 -> 21 gave z_exact 4338 and z_star 100 for n = 21 (the true
+    # values are 5174 and 84), and 10 -> 20 tripped the z >= z_lower guard
+    for n in (source, target):
+        build_record(n, 5, cap_exact=21, cache_dir=tmp_path)
+    path = tmp_path / f"census-5-{target}.json"
+    fresh = path.read_bytes()
+    copied = (tmp_path / f"census-5-{source}.json").read_bytes()
+    path.write_bytes(copied)
+    with pytest.raises(RuntimeError, match=f"another cell than n={target}, ell=5: .*{path.name}"):
+        build_record(target, 5, cap_exact=21, cache_dir=tmp_path)
+    assert path.read_bytes() == copied
+    # the algorithm stamp is checked first: a copy stamped by other code is a
+    # miss, and the store overwrites it
+    payload = json.loads(copied)["payload"]
+    with monkeypatch.context() as old_code:
+        old_code.setattr(census, "ALGORITHM_VERSION", census.ALGORITHM_VERSION - 1)
+        _store_cache(path, source, 5, payload)
+    assert build_record(target, 5, cap_exact=21, cache_dir=tmp_path) == build_record(target, 5, cap_exact=21)
+    assert path.read_bytes() == fresh
+
+
+def test_records_store_only_what_they_add(tmp_path, monkeypatch):
+    # build_record stores a cache file only when its payload differs from the
+    # one it loaded: a warm census stores nothing, and a census that completes
+    # a cache stores each cell it completes once, with a cold run's bytes
+    stored = Counter()
+    store = census._store_cache
+
+    def spy(path, n, ell, payload):
+        stored[n, ell] += 1
+        store(path, n, ell, payload)
+
+    monkeypatch.setattr(census, "_store_cache", spy)
+    grid = CensusConfig(n_min=10, n_max=14, ells=(3, 5, 7), cap_exact=14, cap_star=14)
+    cold = run_census(grid._replace(cache_dir=tmp_path / "cold"))
+    assert stored == {(n, ell): 1 for n in range(10, 15) for ell in (3, 5, 7)}
+    stored.clear()
+    assert run_census(grid._replace(cache_dir=tmp_path / "cold")) == cold
+    assert stored == {}
+    # n = 11, 12 are cached with Z* alone under cap_exact 10, then gain Z; a
+    # cache filled under caps 12 then gains the files of n = 13, 14
+    stages = (((10, 12), range(10, 13)), ((12, 12), (11, 12)), ((14, 14), (13, 14)))
+    for (cap_exact, cap_star), completed in stages:
+        stored.clear()
+        part = grid._replace(cap_exact=cap_exact, cap_star=cap_star, cache_dir=tmp_path / "part")
+        assert run_census(part) == run_census(part._replace(cache_dir=None))
+        assert stored == {(n, ell): 1 for n in completed for ell in (3, 5, 7)}, cap_exact
+    assert run_census(grid._replace(cache_dir=tmp_path / "part")) == cold
+    names = sorted(path.name for path in (tmp_path / "cold").iterdir())
+    assert sorted(path.name for path in (tmp_path / "part").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
 
 def test_cache_from_other_code_is_recomputed(tmp_path, monkeypatch):
@@ -892,7 +955,7 @@ def test_concurrent_cache_stores_leave_one_valid_file(tmp_path):
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert _load_cache(path) in payloads
+            assert _load_cache(path, 6, 3) in payloads
             assert [f.name for f in tmp_path.iterdir()] == [path.name]
     finally:
         sys.setswitchinterval(old_interval)

@@ -169,9 +169,11 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the work ran")
 
-    for name in ("run_census", "_core_tables", "_regular_window", "_main_sigmas", "count_p",
-                 "count_p_regular", "count_cores", "sigma_twisted"):
+    for name in ("run_census", "count_p", "count_p_regular", "count_cores", "sigma_twisted"):
         monkeypatch.setattr(cli, name, no_work)
+    # asymptotics takes its series from census._sweep_series
+    for name in ("_core_tables", "_regular_window", "_twisted_divisor_sums"):
+        monkeypatch.setattr(census, name, no_work)
     for command in ("census", "asymptotics"):
         code, out, err = run_cli(capsys, command, "--n-max", str(COUNT_N_MAX + 1))
         assert code == 2 and out == "", command
@@ -233,6 +235,22 @@ def test_census_unreadable_cache_file_exits_2(tmp_path, capsys):
                                  "--n-max", "6", "--cache-dir", str(tmp_path))
         assert code == 2 and out == "", text
         assert err.startswith("corz: census cache file") and str(path) in err, text
+
+
+@pytest.mark.parametrize("source, target", [(20, 21), (10, 20)])
+def test_census_refuses_a_cache_file_of_another_cell(tmp_path, capsys, source, target):
+    # a file copied over another cell's keeps a valid checksum; read as that
+    # cell's, 20 -> 21 printed z_exact 4338 and z_star 100 for n = 21, and
+    # 10 -> 20 ended in an uncaught AssertionError.  Both exit 2 naming it
+    argv = ("census", "--ell", "5", "--cap-exact", "21", "--cache-dir", str(tmp_path))
+    for n in (source, target):
+        code, out, err = run_cli(capsys, *argv, "--n-min", str(n), "--n-max", str(n))
+        assert code == 0, err
+    path = tmp_path / f"census-5-{target}.json"
+    path.write_bytes((tmp_path / f"census-5-{source}.json").read_bytes())
+    code, out, err = run_cli(capsys, *argv, "--n-min", str(target), "--n-max", str(target))
+    assert code == 2 and out == ""
+    assert err == f"corz: census cache file holds another cell than n={target}, ell=5: {path}\n"
 
 
 def test_census_bad_ell_list(capsys, monkeypatch):
@@ -324,19 +342,21 @@ def test_asymptotics_fills_windows_at_every_step(capsys, monkeypatch):
     # every --step takes p_ell and sigma_ell from one window each over the n
     # it prints; the rows the steps share agree
     fills = []
-    for name in ("_regular_window", "_main_sigmas"):
-        def logged(*args, fn=getattr(cli, name), name=name):
+    for name in ("_regular_window", "_twisted_divisor_sums"):
+        def logged(*args, fn=getattr(census, name), name=name):
             fills.append((name, *args))
             return fn(*args)
 
-        monkeypatch.setattr(cli, name, logged)
+        monkeypatch.setattr(census, name, logged)
     argv = ("asymptotics", "--ell", "11", "--n-min", "3", "--n-max", "300", "--format", "csv")
     outs = {}
     for step in (1, 2, 3, 7):
         code, outs[step], err = run_cli(capsys, *argv, "--step", str(step))
         assert code == 0, err
-    assert fills == [(name, 11, 3, 300, step) for step in (1, 2, 3, 7)
-                     for name in ("_regular_window", "_main_sigmas")]
+    # sigma_11 over m = n + delta_11 = n + 5, with the exponent (11 - 3) / 2
+    assert fills == [fill for step in (1, 2, 3, 7)
+                     for fill in (("_twisted_divisor_sums", 11, 4, 8, 305, step),
+                                  ("_regular_window", 11, 3, 300, step))]
     dense = outs[1].splitlines()
     assert len(dense) == 299
     for step in (2, 3, 7):
