@@ -228,8 +228,9 @@ def build_record(
 
     series is (p(n), p_ell(n), c_ell(n), sigma_ell(n + delta_ell)), which
     run_census takes from _sweep_series for each record it builds here, with
-    sigma None unless ell is a prime >= 5; the record reads no table itself.  Without it the row is the census of the one cell (n, ell),
-    so every record comes from run_census.
+    sigma None unless ell is a prime >= 5; the record reads no table itself.
+    Without series the row is the census of the one cell (n, ell), so every
+    record comes from run_census.
     """
     if series is None:
         config = CensusConfig(
@@ -317,11 +318,11 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     values p, p_ell, c_ell and sigma as its series argument.
     Worker count config.jobs shards record computation across at most one
     process per grid cell; workers share nothing and map keeps grid order,
-    so output does not depend on scheduling.  With with_z_all, the pool hands out the n-major grid in
-    chunks of one n and all its moduli, so one worker computes the whole
-    table of each n.  The process pool, and multiprocessing with it, is
-    imported only when more than one worker runs, so a serial census starts
-    without them.
+    so output does not depend on scheduling.  With with_z_all, the pool
+    hands out the n-major grid in chunks of one n and all its moduli, so one
+    worker computes the whole table of each n.  The process pool, and
+    multiprocessing with it, is imported only when more than one worker
+    runs, so a serial census starts without them.
     """
     _require_int(config.n_min, "n_min")
     _require_int(config.n_max, "n_max", None)

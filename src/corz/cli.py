@@ -55,6 +55,16 @@ _COUNT_QUANTITIES = {
 # every n up to here at ell = 499, takes 1.5-1.7 s on the same VM.  It also
 # bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
+# largest n whose whole character table (`count z-all`, `census --z-all`) fits
+# a 2 GiB budget.  Its peak is the row kernel's memo, which grows about 1.4x
+# per n at one lane width.  Peak RSS and time of z_all_exact(n), each in a
+# fresh process on a 2-core x86 VM:
+#   n    30     31     32     33     34     35     36
+#   MiB  67     90     126    170    417    592    846
+#   s    1.5    2.2    3.3    4.4    11.6   19.5   22.6
+# (the lanes widen from 64 to 128 bits at 34); so, at 1.43x per n, about
+# 1.2 GiB at 37, 1.7 GiB at 38 and 2.4 GiB at 39 (not run)
+Z_ALL_N_MAX = 38
 # largest modulus for `census --ell`, `asymptotics --ell` and every `count`
 # argument named ell: the core enumeration recurses once per abacus column,
 # and `count inv-alpha` grows faster than ell^3 (0.18-0.25 s end to end at 499
@@ -138,6 +148,8 @@ def _cmd_count(opts: argparse.Namespace) -> int:
             print(f"corz count {opts.quantity}: {name} must be at most {bound}", file=sys.stderr)
             return 2
     if opts.quantity == "z-all":
+        if _table_too_large(opts.args[0], "corz count z-all"):
+            return 2
         value = z_all_exact(opts.args[0], cap=opts.cap_exact)
     else:
         value = fn(*opts.args)
@@ -164,6 +176,9 @@ def _cmd_census(opts: argparse.Namespace) -> int:
         return 2
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
+        return 2
+    # a --z-all record of n <= --cap-exact reads the whole table of n
+    if opts.z_all and _table_too_large(min(opts.n_max, opts.cap_exact), "census --z-all"):
         return 2
     cpus = os.cpu_count() or 1
     if not 1 <= opts.jobs <= cpus:
@@ -200,6 +215,19 @@ def _empty_range(opts: argparse.Namespace) -> bool:
     if opts.n_max >= opts.n_min:
         return False
     print(f"--n-max {opts.n_max} is below --n-min {opts.n_min}: no n to sweep", file=sys.stderr)
+    return True
+
+
+def _table_too_large(n: int, what: str) -> bool:
+    # checked before any table is built: a table above Z_ALL_N_MAX would not
+    # fit the memory budget
+    if n <= Z_ALL_N_MAX:
+        return False
+    print(
+        f"{what}: the whole table of n={n} is above n={Z_ALL_N_MAX}, "
+        "the largest that fits in 2 GiB",
+        file=sys.stderr,
+    )
     return True
 
 

@@ -20,7 +20,9 @@ def suite_report():
 
 
 @pytest.fixture(autouse=True)
-def empty_suffix_store():
+def empty_process_stores():
     """Each test starts on an empty store of MN suffix levels, so a count of
-    MN calls does not depend on the tests run before it."""
+    MN calls does not depend on the tests run before it, and on an empty
+    store of the whole-table kernel's small rows."""
     characters._SUFFIX_LEVELS.clear()
+    characters._SMALL_ROWS.clear()

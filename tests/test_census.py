@@ -348,6 +348,18 @@ def test_chunked_star_census_reuses_suffix_levels(monkeypatch):
     assert 0 < warm < len(evals)
 
 
+def test_chunked_full_table_census_shares_small_rows():
+    # two --z-all census calls in one process, n = 10, 11 then 12..14: the
+    # second reads the small rows the first left in the store, and both give
+    # the reference rows
+    first = CensusConfig(n_min=10, n_max=11, ells=(3, 5, 7), with_z_all=True)
+    records = run_census(first)
+    assert characters._SMALL_ROWS
+    records += run_census(first._replace(n_min=12, n_max=14))
+    want = (REFS / "census-full-table.csv").read_text().splitlines()[1:]
+    assert [rec.csv_row(with_z_all=True) for rec in records] == want
+
+
 def test_cache_completion_fills_star_without_mn(monkeypatch, tmp_path):
     # a record cached with cap_star below n <= cap_exact caches Z*, the
     # core-column block of its Z pass, unreported; the default caps then

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corz import characters
 from corz.characters import (
     ColumnEvaluator,
     _count_zeros,
@@ -24,6 +25,7 @@ from corz.partitions import (
     Partition,
     beta_mask,
     canonical_mask,
+    count_p,
     enumerate_partitions,
     hook_mask,
     is_regular,
@@ -553,3 +555,68 @@ def test_kernel_zeros_match_frobenius_oracle():
             got = {k for k in range(len(columns)) if flags >> (k * width + width - 1) & 1}
             assert got == want, (n, lam)
             assert flags.bit_count() == len(want)
+
+
+def test_warm_row_store_matches_cold_rows_and_evaluator(monkeypatch):
+    # the complete vectors of rows of at most SMALL_ROW_MAX outlive the table
+    # that made them.  On one store, the rows of n = 0..16 visited in a
+    # shuffled order equal those made on an empty store and the evaluator's
+    # values, at W = 64 and, with _lane_width patched, at W = 128; each width
+    # keeps entries of its own
+    ns = list(range(17))
+    random.Random(16).shuffle(ns)
+    keys = {n: list(_orbits(enumerate_partitions(n))) for n in ns}
+    want = {}
+    for n in ns:
+        columns = list(enumerate_partitions(n))[::-1]  # ascending lex
+        evaluators = [ColumnEvaluator(mu) for mu in columns]
+        want[n] = [[col.value_mask(key) for col in evaluators] for key in keys[n]]
+    stores = characters._SMALL_ROWS
+    for width in (64, 128):
+        monkeypatch.setattr(characters, "_lane_width", lambda n: width)
+        cold = {}
+        for n in ns:
+            stores.pop(width, None)
+            cold[n] = list(_row_vectors(n, keys[n]))
+        stores.pop(width, None)
+        for n in ns:
+            rows = list(_row_vectors(n, keys[n]))
+            assert rows == cold[n], (width, n)
+            got = [unpack(row, width, count_p(n)) for _, row in rows]
+            assert got == want[n], (width, n)
+    assert set(stores) == {64, 128}
+    assert stores[64].keys() == stores[128].keys()
+    for mask, value in stores[64].items():
+        lanes = count_p(sum(mask_parts(mask)))
+        assert unpack(value, 64, lanes) == unpack(stores[128][mask], 128, lanes), mask
+
+
+def test_row_store_stays_within_its_bound(monkeypatch):
+    # after the tables of n = 0..20 at W = 64, and of n = 14 at W = 128,
+    # every key is the canonical mask of a partition of at most
+    # SMALL_ROW_MAX, every value is the complete vector of its row as a
+    # residue, and the lanes stored per width are within sum p(m)^2
+    for n in range(21):
+        characters._whole_table.cache_clear()
+        characters._whole_table(n)
+    monkeypatch.setattr(characters, "_lane_width", lambda n: 128)
+    list(_row_vectors(14, _orbits(enumerate_partitions(14))))
+    characters._whole_table.cache_clear()
+    bound = sum(count_p(m) ** 2 for m in range(characters.SMALL_ROW_MAX + 1))
+    stores = characters._SMALL_ROWS
+    assert set(stores) == {64, 128}
+    evaluators = {}
+    for width, store in stores.items():
+        lanes = 0
+        for mask, value in store.items():
+            m = sum(mask_parts(mask))
+            assert mask == canonical_mask(mask) and m <= characters.SMALL_ROW_MAX, (width, mask)
+            full = (1 << (width * count_p(m))) - 1
+            assert 0 <= value <= full, (width, mask)
+            if m not in evaluators:
+                columns = list(enumerate_partitions(m))[::-1]
+                evaluators[m] = [ColumnEvaluator(mu) for mu in columns]
+            want = [col.value_mask(mask) for col in evaluators[m]]
+            assert unpack(_truncate(value, full), width, count_p(m)) == want, (width, mask)
+            lanes += count_p(m)
+        assert lanes <= bound, width

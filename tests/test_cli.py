@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from corz import census, cli
-from corz.cli import COUNT_N_MAX, ELL_MAX, main
+from corz import census, characters, cli
+from corz.cli import COUNT_N_MAX, ELL_MAX, Z_ALL_N_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +193,36 @@ def test_census_and_asymptotics_bound_n_max(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "asymptotics", "--ell", ell)
         assert code == 2 and out == "", ell
         assert f"--ell must be a prime from 5 to {ELL_MAX}, got {ell}" in err, ell
+
+
+def test_whole_table_above_its_ceiling_is_refused(capsys, monkeypatch):
+    # a whole table above Z_ALL_N_MAX would not fit the memory budget: the
+    # command exits 2, naming n and the ceiling, before any table is built
+    def no_work(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(characters, "_row_vectors", no_work)
+    characters._whole_table.cache_clear()
+    top = Z_ALL_N_MAX + 1
+    cases = [
+        (("count", "z-all", str(top), "--cap-exact", str(top)), "corz count z-all", top),
+        (("count", "z-all", "60", "--cap-exact", "20"), "corz count z-all", 60),
+        (("census", "--z-all", "--n-max", "50", "--cap-exact", str(top)), "census --z-all", top),
+        (("census", "--z-all", "--n-max", str(top), "--cap-exact", "50"), "census --z-all", top),
+    ]
+    for argv, what, n in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == (
+            f"{what}: the whole table of n={n} is above n={Z_ALL_N_MAX}, "
+            "the largest that fits in 2 GiB\n"
+        ), argv
+    # a census whose --n-max or --cap-exact is within the ceiling passes the
+    # check: above --cap-exact a record reads no table, and has no z_all
+    code, out, err = run_cli(capsys, "census", "--z-all", "--ell", "3", "--n-min", str(top),
+                             "--n-max", str(top), "--cap-exact", str(Z_ALL_N_MAX))
+    assert code == 0 and err == "", err
+    assert len(out.splitlines()) == 2 and "z_all" not in out
 
 
 def test_census_rejects_negative_n_min(capsys, monkeypatch):
