@@ -15,10 +15,13 @@ Z, so a record asks `characters` for the pair (Z, Z*) in one pass, adds no
 MN for Z*, and caches both.  The pass is the column loop over every column,
 or, with_z_all, a read of the whole table, which runs no MN for the core
 blocks; above cap_exact it is the column loop over the cores, giving Z*.
-run_census builds every record through build_record, which puts each
-missing count into the cache payload, reads the counts its caps report off
-that payload, stores the payload only when it differs from the one it
-loaded, and builds the immutable CensusRecord in one call at the end.
+Only a cell with n <= max(cap_exact, cap_star) has an exhaustive count.
+run_census sends those cells, and no others, through _cell_counts, serially
+or in the process pool: it puts each missing count into the cache payload,
+reads the counts the caps report off that payload, and stores the payload
+only when it differs from the one it loaded.  Then one loop in run_census
+forms every immutable CensusRecord, in (n, ell) order, from the series of
+_sweep_series and those counts; build_record is the census of one cell.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import IO, NamedTuple
 
@@ -214,6 +217,45 @@ def _store_cache(path: Path, n: int, ell: int, payload: dict) -> None:
         raise
 
 
+def _cell_counts(
+    n: int, ell: int, cap_exact: int, cap_star: int, cache_dir: Path | None, with_z_all: bool
+) -> tuple[int | None, int | None, int | None]:
+    # (z_exact, z_star_exact, z_all) of one cell with n <= max(cap_exact,
+    # cap_star), each None where the caps do not report it.  Missing counts go
+    # into the cache payload and a cached count is kept: z_all_exact (with_z_all
+    # and exact), z_exact (exact) and z_star_exact.  One pass gives (Z, Z*), or
+    # (Z*, Z*) when not exact, so Z* is cached whatever cap_star is; the cores
+    # are enumerated only for a missing count.  The file is stored only when
+    # the payload differs from the one loaded
+    exact = n <= cap_exact
+    payload: dict = {}
+    if cache_dir is not None:
+        path = _cache_path(cache_dir, n, ell)
+        loaded = _load_cache(path, n, ell)
+        payload = dict(loaded)
+    if with_z_all and exact and payload.get("z_all_exact") is None:
+        payload["z_all_exact"] = z_all_exact(n, cap=n)
+    keys = ("z_exact", "z_star_exact") if exact else ("z_star_exact",)
+    missing = [key for key in keys if payload.get(key) is None]
+    if missing:
+        cores = tuple(enumerate_cores(n, ell))
+        if not exact:
+            pair = _count_zeros(cores, cores)
+        elif with_z_all:
+            # the whole table's verdicts give both counts with no MN
+            pair = _table_zeros(n, cores)
+        else:
+            pair = _count_zeros(cores, enumerate_partitions(n))
+        payload.update((k, v) for k, v in zip(("z_exact", "z_star_exact"), pair) if k in missing)
+    if cache_dir is not None and payload != loaded:
+        _store_cache(path, n, ell, payload)
+    return (
+        payload["z_exact"] if exact else None,
+        payload["z_star_exact"] if n <= cap_star else None,
+        payload["z_all_exact"] if with_z_all and exact else None,
+    )
+
+
 def build_record(
     n: int,
     ell: int,
@@ -221,72 +263,15 @@ def build_record(
     cap_star: int = DEFAULT_CAP_STAR,
     cache_dir: Path | None = None,
     with_z_all: bool = False,
-    series: tuple[int, int, int, int | None] | None = None,
 ) -> CensusRecord:
-    """One census row; caches the expensive exhaustive counts under cache_dir
-    when given (an optimization only).
-
-    series is (p(n), p_ell(n), c_ell(n), sigma_ell(n + delta_ell)), which
-    run_census takes from _sweep_series for each record it builds here, with
-    sigma None unless ell is a prime >= 5; the record reads no table itself.
-    Without series the row is the census of the one cell (n, ell), so every
-    record comes from run_census.
+    """The census of the one cell (n, ell), as run_census forms it; caches
+    the exhaustive counts under cache_dir when given (an optimization only).
     """
-    if series is None:
-        config = CensusConfig(
-            n_min=n, n_max=n, ells=(ell,), cap_exact=cap_exact, cap_star=cap_star,
-            cache_dir=cache_dir, with_z_all=with_z_all,
-        )
-        return run_census(config)[0]
-    # z_lower and z_star_closed are arithmetic on the series
-    p, p_ell, c, sigma = series
-    z_lower = (p - p_ell) * c
-    exact = n <= cap_exact
-    payload: dict = {}
-    path = None
-    # above both caps a record holds no exhaustive count: no file is read, and
-    # nothing is set up for one
-    if n <= max(cap_exact, cap_star):
-        if cache_dir is not None:
-            path = _cache_path(cache_dir, n, ell)
-            loaded = _load_cache(path, n, ell)
-            payload = dict(loaded)
-        # z_all_exact (with_z_all and exact), z_exact (exact) and z_star_exact
-        # go into the payload where it lacks them, and a cached count is kept.
-        # One pass gives (Z, Z*), or (Z*, Z*) when not exact, so Z* is cached
-        # whatever cap_star is; the cores are enumerated only for a missing count
-        if with_z_all and exact and payload.get("z_all_exact") is None:
-            payload["z_all_exact"] = z_all_exact(n, cap=n)
-        keys = ("z_exact", "z_star_exact") if exact else ("z_star_exact",)
-        missing = [key for key in keys if payload.get(key) is None]
-        if missing:
-            cores = tuple(enumerate_cores(n, ell))
-            if not exact:
-                pair = _count_zeros(cores, cores)
-            elif with_z_all:
-                # the whole table's verdicts give both counts with no MN
-                pair = _table_zeros(n, cores)
-            else:
-                pair = _count_zeros(cores, enumerate_partitions(n))
-            payload.update((k, v) for k, v in zip(("z_exact", "z_star_exact"), pair) if k in missing)
-    z = payload["z_exact"] if exact else None
-    z_star = payload["z_star_exact"] if n <= cap_star else None
-    z_all = payload["z_all_exact"] if with_z_all and exact else None
-    _require(z is None or z >= z_lower, (n, ell, z, z_lower))
-    # Theorem 2 holds for primes only: composite ell has regular cores above n_ell
-    closed = c * c if _is_prime(ell) and n > n_ell(ell) else None
-    _require(closed is None or z_star is None or z_star == closed, (n, ell))
-    # core_main_term(n, ell) * p in lowest terms, from integers: inv_alpha > 0
-    num = den = None
-    if sigma is not None:
-        num = sigma * p
-        den = inv_alpha(ell)
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    # loaded is set with path; the file is stored only when a count was added
-    if path is not None and payload != loaded:
-        _store_cache(path, n, ell, payload)
-    return CensusRecord(n, ell, p, p_ell, c, z_lower, z, z_star, closed, num, den, z_all)
+    config = CensusConfig(
+        n_min=n, n_max=n, ells=(ell,), cap_exact=cap_exact, cap_star=cap_star,
+        cache_dir=cache_dir, with_z_all=with_z_all,
+    )
+    return run_census(config)[0]
 
 
 def _sweep_series(moduli: list[int], lo: int, hi: int, step: int = 1) -> list[list[tuple]]:
@@ -312,17 +297,23 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
 
     n_min must be a nonnegative int and n_max an int; a sweep with
     n_max < n_min is empty, and jobs must be an int >= 1 and each cap an int.
-    Before any record is built or any worker starts, _sweep_series, which
+    Before any count is computed or any worker starts, _sweep_series, which
     `corz asymptotics` calls too, forms the series of every modulus over
-    [n_min, n_max] in one call.  Each cell's build_record call gets its four
-    values p, p_ell, c_ell and sigma as its series argument.
-    Worker count config.jobs shards record computation across at most one
-    process per grid cell; workers share nothing and map keeps grid order,
-    so output does not depend on scheduling.  With with_z_all, the pool
-    hands out the n-major grid in chunks of one n and all its moduli, so one
-    worker computes the whole table of each n.  The process pool, and
-    multiprocessing with it, is imported only when more than one worker
-    runs, so a serial census starts without them.
+    [n_min, n_max] in one call.
+
+    Only the cells with n <= max(cap_exact, cap_star) have an exhaustive
+    count.  Those cells, and no others, go through the cache and, with
+    config.jobs > 1, the process pool, which starts at most one worker per
+    such cell: a grid above both caps starts none.  Workers share nothing and
+    map keeps grid order, so output does not depend on scheduling.  With
+    with_z_all, the pool hands out the n-major cells in chunks of one n and
+    all its moduli, so one worker computes the whole table of each n.  The
+    process pool, and multiprocessing with it, is imported only when more
+    than one worker runs, so a serial census starts without them.
+
+    Then one loop in the calling process forms every record from the series
+    and the counts: z_lower, the closed form of the star count, the main term
+    and the guards of both invariants.
     """
     _require_int(config.n_min, "n_min")
     _require_int(config.n_max, "n_max", None)
@@ -334,22 +325,51 @@ def run_census(config: CensusConfig) -> list[CensusRecord]:
     if not ns:
         return []
     moduli = sorted(set(config.ells))
+    columns = _sweep_series(moduli, lo, hi)
     settings = (config.cap_exact, config.cap_star, config.cache_dir, config.with_z_all)
-    # n-major: the cells of every modulus at one n, then the next n; a cell is
-    # the argument list of its build_record call
-    grid = [
-        (n, ell, *settings, series)
-        for n, row in zip(ns, zip(*_sweep_series(moduli, lo, hi)))
-        for ell, series in zip(moduli, row)
-    ]
-    workers = min(config.jobs, len(grid))
+    # n-major: the cells of every modulus at one n, then the next n; the cells
+    # with a count are a prefix of the grid, each the argument list of its
+    # _cell_counts call
+    top = min(hi, max(config.cap_exact, config.cap_star))
+    cells = [(n, ell, *settings) for n in range(lo, top + 1) for ell in moduli]
+    workers = min(config.jobs, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = len(moduli) if config.with_z_all else 1
-            return list(pool.map(build_record, *zip(*grid), chunksize=chunk))
-    return list(starmap(build_record, grid))
+            counts = list(pool.map(_cell_counts, *zip(*cells), chunksize=chunk))
+    else:
+        counts = list(starmap(_cell_counts, cells))
+    # per modulus: Theorem 2's bound n_ell, above which the star count is
+    # c_ell^2 (None for composite ell, which has regular cores above it), and
+    # inv_alpha for the main term (None unless ell is a prime >= 5, as sigma)
+    constants = []
+    for ell in moduli:
+        prime = _is_prime(ell)
+        constants.append((n_ell(ell) if prime else None, inv_alpha(ell) if prime and ell >= 5 else None))
+    records = []
+    # the cells above both caps, after the prefix, have no count
+    cell = chain(counts, repeat((None, None, None)))
+    for n, row in zip(ns, zip(*columns)):
+        for ell, (p, p_ell, c, sigma), (bound, inv) in zip(moduli, row, constants):
+            z, z_star, z_all = next(cell)
+            z_lower = (p - p_ell) * c
+            closed = c * c if bound is not None and n > bound else None
+            if z is not None:
+                _require(z >= z_lower, (n, ell, z, z_lower))
+            if z_star is not None and closed is not None:
+                _require(z_star == closed, (n, ell))
+            # core_main_term(n, ell) * p in lowest terms, from integers: inv_alpha > 0
+            num = den = None
+            if inv is not None:
+                num = sigma * p
+                g = math.gcd(num, inv)
+                num, den = num // g, inv // g
+            records.append(
+                CensusRecord(n, ell, p, p_ell, c, z_lower, z, z_star, closed, num, den, z_all)
+            )
+    return records
 
 
 def write_records(records: Iterable[CensusRecord], fmt: str, fh: IO[str]) -> None:

@@ -177,8 +177,10 @@ def _cmd_census(opts: argparse.Namespace) -> int:
     if opts.n_max > COUNT_N_MAX:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
-    # a --z-all record of n <= --cap-exact reads the whole table of n
-    if opts.z_all and _table_too_large(min(opts.n_max, opts.cap_exact), "census --z-all"):
+    # a --z-all record of n <= --cap-exact reads the whole table of n; the
+    # largest such n is the top, and a sweep that starts above it reads none
+    top = min(opts.n_max, opts.cap_exact)
+    if opts.z_all and opts.n_min <= top and _table_too_large(top, "census --z-all"):
         return 2
     cpus = os.cpu_count() or 1
     if not 1 <= opts.jobs <= cpus:

@@ -982,9 +982,10 @@ import corz.suites as s
 s.inv_alpha = lambda ell: 0
 assert False, "asserts are live"
 print(s.verify("constants").passed)
+# a wrong c_ell(n) in the series of the one cell (17, 3)
+c._sweep_series = lambda moduli, lo, hi: [[(c.count_p(17), c.count_p_regular(17, 3), -1, None)]]
 try:
-    # a wrong c_ell(n) in the record's series
-    c.build_record(17, 3, cap_exact=0, series=(c.count_p(17), c.count_p_regular(17, 3), -1, None))
+    c.build_record(17, 3, cap_exact=0)
 except AssertionError:
     print("record guard raised")
 """
@@ -997,14 +998,19 @@ except AssertionError:
 def test_parallel_census_matches_serial():
     serial = census_text(n_min=1, n_max=10, ells=(2, 5), jobs=1)
     assert census_text(n_min=1, n_max=10, ells=(2, 5), jobs=2) == serial
+    # a grid that straddles both caps: the workers count n <= 12, and the
+    # calling process forms every record
+    straddle = dict(n_min=6, n_max=40, ells=(2, 5), cap_exact=9, cap_star=12)
+    assert census_text(**straddle, jobs=2) == census_text(**straddle)
 
 
 def inline_pool(monkeypatch):
-    """Patch ProcessPoolExecutor with a pool that logs its size and the
-    chunksize of each map, and maps in-process, so no worker is forked.  Each
-    chunk of cells may go to a worker that has computed nothing yet, so it
-    starts without the whole table of the previous chunk."""
-    started, chunks = [], []
+    """Patch ProcessPoolExecutor with a pool that logs its size, the
+    chunksize of each map and the cells it maps, and maps in-process, so no
+    worker is forked.  Each chunk of cells may go to a worker that has
+    computed nothing yet, so it starts without the whole table of the
+    previous chunk."""
+    started, chunks, mapped = [], [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -1019,6 +1025,7 @@ def inline_pool(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             chunks.append(chunksize)
             cells = list(zip(*iterables))
+            mapped.extend(cells)
             out = []
             for i in range(0, len(cells), chunksize):
                 characters._whole_table.cache_clear()
@@ -1026,11 +1033,11 @@ def inline_pool(monkeypatch):
             return out
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return started, chunks
+    return started, chunks, mapped
 
 
 def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
-    started, _ = inline_pool(monkeypatch)
+    started, _, _ = inline_pool(monkeypatch)
     run_census(CensusConfig(n_min=4, n_max=4, ells=(3,), jobs=64))
     assert started == []
     records = run_census(CensusConfig(n_min=3, n_max=4, ells=(2, 3, 5), jobs=64))
@@ -1038,10 +1045,56 @@ def test_pool_has_no_more_workers_than_grid_cells(monkeypatch):
     assert [(r.n, r.ell) for r in records] == [(n, ell) for n in (3, 4) for ell in (2, 3, 5)]
 
 
+def test_pool_maps_only_cells_with_an_exhaustive_count(monkeypatch):
+    # the cells with n <= max(cap_exact, cap_star) go to the pool, n-major,
+    # and no others; the pool has at most one worker per such cell, and every
+    # record is formed in the calling process
+    started, _, mapped = inline_pool(monkeypatch)
+    grid = [(n, ell) for n in range(8, 31) for ell in (3, 5)]
+    for cap_exact, cap_star in ((10, 12), (12, 10), (12, -1)):
+        started.clear()
+        mapped.clear()
+        config = CensusConfig(n_min=8, n_max=30, ells=(5, 3), cap_exact=cap_exact,
+                              cap_star=cap_star, jobs=64)
+        records = run_census(config)
+        assert [cell[:2] for cell in mapped] == grid[:10], (cap_exact, cap_star)
+        assert started == [10]
+        assert [(r.n, r.ell) for r in records] == grid
+        assert records == run_census(config._replace(jobs=1))
+    # a grid entirely above both caps starts no pool, however many jobs
+    started.clear()
+    mapped.clear()
+    above = CensusConfig(n_min=13, n_max=400, ells=(5, 3), cap_exact=10, cap_star=12, jobs=64)
+    records = run_census(above)
+    assert started == [] and mapped == []
+    assert records == run_census(above._replace(jobs=1))
+    assert all(r.z_exact is None and r.z_star_exact is None for r in records)
+
+
+@pytest.mark.parametrize("with_z_all", [False, True])
+def test_records_do_not_depend_on_jobs(monkeypatch, tmp_path, with_z_all):
+    # a grid that straddles both caps gives the same CSV, JSON and cache files
+    # at jobs 1, 2 and 3, on a cold cache and on the warm cache it leaves
+    inline_pool(monkeypatch)
+    grid = dict(n_min=6, n_max=16, ells=(2, 3, 5, 7), cap_exact=9, cap_star=12,
+                with_z_all=with_z_all)
+    want = {fmt: census_text(fmt, **grid) for fmt in ("csv", "json")}
+    files = []
+    for jobs in (1, 2, 3):
+        for fmt in ("csv", "json"):
+            cache = tmp_path / f"{fmt}-{jobs}"
+            for run in ("cold", "warm"):
+                got = census_text(fmt, **grid, jobs=jobs, cache_dir=cache)
+                assert got == want[fmt], (jobs, run, fmt)
+            files.append({path.name: path.read_bytes() for path in cache.iterdir()})
+    assert len(files[0]) == 4 * 7
+    assert all(cached == files[0] for cached in files)
+
+
 def test_pooled_z_all_computes_each_whole_table_once(monkeypatch):
     # with z_all each chunk holds every modulus of one n, so the kernel runs
     # once per n however the chunks are spread over the workers
-    _, chunks = inline_pool(monkeypatch)
+    _, chunks, _ = inline_pool(monkeypatch)
     walked = []
     row_vectors = characters._row_vectors
 

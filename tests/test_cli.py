@@ -223,6 +223,23 @@ def test_whole_table_above_its_ceiling_is_refused(capsys, monkeypatch):
                              "--n-max", str(top), "--cap-exact", str(Z_ALL_N_MAX))
     assert code == 0 and err == "", err
     assert len(out.splitlines()) == 2 and "z_all" not in out
+    # so does a census whose --n-min lies above min(--n-max, --cap-exact): no
+    # cell of it reads a table, and it prints the rows it prints without --z-all
+    argv = ("census", "--ell", "5", "--n-min", "50", "--n-max", "52", "--cap-exact", "40",
+            "--cap-star", "0")
+    code, out, err = run_cli(capsys, *argv, "--z-all")
+    assert code == 0 and err == "", err
+    assert len(out.splitlines()) == 4 and "z_all" not in out
+    assert run_cli(capsys, *argv) == (0, out, "")
+    # a census with a cell at or below that top still exits 2 before any
+    # table is built, whatever its --n-min
+    code, out, err = run_cli(capsys, "census", "--z-all", "--ell", "5", "--n-min", "30",
+                             "--n-max", "40", "--cap-exact", "40")
+    assert code == 2 and out == ""
+    assert err == (
+        f"census --z-all: the whole table of n=40 is above n={Z_ALL_N_MAX}, "
+        "the largest that fits in 2 GiB\n"
+    )
 
 
 def test_census_rejects_negative_n_min(capsys, monkeypatch):
