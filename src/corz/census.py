@@ -22,11 +22,17 @@ reads the counts the caps report off that payload, and stores the payload
 only when it differs from the one it loaded.  Then one loop in run_census
 forms every immutable CensusRecord, in (n, ell) order, from the series of
 _sweep_series and those counts; build_record is the census of one cell.
+
+A cache file carries a SHA-256 of its stamped payload.  The digest comes
+from the interpreter's own module (_sha2 from Python 3.12, _sha256 before),
+as random takes its SHA-512, and from hashlib only where neither exists:
+hashlib loads OpenSSL, which costs a census more start-up time and memory
+than hashing payloads of under 1 KB ever saves.  SHA-256 is one function
+whichever module computes it, so the digest and the cache bytes are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -35,6 +41,15 @@ from collections.abc import Iterable
 from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import IO, NamedTuple
+
+# the builtin SHA-256 without OpenSSL: _sha2 from 3.12, _sha256 on 3.10-3.11
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .abacus import enumerate_cores, n_ell
 from .characters import _count_zeros, _table_zeros, _whole_table
@@ -163,10 +178,12 @@ def _require(ok: bool, detail: object) -> None:
 
 
 def _cache_digest(payload: dict) -> str:
+    # the sha256 imported above: the interpreter's builtin module, whose
+    # digest is hashlib's, so files written with either read with the other
     blob = json.dumps(
         {"algorithm": ALGORITHM_VERSION, "payload": payload}, sort_keys=True, separators=(",", ":")
     ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def _cache_path(cache_dir: Path, n: int, ell: int) -> Path:

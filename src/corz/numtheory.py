@@ -3,10 +3,11 @@
 The headline operation is inv_alpha, the integer 1/alpha_ell.  It is computed
 on two genuinely independent routes, and the two must agree:
 
-- exact: a rational through the generalized Bernoulli number B_{k,chi},
-  formed from k+1 terms with integer power sums of the character, summed in
-  integers over one common denominator; the Bernoulli numbers come from
-  tangent numbers, in integers;
+- exact: the generalized Bernoulli number B_{k,chi} as an integer pair
+  (numerator, denominator), formed from k+1 terms with integer power sums of
+  the character, summed in integers over one common denominator; the
+  Bernoulli numbers come from tangent numbers and are kept as integer pairs
+  too, so the route ends in one divmod;
 - numeric: a partial sum of the Dirichlet series L(chi, k) plus the leading
   term of its tail, times (k-1)! ell^k sqrt(ell) / (2 pi)^k, all in integer
   fixed point.  Summing the tail by parts twice bounds what is left by
@@ -14,18 +15,24 @@ on two genuinely independent routes, and the two must agree:
   fixes the length N, and inv_alpha's docstring proves the bound and bounds
   every rounding error next to it.
 
-The module uses the standard library only.
+The module uses the standard library only.  A Fraction is built only by
+the three public wrappers bernoulli_number, generalized_bernoulli and
+core_main_term, which import fractions inside the call, so inv_alpha and
+every command that needs no Fraction start without fractions and decimal.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .partitions import _require_int, count_cores
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _is_prime(m: int) -> bool:
@@ -126,9 +133,11 @@ def delta_ell(ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli machinery (exact rationals from integer arithmetic)
+# Bernoulli machinery (exact rationals as integer pairs)
 
-_EVEN_BERNOULLI: list[Fraction] = []  # B_2, B_4, ..., as far as computed
+# B_2, B_4, ..., as far as computed, each (numerator, denominator) in lowest
+# terms with a positive denominator
+_EVEN_BERNOULLI: list[tuple[int, int]] = []
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -144,41 +153,40 @@ def _tangent_numbers(n: int) -> list[int]:
     return t[1:]
 
 
-def bernoulli_number(m: int) -> Fraction:
-    """Bernoulli number B_m with B_1 = -1/2.
-
-    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) with T_j the tangent number
-    tan^(2j-1)(0); the even ones are cached, the cache at least doubling
-    when it grows.
-    """
-    _require_int(m, "m")
+def _bernoulli(m: int) -> tuple[int, int]:
+    # B_m for m >= 0 as (numerator, denominator) in lowest terms, B_1 = -1/2
     if m < 2:
-        return Fraction(1) if m == 0 else Fraction(-1, 2)
+        return (1, 1) if m == 0 else (-1, 2)
     if m % 2:
-        return Fraction(0)
+        return 0, 1
     j = m // 2
     if j > len(_EVEN_BERNOULLI):
         tangents = _tangent_numbers(max(j, 2 * len(_EVEN_BERNOULLI)))
-        _EVEN_BERNOULLI[:] = [
-            Fraction((-1) ** (i - 1) * 2 * i * t, 4**i * (4**i - 1))
-            for i, t in enumerate(tangents, 1)
-        ]
+        pairs = []
+        for i, t in enumerate(tangents, 1):
+            num, den = (-1) ** (i - 1) * 2 * i * t, 4**i * (4**i - 1)
+            g = math.gcd(num, den)
+            pairs.append((num // g, den // g))
+        _EVEN_BERNOULLI[:] = pairs
     return _EVEN_BERNOULLI[j - 1]
 
 
-def generalized_bernoulli(k: int, ell: int) -> Fraction:
-    """Generalized Bernoulli number B_{k,chi} for the quadratic character
-    mod ell: ell^(k-1) * sum_a chi(a) B_k(a/ell).
+def bernoulli_number(m: int) -> Fraction:
+    """Bernoulli number B_m with B_1 = -1/2, as a Fraction.
 
-    Expanding B_k(a/ell) and swapping the sums gives
-    sum_j C(k, j) B_j ell^(j-1) S_(k-j) with the integer power sums
-    S_i = sum_a chi(a) a^i, built by running products.  The k+1 terms are
-    summed in integers over the least common denominator D of B_0 .. B_k,
-    and one Fraction is formed from the total over ell D.
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) with T_j the tangent number
+    tan^(2j-1)(0); the even ones are cached as integer pairs, the cache at
+    least doubling when it grows, and the Fraction is formed from the pair.
     """
-    _require_int(k, "k")
-    _require_int(ell, "ell", 2)
-    _check_odd_prime(ell)
+    from fractions import Fraction
+
+    _require_int(m, "m")
+    return Fraction(*_bernoulli(m))
+
+
+def _generalized_bernoulli(k: int, ell: int) -> tuple[int, int]:
+    # B_{k,chi} as (numerator, denominator), not reduced, for an odd prime
+    # ell; see generalized_bernoulli
     chi = _chi_table(ell)
     residues = [a for a in range(1, ell) if chi[a] > 0]
     nonresidues = [a for a in range(1, ell) if chi[a] < 0]
@@ -188,15 +196,34 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
         power_sums.append(sum(up) - sum(down))
         up = list(map(mul, up, residues))
         down = list(map(mul, down, nonresidues))
-    bern = [bernoulli_number(j) for j in range(k + 1)]
-    den = math.lcm(*(b.denominator for b in bern))
+    bern = [_bernoulli(j) for j in range(k + 1)]
+    den = math.lcm(*(d for _, d in bern))
     acc = 0
     ell_power = 1
-    for j, b in enumerate(bern):
-        if b:
-            acc += math.comb(k, j) * b.numerator * (den // b.denominator) * ell_power * power_sums[k - j]
+    for j, (b_num, b_den) in enumerate(bern):
+        if b_num:
+            acc += math.comb(k, j) * b_num * (den // b_den) * ell_power * power_sums[k - j]
         ell_power *= ell
-    return Fraction(acc, ell * den)
+    return acc, ell * den
+
+
+def generalized_bernoulli(k: int, ell: int) -> Fraction:
+    """Generalized Bernoulli number B_{k,chi} for the quadratic character
+    mod ell: ell^(k-1) * sum_a chi(a) B_k(a/ell), as a Fraction.
+
+    Expanding B_k(a/ell) and swapping the sums gives
+    sum_j C(k, j) B_j ell^(j-1) S_(k-j) with the integer power sums
+    S_i = sum_a chi(a) a^i, built by running products.  The k+1 terms are
+    summed in integers over the least common denominator D of B_0 .. B_k,
+    and the Fraction is formed from the integer pair (total, ell D) that
+    inv_alpha reads directly.
+    """
+    from fractions import Fraction
+
+    _require_int(k, "k")
+    _require_int(ell, "ell", 2)
+    _check_odd_prime(ell)
+    return Fraction(*_generalized_bernoulli(k, ell))
 
 
 def _partial_sums(ell: int) -> list[int]:
@@ -204,15 +231,15 @@ def _partial_sums(ell: int) -> list[int]:
     return list(accumulate(_chi_table(ell)))
 
 
-def _window_bound(ell: int) -> Fraction:
+def _window_bound(ell: int) -> tuple[int, int]:
     # V = max |sum of S(x) - mu over any run of consecutive x|, with mu the
-    # mean of S over a period.  S - mu sums to zero over a period, so every
-    # run sum is a difference of two prefix sums over one period, and the
-    # largest is the max prefix less the min prefix
+    # mean of S over a period, as the pair (ell V, ell).  S - mu sums to zero
+    # over a period, so every run sum is a difference of two prefix sums over
+    # one period, and the largest is the max prefix less the min prefix
     s = _partial_sums(ell)
     total = sum(s)  # ell mu
     prefix = list(accumulate((ell * v - total for v in s), initial=0))
-    return Fraction(max(prefix) - min(prefix), ell)
+    return max(prefix) - min(prefix), ell
 
 
 def _dirichlet_l_numeric(ell: int, s: int, n_terms: int, bits: int) -> int:
@@ -284,7 +311,8 @@ def inv_alpha(ell: int) -> int:
     and the Gauss sum sqrt(ell) (or i sqrt(ell)), to
     (-1)^(1+(k-d)/2) * ell * B_{k,chi} / (ell - 1) with k = (ell-1)/2 and
     d = 0 or 1 matching the parity of the character; all pi and sqrt(ell)
-    factors cancel symbolically.
+    factors cancel symbolically.  With B_{k,chi} as an integer pair the route
+    is one divmod, and it must leave a positive integer.
 
     Numeric route, in integers at B fraction bits: the value is F L with
     F = M sqrt(ell) / (2 pi)^k, M = (k-1)! ell^k exact and L = L(chi, k).
@@ -323,20 +351,25 @@ def inv_alpha(ell: int) -> int:
     k = (ell - 1) // 2
     d = 0 if ell % 4 == 1 else 1
     sign = -1 if (1 + (k - d) // 2) % 2 else 1
-    exact = Fraction(sign * ell, ell - 1) * generalized_bernoulli(k, ell)
-    if exact.denominator != 1 or exact <= 0:
+    # sign ell / (ell - 1) times B_{k,chi} = b_num / b_den, in integers
+    b_num, b_den = _generalized_bernoulli(k, ell)
+    e_num, e_den = sign * ell * b_num, (ell - 1) * b_den  # e_den > 0
+    exact, rest = divmod(e_num, e_den)
+    if rest or exact <= 0:
+        # the rational in lowest terms, as str(Fraction) prints it
+        g = math.gcd(e_num, e_den)
+        got = exact if not rest else f"{e_num // g}/{e_den // g}"
         raise ArithmeticError(
-            f"L-value computation inconsistent at ell={ell}: exact route gave {exact}"
+            f"L-value computation inconsistent at ell={ell}: exact route gave {got}"
         )
-    exact = int(exact)
     m = math.factorial(k - 1) * ell**k
     # F^2 < num / den with 100000 / 628318 = 1 / (2 * 3.14159) > 1 / (2 pi)
     num, den = m * m * ell * 100000 ** (2 * k), 628318 ** (2 * k)
     h = ((num // den).bit_length() + 1) // 2
-    v = _window_bound(ell)
+    v_num, v_den = _window_bound(ell)
     # (N+1)^(2k+2) >= 1e18 k^2 V^2 F^2 gives V k (N+1)^(-k-1) F <= 1e-9
-    top = 10**18 * (k * v.numerator) ** 2 * num
-    n_terms = _iroot_ceil(-(-top // (v.denominator**2 * den)), 2 * k + 2) - 1
+    top = 10**18 * (k * v_num) ** 2 * num
+    n_terms = _iroot_ceil(-(-top // (v_den**2 * den)), 2 * k + 2) - 1
     bits = h + (20 * k + n_terms + 1).bit_length() + 41
     one = 1 << bits
     two_pi = 2 * _pi_fixed(bits)
@@ -375,7 +408,10 @@ def c3_closed(n: int) -> int:
 
 def core_main_term(n: int, ell: int) -> Fraction:
     """Exact rational main term sigma_ell(n + delta_ell) / inv_alpha for the
-    ell-core count of n."""
+    ell-core count of n, as a Fraction; a census forms the same value in
+    lowest terms from integers."""
+    from fractions import Fraction
+
     _require_int(n, "n")
     return Fraction(sigma_twisted(n + delta_ell(ell), ell), inv_alpha(ell))
 

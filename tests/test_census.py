@@ -772,6 +772,18 @@ def test_cache_files_carry_checksum(tmp_path):
     assert len(doc["sha256"]) == 64
 
 
+def test_cache_checksum_is_hashlib_sha256_of_the_stamped_blob(tmp_path):
+    # the census takes sha256 from the interpreter's builtin module; its
+    # digest must be hashlib's, so the cache bytes do not depend on which
+    cache = tmp_path / "cache"
+    build_record(12, 5, cache_dir=cache)
+    doc = json.loads((cache / "census-5-12.json").read_text())
+    stamped = {"algorithm": census.ALGORITHM_VERSION, "payload": doc["payload"]}
+    blob = json.dumps(stamped, sort_keys=True, separators=(",", ":")).encode()
+    assert doc["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert doc["algorithm"] == census.ALGORITHM_VERSION == 2
+
+
 def test_corrupt_cache_is_detected(tmp_path):
     cache = tmp_path / "cache"
     build_record(6, 3, cache_dir=cache)

@@ -539,3 +539,43 @@ def test_inv_alpha_and_constants_suite_run_without_mpmath():
         "82325182444922611891396374889675099441520471783906"
     )
     assert lines[-1].startswith("suite constants passed")
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["imports-blocked", "plain"])
+def test_count_census_and_asymptotics_run_without_openssl_or_fractions(tmp_path, blocked):
+    # the cache checksum comes from the interpreter's builtin sha256 and
+    # inv_alpha's exact route is in integers, so none of these commands needs
+    # hashlib, fractions or what they load; a None entry makes an import raise
+    star = ["census", "--ell", "5,7", "--n-min", "26", "--n-max", "27"]
+    calls = [
+        [*star, "--cache-dir", str(tmp_path / "cache")],  # a miss
+        [*star, "--cache-dir", str(tmp_path / "cache")],  # a hit
+        ["count", "inv-alpha", "97"],
+        ["asymptotics", "--ell", "13"],
+        ["census", "--z-all", "--format", "json"],
+    ]
+    block = "sys.modules['hashlib'] = sys.modules['fractions'] = None\n"
+    proc = run_python(
+        "import sys\n"
+        + (block if blocked else "")
+        + "import contextlib, io, json\n"
+        "from corz.cli import main\n"
+        "runs = []\n"
+        f"for argv in {calls!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        rc = main(argv)\n"
+        "    runs.append((rc, buf.getvalue()))\n"
+        "heavy = ('hashlib', '_hashlib', 'fractions', 'decimal')\n"
+        "print(json.dumps([runs, [m for m in heavy if sys.modules.get(m) is not None]]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs, loaded = json.loads(proc.stdout)
+    assert loaded == []
+    assert [rc for rc, _ in runs] == [0] * len(calls)
+    want = "".join((REFS / "census-star-window.csv").read_text().splitlines(True)[:5])
+    assert runs[0][1] == runs[1][1] == want
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        f"census-{ell}-{n}.json" for ell in (5, 7) for n in (26, 27)
+    ]
+    assert runs[2][1].startswith("28738426215735700206612747962060062876615950867121179884879478439659")

@@ -203,9 +203,9 @@ def _mpmath_l_value(ell, s):
 def test_dirichlet_l_numeric_within_tail_and_rounding():
     for ell in (5, 7, 13, 97):
         s = (ell - 1) // 2
-        v = _window_bound(ell)
+        v_num, v_den = _window_bound(ell)
         # the least N whose tail bound V s (N+1)^(-s-1) is at most 1e-12
-        n_terms = _iroot_ceil(-(-v.numerator * s * 10**12 // v.denominator), s + 1) - 1
+        n_terms = _iroot_ceil(-(-v_num * s * 10**12 // v_den), s + 1) - 1
         prec = 133  # 40 decimal digits
         bits = prec + (n_terms + 1).bit_length() + 8
         got = _dirichlet_l_numeric(ell, s, n_terms, bits)
@@ -221,7 +221,7 @@ def test_dirichlet_l_numeric_within_the_second_order_tail_bound(ell):
     # N on every residue class mod ell and off the multiples of ell, where
     # S(N) and the leading tail term are not zero
     s = (ell - 1) // 2
-    v = _window_bound(ell)
+    v_num, v_den = _window_bound(ell)
     bits = 200
     with mpmath.workprec(bits + 64):
         want = _mpmath_l_value(ell, s)
@@ -229,7 +229,7 @@ def test_dirichlet_l_numeric_within_the_second_order_tail_bound(ell):
         got = _dirichlet_l_numeric(ell, s, n_terms, bits)
         with mpmath.workprec(bits + 64):
             err = abs(mpmath.ldexp(got, -bits) - want)
-            bound = mpmath.mpf(v.numerator) / v.denominator * s * mpmath.mpf(n_terms + 1) ** (-s - 1)
+            bound = mpmath.mpf(v_num) / v_den * s * mpmath.mpf(n_terms + 1) ** (-s - 1)
             assert err <= bound + mpmath.ldexp(n_terms + 1, -bits), (ell, n_terms)
 
 
@@ -266,12 +266,13 @@ def test_iroot_ceil_is_the_least_root(x, k):
 def test_inv_alpha_rejects_a_wrong_exact_route(monkeypatch):
     # 1275 -> 1276 is still a positive integer, so only the numeric route can
     # catch it
-    exact = generalized_bernoulli
+    exact = numtheory._generalized_bernoulli
 
     def off_by_one(k, ell):
-        return exact(k, ell) * Fraction(1276, 1275)
+        num, den = exact(k, ell)
+        return num * 1276, den * 1275
 
-    monkeypatch.setattr(numtheory, "generalized_bernoulli", off_by_one)
+    monkeypatch.setattr(numtheory, "_generalized_bernoulli", off_by_one)
     inv_alpha.cache_clear()
     try:
         # both values and their difference, to 12 places, within 1e-9 of 1275 and 1
@@ -310,8 +311,8 @@ def test_window_bound_is_the_largest_run_sum():
     # prefix-sum form against every run of up to one period from every start
     for ell in range(3, 500, 2):
         if _is_prime(ell):
-            assert _window_bound(ell) == window_bound(ell), ell
-    assert [_window_bound(ell) for ell in (3, 5, 7, 11)] == [Fraction(2, 3), 1, 2, 4]
+            assert Fraction(*_window_bound(ell)) == window_bound(ell), ell
+    assert [Fraction(*_window_bound(ell)) for ell in (3, 5, 7, 11)] == [Fraction(2, 3), 1, 2, 4]
 
 
 def test_inv_alpha_rejects_bad_modulus():
