@@ -157,6 +157,10 @@ def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
         top += 1
     # runner[b]: beads in rows 1..b of column 0, shifted to column i by << i
     runner = list(accumulate(range(top - 1), lambda r, b: r | 1 << ell * b, initial=0))
+    # the bounds on m < top beads: most[m] on any columns, least[i][m] on
+    # columns i..ell-1, a row built when the walk first reaches column i
+    most = [m * (ell * m + ell - 2) // 2 for m in range(top)]
+    least: list[list[int] | None] = [None] * ell
     masks: list[int] = []
 
     def rec(i: int, m: int, t: int, mask: int) -> None:
@@ -168,7 +172,7 @@ def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
         elif i == ell - 2:
             # the constant term is the most weight less t, so no root is < 0
             c = ell * m + 1
-            d = c * c - 4 * ell * (m * (ell * m + ell - 2) // 2 - t)
+            d = c * c - 4 * ell * (most[m] - t)
             r = isqrt(d)
             if r * r == d:
                 for root in (c - r, c + r):
@@ -176,17 +180,20 @@ def enumerate_cores(n: int, ell: int) -> Iterator[Partition]:
                     if not rest and b <= m:
                         masks.append(mask | runner[b] << i | runner[m - b] << i + 1)
         else:
+            row = least[i + 1]
+            if row is None:
+                row = least[i + 1] = [_least_weight(ell, i + 1, k) for k in range(top)]
             for b in range(m + 1):
                 t2 = t - ell * b * (b - 1) // 2 - i * b
                 if t2 < 0:
                     break
                 m2 = m - b
-                if _least_weight(ell, i + 1, m2) <= t2 <= m2 * (ell * m2 + ell - 2) // 2:
+                if row[m2] <= t2 <= most[m2]:
                     rec(i + 1, m2, t2, mask | runner[b] << i)
 
     for s in range(top):
         t = n + s * (s - 1) // 2
-        if t <= s * (ell * s + ell - 2) // 2:
+        if t <= most[s]:
             rec(1, s, t, 0)
         for mask in masks:
             # as in mask_parts: a bead's position less the beads below it

@@ -8,12 +8,12 @@ keyed on canonical masks, with no bead at 0.  A strip that lands above 0
 leaves bit 0 clear, so the rest is canonical as it stands; only a strip that
 lands at 0 leaves a run of beads at 0, 1, ... to shift out.
 
-ColumnEvaluator and the row-side kernel of the whole table (below) each
-inline that step, of which _strips is the plain form.  ColumnEvaluator
-evaluates rows on a column, with one memo level per suffix of the column's
-parts short of the whole; verify builds one per column.  The column's own
-value is met once per row, so it is summed over the row's strips of the
-first part and not memoised.
+ColumnEvaluator's memo recursion and the row-side kernel of the whole table
+(below) each inline that step, of which _strips is the plain form.
+ColumnEvaluator evaluates rows on a column, with one memo level per suffix
+of the column's parts short of the whole; verify builds one per column.  The
+column's own value is met once per row, so it is summed over the row's
+strips of the first part and not memoised.
 
 Two routes count zeros of distinct rows on columns of one n, each in one
 pass, as a pair: the zeros on the columns, and those on the columns that are
@@ -22,18 +22,20 @@ also rows.  So the cores as rows give (Z, Z*) on every column of n, and
 chi_lam'(mu) = sgn(mu) chi_lam(mu) vanishes with chi_lam(mu), and count a
 zero once per row of the orbit.  The column loop (_count_zeros) decides a
 pair by the hook prefilter, then by MN for the pairs it leaves open, on one
-ColumnEvaluator per call that moves to each column with an open pair.  It
-visits the columns in order of their reversed parts, so that each shares its
-smallest parts, and the MN memo levels of those, with the one before it, as
-chi_nu(remaining parts) does not depend on the parts already removed.  The
-evaluator keeps each row's strips of a largest part for every column that
-has it.  For the same reason the levels of a suffix that is a partition of
-at most SUFFIX_MAX = 18 are kept for the life of the process, in one store
-(_SUFFIX_LEVELS) that every evaluator takes them from, so the blocks of
-neighbouring n, and of the moduli at one n, share them; longer suffixes stay
-per evaluator and are freed as it moves on.  The store holds at most
-sum_{m <= 18} p(m)^2 = 361 845 values; it cost 1.1 MiB of peak RSS on the
-star-window bench and 6 to 19 MiB on one z_exact cell at n = 30 to 34.
+ColumnEvaluator per call.  The evaluator moves to each column with an open
+pair and decides all of that column's open orbits in one call (_zeros), so
+MN makes no call per pair.  The loop visits the columns in order of their
+reversed parts, so that each shares its smallest parts, and the MN memo
+levels of those, with the one before it, as chi_nu(remaining parts) does
+not depend on the parts already removed.  The evaluator keeps each row's
+strips of a largest part for every column that has it.  For the same reason
+the levels of a suffix that is a partition of at most SUFFIX_MAX = 18 are
+kept for the life of the process, in one store (_SUFFIX_LEVELS) that every
+evaluator takes them from, so the blocks of neighbouring n, and of the
+moduli at one n, share them; longer suffixes stay per evaluator and are
+freed as it moves on.  The store holds at most sum_{m <= 18} p(m)^2 =
+361 845 values; it cost 1.1 MiB of peak RSS on the star-window bench and 6
+to 19 MiB on one z_exact cell at n = 30 to 34.
 
 The whole table (_whole_table) comes from the row-side kernel, which
 decides every pair of n at once: it builds each row of n as one vector over
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -93,13 +95,17 @@ class ColumnEvaluator:
     supplies them largest first); the value is independent of that order.
     Memo level s holds chi_nu of the column's last s parts, keyed on the
     canonical beta-set of the rows nu met; level 0 holds the empty
-    partition, so a strip for the last part makes no call.  The column's
-    own value is not memoised, as each row meets it once: it is summed over
-    the row's strips of the first part, kept per first part and row.  The
-    zero loop (_count_zeros) moves one evaluator from column to column (_move),
-    keeping the levels of the suffix the two columns share.  The level of a
-    suffix that is a partition of at most SUFFIX_MAX is not the evaluator's
-    own: it is the process-wide store's, which outlives the evaluator.
+    partition, so a strip for the last part makes no call.  One recursion,
+    bound once per evaluator (_fill), fills the levels: per level s it reads
+    the triple (part, level s - 1, level s), which _move rebuilds.  The
+    column's own value is not memoised, as each row meets it once: it is
+    summed over the row's strips of the first part, kept per first part and
+    row.  The zero loop (_count_zeros) moves one evaluator from column to
+    column (_move), keeping the levels of the suffix the two columns share,
+    and decides all the open rows of a column in one call (_zeros); value
+    and value_mask decide one row.  The level of a suffix that is a
+    partition of at most SUFFIX_MAX is not the evaluator's own: it is the
+    process-wide store's, which outlives the evaluator.
     """
 
     def __init__(self, mu: PartitionLike | Sequence[int]):
@@ -110,6 +116,10 @@ class ColumnEvaluator:
         self.parts: tuple[int, ...] = ()
         self.size = 0
         self._levels: list[dict[int, int]] = [{0: 1}]
+        # per level s >= 1 below the top: (part, level s - 1, level s); index
+        # 0 holds no level
+        self._steps: list[tuple[int, dict[int, int], dict[int, int]]] = [(0, {}, {})]
+        self._fill = _bind_fill(self._steps)
         # first part -> canonical row mask -> its strips of that part, as
         # (child, odd height); _tops is the current first part's
         self._firsts: dict[int, dict[int, list[tuple[int, int]]]] = {}
@@ -141,6 +151,10 @@ class ColumnEvaluator:
             levels.append(_SUFFIX_LEVELS.setdefault(parts[-s:], {}))
             s += 1
         levels.extend({} for _ in range(len(parts) - len(levels)))
+        # in place, as _fill holds the list: the triples of the shared suffix stand
+        steps = self._steps
+        del steps[shared + 1 :]
+        steps += [(parts[-s], levels[s - 1], levels[s]) for s in range(len(steps), len(parts))]
         self.parts = parts
         self.size = sum(parts)
         if parts:
@@ -178,17 +192,48 @@ class ColumnEvaluator:
         for rest, odd in strips:
             term = below.get(rest)
             if term is None:
-                term = self._eval(rest, s)
+                term = self._fill(rest, s)
             total += -term if odd else term
         return total
 
-    def _eval(self, mask: int, s: int) -> int:
-        # the step of _strips, inline for speed: memo level s of the canonical mask
-        k = self.parts[-s]
+    def _zeros(self, rows: Iterable[tuple[int, int]]) -> int:
+        # sum of `here` over the rows (canonical mask of a row of self.size,
+        # here) on which the column vanishes: _value's top level, inline
+        parts = self.parts
+        if not parts:
+            empty = self._levels[0]
+            return sum([here for mask, here in rows if not empty[mask]])
+        tops = self._tops
+        first = parts[0]
+        s = len(parts) - 1
+        below = self._levels[s]
+        fill = self._fill
+        count = 0
+        for mask, here in rows:
+            strips = tops.get(mask)
+            if strips is None:
+                strips = tops[mask] = _strips(mask, first)
+            total = 0
+            for rest, odd in strips:
+                term = below.get(rest)
+                if term is None:
+                    term = fill(rest, s)
+                total += -term if odd else term
+            if not total:
+                count += here
+        return count
+
+
+def _bind_fill(
+    steps: list[tuple[int, dict[int, int], dict[int, int]]],
+) -> Callable[[int, int], int]:
+    # the memo recursion of one evaluator over its level triples: fill(mask,
+    # s) stores and returns chi of the canonical mask on the column's last s
+    # parts, for s >= 1.  The step of _strips, inline for speed.
+    def fill(mask: int, s: int) -> int:
+        k, below, level = steps[s]
         ends = (mask & ~(mask << k)) >> k
         total = 0
-        levels = self._levels
-        below = levels[s - 1]
         while ends:
             end = ends & -ends
             ends ^= end
@@ -198,10 +243,12 @@ class ColumnEvaluator:
                 rest >>= ((rest + 1) & ~rest).bit_length() - 1
             term = below.get(rest)
             if term is None:
-                term = self._eval(rest, s - 1)
+                term = fill(rest, s - 1)
             total += -term if (mask & (top - end)).bit_count() & 1 else term
-        levels[s][mask] = total
+        level[mask] = total
         return total
+
+    return fill
 
 
 def _strips(mask: int, k: int) -> list[tuple[int, int]]:
@@ -259,16 +306,18 @@ def _count_zeros(rows: Iterable[Partition], columns: Iterable[Partition]) -> tup
         parts = todo.pop()[::-1]
         needed = sum(1 << p for p in set(parts))
         count = 0
+        open_rows = []
         for mask, hooks, here in orbits:
             if needed & ~hooks:
                 count += here
-                continue
-            # the evaluator moves to a column only once MN must decide a pair
-            if col.parts is not parts:
-                col._move(parts)
-            # masks from beta_mask are canonical, and rows have the column's size
-            if col._value(mask) == 0:
-                count += here
+            else:
+                open_rows.append((mask, here))
+        # the evaluator moves to a column only once MN must decide a pair,
+        # and decides all the open orbits there in one call; masks from
+        # beta_mask are canonical, and rows have the column's size
+        if open_rows:
+            col._move(parts)
+            count += col._zeros(open_rows)
         total += count
         if parts in rows:
             square += count

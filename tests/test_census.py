@@ -168,31 +168,36 @@ def test_count_zeros_matches_naive_loop_on_columns_sharing_their_largest_part():
 
 
 def counted_values(monkeypatch):
-    """Patch ColumnEvaluator._value, which the zero loop calls on each pair
-    that MN decides, to log (column, mask) per call."""
+    """Patch ColumnEvaluator._zeros, which the zero loop calls once per column
+    with the rows that MN decides there, to log (column, mask) per row."""
     seen = []
-    value = ColumnEvaluator._value
+    zeros = ColumnEvaluator._zeros
 
-    def logged(self, mask):
-        seen.append((self.parts, mask))
-        return value(self, mask)
+    def logged(self, rows):
+        rows = list(rows)
+        seen.extend((self.parts, mask) for mask, _ in rows)
+        return zeros(self, rows)
 
-    monkeypatch.setattr(ColumnEvaluator, "_value", logged)
+    monkeypatch.setattr(ColumnEvaluator, "_zeros", logged)
     return seen
 
 
-def counted_evals(monkeypatch):
-    """Patch ColumnEvaluator._eval, which fills a memo level, to log the
-    level of each call."""
+@pytest.fixture
+def counted_evals():
+    """Log the level of each call of the memo recursion that every
+    ColumnEvaluator binds (_fill), which fills a memo level, by a profile
+    hook on its code object."""
     evals = []
-    evaluate = ColumnEvaluator._eval
+    code = ColumnEvaluator(())._fill.__code__
 
-    def logged(self, mask, s):
-        evals.append(s)
-        return evaluate(self, mask, s)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            evals.append(frame.f_locals["s"])
 
-    monkeypatch.setattr(ColumnEvaluator, "_eval", logged)
-    return evals
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    yield evals
+    sys.setprofile(previous)
 
 
 def test_census_decides_each_pair_once(monkeypatch):
@@ -286,11 +291,11 @@ def test_record_star_is_the_core_columns_share_of_z_exact():
 
 
 @pytest.mark.parametrize("n, ell", [(14, 3), (16, 5), (18, 7)])
-def test_record_star_adds_no_mn(monkeypatch, n, ell):
+def test_record_star_adds_no_mn(monkeypatch, counted_evals, n, ell):
     # a record takes Z* from its Z pass, so it makes the values and the
     # memo-level evaluations of z_exact alone, and no more
     seen = counted_values(monkeypatch)
-    evals = counted_evals(monkeypatch)
+    evals = counted_evals
     # both start on an empty store of suffix levels, or the second would
     # read what the first left there
     characters._SUFFIX_LEVELS.clear()
@@ -329,11 +334,11 @@ def test_suffix_store_stays_within_its_bound():
     assert sum(map(len, store.values())) <= bound
 
 
-def test_chunked_star_census_reuses_suffix_levels(monkeypatch):
+def test_chunked_star_census_reuses_suffix_levels(counted_evals):
     # two census calls in one process, n = 26, 27 then 28, 29: the second
     # reads the suffix levels the first left, makes fewer memo-level
     # evaluations than on an empty store, and both give the reference rows
-    evals = counted_evals(monkeypatch)
+    evals = counted_evals
     first = CensusConfig(n_min=26, n_max=27, ells=(5, 7))
     second = first._replace(n_min=28, n_max=29)
     records = run_census(first)
@@ -346,6 +351,18 @@ def test_chunked_star_census_reuses_suffix_levels(monkeypatch):
     evals.clear()
     assert run_census(second) == records[4:]
     assert 0 < warm < len(evals)
+
+
+def test_star_window_census_work_is_pinned(monkeypatch, counted_evals):
+    # the eight star cells, n = 26..29 at ell = 5 and 7, from an empty store
+    # of suffix levels: MN decides 19 035 pairs, one row of each open
+    # conjugate orbit per column, and fills 43 313 memo-level entries
+    seen = counted_values(monkeypatch)
+    records = run_census(CensusConfig(n_min=26, n_max=29, ells=(5, 7)))
+    want = (REFS / "census-star-window.csv").read_text().splitlines()[1:]
+    assert [rec.csv_row() for rec in records] == want
+    assert len(seen) == 19035
+    assert len(counted_evals) == 43313
 
 
 def test_chunked_full_table_census_shares_small_rows():
@@ -395,13 +412,14 @@ def test_z_all_pinned_values():
 
 def test_count_zeros_evaluates_one_row_per_conjugate_pair(monkeypatch):
     calls = {}
-    value = ColumnEvaluator._value
+    zeros = ColumnEvaluator._zeros
 
-    def logged(self, mask):
-        calls.setdefault(self.parts, []).append(Partition(mask_parts(mask)))
-        return value(self, mask)
+    def logged(self, rows):
+        rows = list(rows)
+        calls.setdefault(self.parts, []).extend(Partition(mask_parts(mask)) for mask, _ in rows)
+        return zeros(self, rows)
 
-    monkeypatch.setattr(ColumnEvaluator, "_value", logged)
+    monkeypatch.setattr(ColumnEvaluator, "_zeros", logged)
     got = z_star_exact(26, 5)
     monkeypatch.undo()
     cores = list(enumerate_cores(26, 5))

@@ -32,6 +32,7 @@ from corz.partitions import (
     mask_parts,
 )
 from corz.abacus import enumerate_cores
+from corz.suites import _rows_vanish
 from reference import conjugate, frobenius_character, hook_lengths, mask_strips
 
 
@@ -158,6 +159,45 @@ def test_warm_suffix_store_matches_reference_across_n():
                         total += want == 0
                         square += want == 0 and mu.parts in rows
                 assert _count_zeros(cores, block) == (total, square), (n, ell)
+
+
+def _vanishes(lam, mu):
+    # the verify suites' plain MN loop, one pair at a time
+    try:
+        _rows_vanish([lam], [mu])
+    except AssertionError:
+        return False
+    return True
+
+
+@given(st.integers(min_value=0, max_value=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_zeros_match_the_plain_mn_loop(n, data):
+    # one evaluator, moved from the empty column through columns drawn with
+    # repeats, decides in one _zeros call per column the rows it is handed,
+    # each counted once or twice (here); an empty draw hands it no open row
+    # and n = 0 is the empty column.  The count is the sum of here over the
+    # rows on which the plain loop finds chi = 0
+    lams = list(enumerate_partitions(n))
+    col = ColumnEvaluator(())
+    for mu in data.draw(st.lists(st.sampled_from(lams), min_size=1, max_size=4)):
+        rows = data.draw(st.lists(st.sampled_from(lams), unique=True))
+        heres = data.draw(st.lists(st.sampled_from((1, 2)), min_size=len(rows), max_size=len(rows)))
+        col._move(mu.parts)
+        got = col._zeros([(beta_mask(lam.parts), here) for lam, here in zip(rows, heres)])
+        assert got == sum(here for lam, here in zip(rows, heres) if _vanishes(lam, mu))
+
+
+def test_zeros_on_the_empty_column_and_on_no_rows():
+    # chi of the empty partition on the empty column is 1; no rows, no zeros
+    empty = ColumnEvaluator(())
+    assert empty._zeros([(0, 1)]) == empty._zeros([(0, 2)]) == empty._zeros([]) == 0
+    assert ColumnEvaluator((2, 1, 1))._zeros([]) == 0
+    assert _count_zeros([Partition(())], [Partition(())]) == (0, 0)
+    # on the 3-cycles of S_4, (2, 1, 1) vanishes, and its conjugate (3, 1)
+    # with it, while (4) and (2, 2) do not
+    rows = [(beta_mask((2, 1, 1)), 2), (beta_mask((4,)), 2), (beta_mask((2, 2)), 1)]
+    assert ColumnEvaluator((3, 1))._zeros(rows) == 2
 
 
 def test_kernel_on_one_part_and_all_ones_columns():
