@@ -68,8 +68,13 @@ def legendre(a: int, ell: int) -> int:
 @cache
 def _chi_table(ell: int) -> tuple[int, ...]:
     # the quadratic character mod an odd prime ell, indexed by residue:
-    # (a / ell) for a = 0 .. ell-1
-    return tuple(legendre(a, ell) for a in range(ell))
+    # (a / ell) for a = 0 .. ell-1.  The nonzero squares mod ell are the
+    # residues; a^2 and (ell - a)^2 agree, so a <= ell/2 meets each of them
+    chi = [-1] * ell
+    chi[0] = 0
+    for a in range(1, ell // 2 + 1):
+        chi[a * a % ell] = 1
+    return tuple(chi)
 
 
 def sigma_twisted(n: int, ell: int) -> int:

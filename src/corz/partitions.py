@@ -1,9 +1,21 @@
 """Integer partitions: hooks, cores, regularity, and exact counting series.
 
 Everything that counts is exact: p(n), p_ell(n) and c_ell(n) are Python
-integers.  p(n) and c_ell(n) come from tables grown by the pentagonal
-recurrence, one for p and one per modulus for c_ell; the c_ell tables that
-grow together share passes of it over packed ints.  p_ell(n) is a pentagonal
+integers.  p(n) and c_ell(n) come from tables grown by one routine of the
+pentagonal recurrence, one table for p and one per modulus for c_ell; the
+tables that grow together, p among them, share passes of it over packed
+ints, one lane per table.  Each lane is as wide as a proven bound on its
+values, with one bit of margin:
+
+- bits(p(N)) <= ceil(3.701 sqrt N), from p(N) < exp(pi sqrt(2N/3))
+  (Apostol, Thm 14.5) and pi sqrt(2/3) / ln 2 < 3.701;
+- c_ell(N) <= (2 floor(r) + 1)^(ell - 1), r = (|b| + sqrt(|b|^2 + 2 ell N))
+  / ell, |b|^2 = sum_{i < ell} i^2: the ell-cores of N are the x in Z^ell
+  with sum x = 0 and (ell/2)|x|^2 + b.x = N (Garvan-Kim-Stanton), so
+  |x| <= r by Cauchy-Schwarz, and x is fixed by its first ell - 1
+  coordinates.
+
+_core_tables gives both proofs in full.  p_ell(n) is a pentagonal
 convolution of the p(n) table, formed for a whole window n = lo, lo + step,
 ... <= hi at once: the terms of a pentagonal number that reaches only part of
 the window are one strided slice of p, added or subtracted in a C-level pass,
@@ -16,7 +28,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from operator import add, sub
+from itertools import accumulate
+from math import isqrt
+from operator import add, itemgetter, sub
+from typing import Any
 
 
 class Partition:
@@ -176,9 +191,9 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 # By the pentagonal number theorem E(q) = 1 + sum sign(g) q^g over the
 # generalized pentagonal numbers g, so it has O(sqrt N) terms up to q^N.
 # p(n) and c_ell(n) are tables grown in place by one recurrence, the
-# coefficients of E(q) times the series.  It is linear, so the c_ell tables of
+# coefficients of E(q) times the series.  It is linear, so the tables of p and
 # several moduli grow in shared passes of it over packed ints, one lane per
-# modulus; a pass of one lane is the table itself.  p_a(n) is a convolution
+# table; a pass of one lane is the table itself.  p_a(n) is a convolution
 # with the p(n) table, over a window of n.  Every sum runs over one list of
 # the pentagonal numbers.
 
@@ -198,31 +213,40 @@ def _pentagonal(upto: int) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
-def _pentagonal_cuts(lo: int, hi: int) -> Iterator[tuple[int, list[int], list[int]]]:
-    # (m, minus, plus) for m = lo .. hi, both lists cut to 1 <= g <= m.  The
-    # lists are taken once, and a cut is rebuilt only when m reaches its next
-    # entry.
+def _pentagonal_cuts(
+    lo: int, hi: int, form: Callable[[list[int]], Any] = list
+) -> Iterator[tuple[int, Any, Any]]:
+    # (m, form(minus), form(plus)) for m = lo .. hi, both lists cut to
+    # 1 <= g <= m.  The lists are taken once, and a cut is formed again only
+    # when m reaches its next entry.
     minus, plus = _pentagonal(hi)
     i, j = bisect_right(minus, lo), bisect_right(plus, lo)
-    cut_minus, cut_plus = minus[:i], plus[:j]
+    cut_minus, cut_plus = form(minus[:i]), form(plus[:j])
     for m in range(lo, hi + 1):
         if i < len(minus) and minus[i] == m:
             i += 1
-            cut_minus = minus[:i]
+            cut_minus = form(minus[:i])
         if j < len(plus) and plus[j] == m:
             j += 1
-            cut_plus = plus[:j]
+            cut_plus = form(plus[:j])
         yield m, cut_minus, cut_plus
+
+
+def _reads(cut: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    # series[-g] for every g in cut, as a tuple, read in C for two or more
+    if len(cut) > 1:
+        return itemgetter(*[-g for g in cut])
+    return lambda series: tuple([series[-g] for g in cut])
 
 
 def _extend_quotient(series: list[int], upto: int, top: Callable[[int], int]) -> list[int]:
     # Grow series, the coefficients of F(q) = T(q)/E(q), in place through
     # q^upto; top(m) is the coefficient of q^m in T(q).  The coefficient of
-    # q^m in E(q) F(q) = T(q) gives F_m = T_m - sum_g sign(g) F_{m-g}.
-    for m, minus, plus in _pentagonal_cuts(len(series), upto):
-        series.append(
-            top(m) + sum([series[m - g] for g in minus]) - sum([series[m - g] for g in plus])
-        )
+    # q^m in E(q) F(q) = T(q) gives F_m = T_m - sum_g sign(g) F_{m-g}.  F_m is
+    # appended at index m, so F_{m-g} is series[-g], and the reads of one cut
+    # of the pentagonal lists serve every m up to the next cut.
+    for m, read_minus, read_plus in _pentagonal_cuts(len(series), upto, _reads):
+        series.append(top(m) + sum(read_minus(series)) - sum(read_plus(series)))
     return series
 
 
@@ -230,11 +254,16 @@ _P_CACHE: list[int] = [1]
 
 
 def count_p(n: int) -> int:
-    """Number of partitions of n, by the pentagonal-number recurrence."""
+    """Number of partitions of n, by the pentagonal-number recurrence.
+
+    Read from a table grown in place through n: a call that must grow it
+    runs _core_tables with no modulus, a pass of the one p lane, which is
+    the table itself.
+    """
     _require_int(n, "n")
     if n < len(_P_CACHE):
         return _P_CACHE[n]
-    return _extend_quotient(_P_CACHE, n, lambda m: 0)[n]
+    return _core_tables((), n)[0][n]
 
 
 def _regular_window(a: int, lo: int, hi: int, step: int = 1) -> list[int]:
@@ -300,58 +329,111 @@ def _euler_power(ell: int, upto: int) -> list[int]:
 _CORE_TABLES: dict[int, list[int]] = {}
 # bits of packed lanes per pass of _core_tables: a wider pass makes fewer passes
 # over larger ints and holds a larger packed list.  At 3072 bits an entry stays
-# within CPython's 512-byte small-object allocator; at n = 20000, where W is 508
-# bits, a pass holds 6 lanes
+# within CPython's 512-byte small-object allocator
 _PASS_BITS = 3072
+
+
+def _ceil_isqrt(x: int) -> int:
+    return 1 + isqrt(x - 1) if x else 0
+
+
+def _p_width(upto: int) -> int:
+    # lane bits for p(m), m <= upto: one more than ceil(3.701 sqrt(upto)), which
+    # bounds bits(p(upto)) for upto >= 1 (see _core_tables), and at least 2
+    bits = _ceil_isqrt(-(-3701**2 * upto // 10**6))
+    return max(bits, 1) + 1
+
+
+def _core_width(ell: int, upto: int) -> int:
+    # lane bits for c_ell(m), m <= upto: one more than bits((2 floor(r) + 1)^(ell-1)),
+    # r = (|b| + sqrt(|b|^2 + 2 ell upto)) / ell and |b|^2 = sum_{i < ell} i^2, with
+    # each square root rounded up; never wider than the p lane (see _core_tables)
+    b2 = (ell - 1) * ell * (2 * ell - 1) // 6
+    r = (_ceil_isqrt(b2) + _ceil_isqrt(b2 + 2 * ell * upto)) // ell
+    return min(_p_width(upto), ((2 * r + 1) ** (ell - 1)).bit_length() + 1)
 
 
 def _core_tables(ells: Sequence[int], upto: int) -> tuple[list[int], list[list[int]]]:
     """The p(n) table and the c_ell(n) table of each ell in ells, in that
     order, each grown in place through n = upto.
 
-    Every c_ell obeys the recurrence of _extend_quotient with its own top,
-    the coefficients of E(q^ell)^ell, so the tables that must grow share
-    passes of it over packed ints.  Lane k holds c_ell_k in W bits from bit
-    k W, where W = p(upto).bit_length() + 1, and the packed top adds e_j << k W
-    at q^(ell_k j), with e_j the coefficient of q^j in E(q)^ell_k.  The
-    recurrence is linear, so each packed entry is the sum of its lanes'
-    values, each shifted into place.  Since 0 <= c_ell(m) <= p(m) <= p(upto)
-    < 2^(W-1), no lane reaches the next, and a plain bit slice decodes each
-    one exactly.  A pass starts at its shortest table and recomputes what the
-    longer ones hold.  A pass holds at most _PASS_BITS bits of lanes, and at
-    least one lane; a pass of one lane at shift 0 is the table itself,
-    extended in place with no packing.
+    Each table is F(q) = T(q)/E(q) for its own top T, so it obeys the
+    recurrence of _extend_quotient: T = 1 for p, and the coefficients of
+    E(q^ell)^ell for c_ell.  The recurrence is linear, so the tables that
+    must grow share passes of it over packed ints, one lane per table, p
+    first.  A lane of w bits from bit s holds its table's values shifted by
+    s, and the packed top adds e_j << s at q^(ell j), with e_j the
+    coefficient of q^j in E(q)^ell.  p's top has no term past q^0, and
+    every table already holds q^0, so a p lane adds none.  Each packed entry
+    is the sum of its lanes' values, each shifted into place; every value is
+    at least 0 and below 2^(w - 1), so no lane reaches the next and a plain
+    bit slice decodes each one exactly.  The widths, each with that one bit
+    of margin, hold for every m <= upto, since p and c_ell do not decrease:
+
+    - p: p(N) < exp(pi sqrt(2N/3)) for N >= 1 (Apostol, Introduction to
+      Analytic Number Theory, Thm 14.5), and pi sqrt(2/3) / ln 2 < 3.701,
+      so p(N) < 2^(3.701 sqrt N) and bits(p(N)) <= ceil(3.701 sqrt N),
+      computed as the rounded-up square root of ceil(3.701^2 N).  A lane
+      has at least 2 bits, for p(0) = 1.
+    - c_ell: the ell-cores of N correspond to the x in Z^ell with
+      sum x = 0 and (ell/2)|x|^2 + b.x = N, b = (0, 1, ..., ell - 1)
+      (Garvan-Kim-Stanton, "Cranks and t-cores", 1990).  Cauchy-Schwarz
+      gives (ell/2)|x|^2 <= N + |b||x|, so |x| <= r = (|b| + sqrt(|b|^2 +
+      2 ell N)) / ell, and every coordinate lies in [-floor(r), floor(r)].
+      The first ell - 1 coordinates fix x, so c_ell(N) <=
+      (2 floor(r) + 1)^(ell - 1).  Both square roots are rounded up, which
+      can only raise the bound.  As c_ell(N) <= p(N), a lane is never wider
+      than the p lane.
+
+    Lanes fill a pass in that order until the next would take it past
+    _PASS_BITS bits; a pass holds at least one lane.  A pass starts at its
+    shortest table and recomputes what the longer ones hold.  A pass of one
+    lane at shift 0 is the table itself, extended in place with no packing.
     """
     for ell in ells:
         _require_int(ell, "ell", 2)
-    count_p(upto)
-    p = _P_CACHE
     tables = [_CORE_TABLES.setdefault(ell, [1]) for ell in ells]
-    grow = [(ell, table) for ell, table in dict(zip(ells, tables)).items() if len(table) <= upto]
-    width = p[upto].bit_length() + 1
-    per_pass = max(1, _PASS_BITS // width)
-    for first in range(0, len(grow), per_pass):
-        lanes = grow[first : first + per_pass]
-        lo = min(len(table) for _, table in lanes)
-        tops: dict[int, int] = {}
-        for k, (ell, _) in enumerate(lanes):
+    # the (modulus, table, bits) lanes of the tables that must grow, modulus 0
+    # for p, in passes
+    passes: list[list[tuple[int, list[int], int]]] = []
+    room = 0
+    for ell, table in [(0, _P_CACHE), *dict(zip(ells, tables)).items()]:
+        if len(table) > upto:
+            continue
+        bits = _core_width(ell, upto) if ell else _p_width(upto)
+        if bits > room:
+            passes.append([])
+            room = _PASS_BITS
+        passes[-1].append((ell, table, bits))
+        room -= bits
+    for group in passes:
+        _grow_pass(group, upto)
+    return _P_CACHE, tables
+
+
+def _grow_pass(lanes: list[tuple[int, list[int], int]], upto: int) -> None:
+    # one pass of the recurrence for the (modulus, table, bits) lanes of
+    # _core_tables, lane k from the sum of the bits below it
+    lo = min(len(table) for _, table, _ in lanes)
+    shifts = list(accumulate([bits for _, _, bits in lanes[:-1]], initial=0))
+    tops: dict[int, int] = {}
+    for (ell, _, _), shift in zip(lanes, shifts):
+        if ell:
             e = _euler_power(ell, upto // ell)
             for j in range(-(-lo // ell), upto // ell + 1):
-                tops[ell * j] = tops.get(ell * j, 0) + (e[j] << k * width)
-        if len(lanes) == 1:
-            _extend_quotient(lanes[0][1], upto, lambda m: tops.get(m, 0))
-            continue
-        packed = [
-            sum([table[m] << k * width for k, (_, table) in enumerate(lanes)]) for m in range(lo)
-        ]
-        _extend_quotient(packed, upto, lambda m: tops.get(m, 0))
-        for k, (_, table) in enumerate(lanes):
-            # mask before the shift: a shift sizes its result to the value, where a
-            # mask would keep the full lane width allocated
-            shift = k * width
-            lane = ((1 << width) - 1) << shift
-            table.extend([(v & lane) >> shift for v in packed[len(table) :]])
-    return p, tables
+                tops[ell * j] = tops.get(ell * j, 0) + (e[j] << shift)
+    if len(lanes) == 1:
+        _extend_quotient(lanes[0][1], upto, lambda m: tops.get(m, 0))
+        return
+    packed = [
+        sum([table[m] << shift for (_, table, _), shift in zip(lanes, shifts)]) for m in range(lo)
+    ]
+    _extend_quotient(packed, upto, lambda m: tops.get(m, 0))
+    for (_, table, bits), shift in zip(lanes, shifts):
+        # mask before the shift: a shift sizes its result to the value, where a
+        # mask would keep the full lane width allocated
+        lane = ((1 << bits) - 1) << shift
+        table.extend([(v & lane) >> shift for v in packed[len(table) :]])
 
 
 def count_cores(n: int, ell: int) -> int:
@@ -361,10 +443,11 @@ def count_cores(n: int, ell: int) -> int:
     grown in place through n by the pentagonal recurrence
     c_ell(m) = [ell | m] e_{m/ell} - sum_g sign(g) c_ell(m - g), where e_k is
     the coefficient of q^k in E(q)^ell.  Each new entry costs O(sqrt m)
-    integer additions.  The table grows through _core_tables, as a pass of
-    one lane; a census grows the tables of all its moduli in that call, as
-    lanes of shared packed passes.  Each table is one list of n + 1 integers:
-    about 0.7 MiB for ell = 5 and 1.5 MiB for ell = 499 at n = 20000.
+    integer additions.  The table grows through _core_tables, as one lane of
+    a pass, beside a p lane when p(n) must grow too; a census grows p and
+    the tables of all its moduli in that call, as lanes of shared packed
+    passes.  Each table is one list of n + 1 integers: about 0.7 MiB for
+    ell = 5 and 1.5 MiB for ell = 499 at n = 20000.
     """
     _require_int(n, "n")
     _require_int(ell, "ell", 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corz import characters
+from corz import characters, suites
 from corz.characters import (
     ColumnEvaluator,
     _count_zeros,
@@ -168,6 +168,24 @@ def _vanishes(lam, mu):
     except AssertionError:
         return False
     return True
+
+
+def test_plain_mn_loop_runs_without_the_column_evaluator(monkeypatch):
+    # the verify suites' oracle shares no code with the zero loop's
+    # evaluator: with ColumnEvaluator refused it still decides every pair of
+    # n <= 8 as the Frobenius formula does, and on n = 0 the empty column
+    def refused(*args):
+        raise RuntimeError("the plain MN loop built a ColumnEvaluator")
+
+    monkeypatch.setattr(characters, "ColumnEvaluator", refused)
+    monkeypatch.setattr(suites, "ColumnEvaluator", refused)
+    for n in range(9):
+        lams = list(enumerate_partitions(n))
+        for mu in lams:
+            for lam in lams:
+                assert _vanishes(lam, mu) == (frobenius_character(lam, mu) == 0), (lam.parts, mu.parts)
+    with pytest.raises(AssertionError, match=r"chi_\(2, 1\)\(1, 1, 1\) = 2"):
+        _rows_vanish([Partition([2, 1])], [Partition([1, 1, 1])])
 
 
 @given(st.integers(min_value=0, max_value=12), st.data())

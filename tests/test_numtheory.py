@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from corz import numtheory, partitions
 from corz.abacus import count_cores
 from corz.census import CensusConfig, _sweep_series, run_census
+from corz.cli import ELL_MAX
 from corz.numtheory import (
+    _chi_table,
     _dirichlet_l_numeric,
     _iroot_ceil,
     _is_prime,
@@ -63,6 +65,14 @@ def test_legendre_and_bernoulli_require_int_arguments():
             fn(*args)
     # a may be any int, negatives too
     assert legendre(-1, 5) == 1 and legendre(-3, 7) == 1
+
+
+def test_chi_table_is_the_legendre_symbol():
+    # the table comes from the squares mod ell; Euler's criterion, in
+    # legendre, is the independent route
+    for ell in range(3, ELL_MAX + 1):
+        if _is_prime(ell):
+            assert _chi_table(ell) == tuple(legendre(a, ell) for a in range(ell)), ell
 
 
 def test_legendre_completely_multiplicative():
@@ -382,8 +392,8 @@ def test_c3_sparsity_trend():
 
 
 def test_census_lanes_match_the_closed_forms(monkeypatch):
-    # one census sweep from fresh tables grows c_2, c_3, c_5 and c_7 as lanes
-    # of one packed pass; the closed forms check each lane on its own
+    # one census sweep from fresh tables grows p, c_2, c_3, c_5 and c_7 as
+    # lanes of one packed pass; the closed forms check each c_ell lane on its own
     for name, fresh in (("_PENTAGONAL", ([], [])), ("_P_CACHE", [1]), ("_EULER_POWERS", {}),
                         ("_CORE_TABLES", {})):
         monkeypatch.setattr(partitions, name, fresh)
@@ -397,9 +407,9 @@ def test_census_lanes_match_the_closed_forms(monkeypatch):
     monkeypatch.setattr(partitions, "_extend_quotient", spied)
     config = CensusConfig(n_min=0, n_max=5000, ells=(2, 3, 5, 7), cap_exact=0, cap_star=0)
     c = {(r.n, r.ell): r.c_ell_n for r in run_census(config)}
-    # p(n), then the four lanes together
-    assert len(grown) == 2 and grown[0] is partitions._P_CACHE
-    assert all(grown[1] is not table for table in partitions._CORE_TABLES.values())
+    # p(n) and the four lanes together
+    assert len(grown) == 1 and grown[0] is not partitions._P_CACHE
+    assert all(grown[0] is not table for table in partitions._CORE_TABLES.values())
     for n in (n for n in CLOSED_FORM_NS if n <= 5000):
         assert c[n, 2] == c2_closed(n), n
         assert c[n, 3] == c3_closed(n), n

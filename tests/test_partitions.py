@@ -378,6 +378,61 @@ def test_one_modulus_grows_its_table_in_place(monkeypatch):
         partitions._core_tables((11, 1), 10)
 
 
+def test_lane_widths_bound_every_value(one_series_cores):
+    # each width holds every value through its n with the bit of margin the
+    # decoding needs; the p width bounds the c_ell widths too
+    p_bits, c_bits = 0, dict.fromkeys(PACKED_ELLS, 0)
+    for m in range(3001):
+        p_bits = max(p_bits, count_p(m).bit_length())
+        width = partitions._p_width(m)
+        assert width >= p_bits + 1, m
+        for ell in PACKED_ELLS:
+            c_bits[ell] = max(c_bits[ell], one_series_cores[ell][m].bit_length())
+            assert width >= partitions._core_width(ell, m) >= c_bits[ell] + 1, (ell, m)
+
+
+def _spy_on_passes(monkeypatch):
+    # the series each _extend_quotient call grows
+    extend = partitions._extend_quotient
+    grown = []
+
+    def spied(series, upto, top):
+        grown.append(series)
+        return extend(series, upto, top)
+
+    monkeypatch.setattr(partitions, "_extend_quotient", spied)
+    return grown
+
+
+def test_p_and_the_moduli_grow_in_one_pass(monkeypatch, one_series_cores):
+    # from fresh tables p is one more lane of the pass that grows c_2, c_3,
+    # c_5 and c_7: one packed recurrence, no table extended on its own
+    _fresh_series_tables(monkeypatch)
+    grown = _spy_on_passes(monkeypatch)
+    p, tables = partitions._core_tables((2, 3, 5, 7), 1150)
+    assert len(grown) == 1
+    assert all(grown[0] is not table for table in (p, *tables))
+    assert p == [count_p(n) for n in range(1151)] and len(grown) == 1
+    for ell, table in zip((2, 3, 5, 7), tables):
+        assert table == one_series_cores[ell][:1151], ell
+
+
+def test_count_p_grows_its_table_in_place(monkeypatch):
+    # count_p alone runs a pass of the one p lane, which is the table itself:
+    # nothing is packed or decoded, and the list object stays the same
+    _fresh_series_tables(monkeypatch)
+    table = partitions._P_CACHE
+    grown = _spy_on_passes(monkeypatch)
+    for n in (0, 1, 300, 300, 1000):
+        count_p(n)
+    assert len(grown) == 3 and all(series is table for series in grown)
+    assert partitions._P_CACHE is table
+    dense = [1] + [0] * 1000
+    for k in range(1, 1001):
+        _divide_one_minus(dense, k)
+    assert table == dense
+
+
 def test_series_reject_negative_n():
     with pytest.raises(ValueError):
         count_cores(-1, 5)
