@@ -12,7 +12,6 @@ i..ell-1 weigh at least the sum of the m least positive integers of residue
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 from itertools import accumulate, pairwise, permutations, product
 from math import isqrt
 
@@ -259,8 +258,6 @@ def swap_columns(ab: Abacus, i: int, j: int) -> Abacus:
     return Abacus(ab.ell, tuple(cols))
 
 
-# typed, so that a float or bool ell is never answered from an int's entry
-@lru_cache(maxsize=None, typed=True)
 def n_ell(ell: int) -> int:
     """(ell^6 - 2 ell^5 + 2 ell^4 - 3 ell^2 + 2 ell) / 24, the size of the
     extremal abacus: for prime ell, above it every ell-core has a part

@@ -101,6 +101,8 @@ def z_star_exact(n: int, ell: int, cap: int = DEFAULT_CAP_STAR) -> int:
 def z_star_closed(n: int, ell: int) -> int:
     """c_ell(n)^2, the star count once every core row vanishes on every core
     column; valid only for prime ell above the regular-core bound n_ell."""
+    _require_int(n, "n")
+    _require_int(ell, "ell", 2)
     if not _is_prime(ell):
         raise ValueError(f"closed form needs a prime ell, got {ell}")
     bound = n_ell(ell)

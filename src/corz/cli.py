@@ -44,16 +44,16 @@ _COUNT_QUANTITIES = {
     "delta": (("ell",), delta_ell),
     "inv-alpha": (("ell",), inv_alpha),
     "n-ell": (("ell",), n_ell),
-    "z-all": (("n",), None),
+    "z-all": (("n",), lambda n: z_all_exact(n, cap=n)),
 }
 # largest n for the p(n) and c_ell(n) tables behind `count p | p-regular |
-# cores`, `census` and `asymptotics`; the tables and a count there take
-# 0.4-0.9 s end to end on a 2-core x86 VM (one census modulus).  A census grows
-# the c_ell tables of all its moduli as lanes of shared passes, so each further
-# modulus adds about 0.085 s near ell = 97: the 23 primes 5..97 take 2.3-3.7 s,
-# and took 4.7-6.2 s with a pass per modulus.  The widest `asymptotics` table,
-# every n up to here at ell = 499, takes 1.5-1.7 s on the same VM.  It also
-# bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
+# cores`, `census` and `asymptotics`.  End to end in a fresh process on a
+# 2-core x86 VM (3 runs each): a census of one modulus at n = 20000 takes
+# 0.28-0.40 s and 20-21 MiB.  A census grows p and the c_ell tables of all its
+# moduli as lanes of shared passes, so each further modulus adds about 0.045 s:
+# the 23 primes 5..97 take 1.25-1.33 s and 48.7 MiB.  The widest `asymptotics`
+# table, every n up to here at ell = 499, takes 0.99-1.23 s and 48.3 MiB.  It
+# also bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
 # largest n whose whole character table (`count z-all`, `census --z-all`) fits
 # a 2 GiB budget.  Its peak is the row kernel's memo, which grows about 1.4x
@@ -85,12 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("count", help="print one exact value")
     pc.add_argument("quantity", choices=sorted(_COUNT_QUANTITIES))
     pc.add_argument("args", nargs="+", type=int, metavar="INT")
-    pc.add_argument(
-        "--cap-exact",
-        type=int,
-        default=DEFAULT_CAP_EXACT,
-        help="largest n allowed for the exhaustive z-all count",
-    )
 
     ps = sub.add_parser("census", help="sweep (n, ell) and emit records")
     ps.add_argument("--ell", default="2,3,5,7", help="comma-separated moduli")
@@ -138,22 +132,15 @@ def _cmd_count(opts: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # ell is checked before n, so an argument list with both too large names ell
-    bounds = {"ell": ELL_MAX}
-    if opts.quantity in ("p", "p-regular", "cores", "sigma"):
-        bounds["n"] = COUNT_N_MAX
+    # ell is checked before n, so an argument list with both too large names ell;
+    # the n of z-all sizes a whole character table, checked before it is built
+    bounds = {"ell": ELL_MAX, "n": Z_ALL_N_MAX if opts.quantity == "z-all" else COUNT_N_MAX}
     given = dict(zip(names, opts.args))
     for name, bound in bounds.items():
         if given.get(name, 0) > bound:
             print(f"corz count {opts.quantity}: {name} must be at most {bound}", file=sys.stderr)
             return 2
-    if opts.quantity == "z-all":
-        if _table_too_large(opts.args[0], "corz count z-all"):
-            return 2
-        value = z_all_exact(opts.args[0], cap=opts.cap_exact)
-    else:
-        value = fn(*opts.args)
-    print(value)
+    print(fn(*opts.args))
     return 0
 
 
@@ -178,9 +165,16 @@ def _cmd_census(opts: argparse.Namespace) -> int:
         print(f"--n-max must be at most {COUNT_N_MAX}", file=sys.stderr)
         return 2
     # a --z-all record of n <= --cap-exact reads the whole table of n; the
-    # largest such n is the top, and a sweep that starts above it reads none
+    # largest such n is the top, and a sweep that starts above it reads none.
+    # Checked before any table is built: a table above Z_ALL_N_MAX would not
+    # fit the memory budget
     top = min(opts.n_max, opts.cap_exact)
-    if opts.z_all and opts.n_min <= top and _table_too_large(top, "census --z-all"):
+    if opts.z_all and opts.n_min <= top and top > Z_ALL_N_MAX:
+        print(
+            f"census --z-all: the whole table of n={top} is above n={Z_ALL_N_MAX}, "
+            "the largest that fits in 2 GiB",
+            file=sys.stderr,
+        )
         return 2
     cpus = os.cpu_count() or 1
     if not 1 <= opts.jobs <= cpus:
@@ -217,19 +211,6 @@ def _empty_range(opts: argparse.Namespace) -> bool:
     if opts.n_max >= opts.n_min:
         return False
     print(f"--n-max {opts.n_max} is below --n-min {opts.n_min}: no n to sweep", file=sys.stderr)
-    return True
-
-
-def _table_too_large(n: int, what: str) -> bool:
-    # checked before any table is built: a table above Z_ALL_N_MAX would not
-    # fit the memory budget
-    if n <= Z_ALL_N_MAX:
-        return False
-    print(
-        f"{what}: the whole table of n={n} is above n={Z_ALL_N_MAX}, "
-        "the largest that fits in 2 GiB",
-        file=sys.stderr,
-    )
     return True
 
 

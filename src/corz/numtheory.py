@@ -48,10 +48,7 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _check_odd_prime(ell: int) -> None:
-    # a float or bool equal to a cached int passes the cache, so callers
-    # check the type of ell first
     if ell % 2 == 0 or not _is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
 
@@ -424,8 +421,8 @@ def core_main_term(n: int, ell: int) -> Fraction:
 def core_lower_bound_ok(n: int, ell: int) -> bool:
     """Exact-integer check of the bound c_ell(n) > (2/(5 inv_alpha)) n^((ell-3)/2)
     stated for primes ell >= 11."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_int(n, "n", 1)
+    _require_int(ell, "ell", 2)
     if ell < 11:
         raise ValueError(f"the bound is stated for primes ell >= 11, got {ell}")
     _check_odd_prime(ell)

@@ -16,12 +16,11 @@ values, with one bit of margin:
   coordinates.
 
 _core_tables gives both proofs in full.  p_ell(n) is a pentagonal
-convolution of the p(n) table, formed for a whole window n = lo, lo + step,
-... <= hi at once: the terms of a pentagonal number that reaches only part of
-the window are one strided slice of p, added or subtracted in a C-level pass,
-and those of the rest are summed per n.  A sweep over n hands each value of
-its window to the row that reads it; count_p_regular runs the same routine
-on the one-n window [n, n], which is the plain convolution.
+convolution of the p(n) table.  A sweep forms it for a whole window
+n = lo, lo + step, ... <= hi at once: the terms of each pentagonal number
+are one strided slice of p, added or subtracted in a C-level pass, and each
+value of the window goes to the row that reads it.  count_p_regular reads
+one n off the p table as the plain convolution.
 """
 
 from __future__ import annotations
@@ -194,8 +193,8 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 # coefficients of E(q) times the series.  It is linear, so the tables of p and
 # several moduli grow in shared passes of it over packed ints, one lane per
 # table; a pass of one lane is the table itself.  p_a(n) is a convolution
-# with the p(n) table, over a window of n.  Every sum runs over one list of
-# the pentagonal numbers.
+# with the p(n) table, over a window of n or at one n.  Every sum runs over
+# one list of the pentagonal numbers.
 
 # the generalized pentagonal numbers g = k(3k -+ 1)/2 for k = 1, 2, ...,
 # ascending, split by the sign (-1)^k of q^g in E(q): (minus, plus)
@@ -268,30 +267,19 @@ def count_p(n: int) -> int:
 
 def _regular_window(a: int, lo: int, hi: int, step: int = 1) -> list[int]:
     # p_a(n) for n = lo, lo + step, ... <= hi as p(n) + sum sign(g) p(n - a g) over
-    # the generalized pentagonal g <= n/a.  A g with a g <= lo reaches every n of
-    # the window, and those terms are summed per n by indexing p, so a one-n window
-    # is the plain convolution.  A larger g reaches only the tail n >= a g, from
-    # index k = ceil((a g - lo) / step), and adds or subtracts its strided slice of
-    # p there in one map pass.
+    # the generalized pentagonal g <= n/a.  A g reaches the n >= a g of the window,
+    # from index k = max(0, ceil((a g - lo) / step)), and adds or subtracts its
+    # strided slice of p there in one map pass.
     hi -= (hi - lo) % step  # the last n of the window: p grows no further
     count_p(hi)
     p = _P_CACHE
     top = hi // a
     minus, plus = _pentagonal(top)
-    i, j = bisect_right(minus, lo // a), bisect_right(plus, lo // a)
-    # minus starts at g = 1, so no g reaches every n when lo < a
-    if i:
-        full_minus, full_plus = minus[:i], plus[:j]
-        window = [
-            p[n] + sum([p[n - a * g] for g in full_plus]) - sum([p[n - a * g] for g in full_minus])
-            for n in range(lo, hi + 1, step)
-        ]
-    else:
-        window = p[lo : hi + 1 : step]
-    for tail, op in ((plus[j : bisect_right(plus, top)], add), (minus[i : bisect_right(minus, top)], sub)):
-        for g in tail:
+    window = p[lo : hi + 1 : step]
+    for gs, op in ((plus[: bisect_right(plus, top)], add), (minus[: bisect_right(minus, top)], sub)):
+        for g in gs:
             s = a * g
-            k = -((lo - s) // step)
+            k = max(0, -((lo - s) // step))
             window[k:] = map(op, window[k:], p[lo + k * step - s : hi + 1 - s : step])
     return window
 
@@ -301,12 +289,20 @@ def count_p_regular(n: int, a: int) -> int:
 
     Coefficient of q^n in E(q^a)/E(q): the pentagonal convolution
     p(n) + sum sign(g) p(n - a g) over generalized pentagonal g <= n/a,
-    formed term by term as the one-n window [n, n].  A sweep over many n
-    takes its values from one window of its own instead.
+    read off the p table.  A sweep over many n takes its values from one
+    window of its own instead.
     """
     _require_int(n, "n")
     _require_int(a, "a", 2)
-    return _regular_window(a, n, n)[0]
+    count_p(n)
+    p = _P_CACHE
+    top = n // a
+    minus, plus = _pentagonal(top)
+    return (
+        p[n]
+        + sum([p[n - a * g] for g in plus[: bisect_right(plus, top)]])
+        - sum([p[n - a * g] for g in minus[: bisect_right(minus, top)]])
+    )
 
 
 _EULER_POWERS: dict[int, list[int]] = {}

@@ -484,6 +484,10 @@ def test_z_star_closed_boundary():
     with pytest.raises(ValueError):
         z_star_closed(440, 5)
     assert z_star_closed(2, 2) == 0  # c_2(2) = 0
+    # a str or float argument is a bad value, not a TypeError from a comparison
+    for n, ell in ((500, "13"), ("500", 5), (500.0, 5), (500, 5.0)):
+        with pytest.raises(ValueError, match="must be an integer|must be a nonnegative integer"):
+            z_star_closed(n, ell)
 
 
 def test_star_closed_form_is_for_prime_moduli_only():

@@ -79,11 +79,25 @@ def test_count_sigma_bounds_n(capsys):
     assert code == 0 and out.strip() == "13125"
 
 
-def test_count_z_all_cap(capsys):
-    code, out, err = run_cli(capsys, "count", "z-all", "30")
-    assert code == 2 and "cap" in err
-    code, out, err = run_cli(capsys, "count", "z-all", "19", "--cap-exact", "19")
-    assert code == 0 and out.strip().isdigit()
+def test_count_z_all_cap(capsys, monkeypatch):
+    # count z-all is bounded by Z_ALL_N_MAX alone, as the other quantities are
+    # by their own bounds, and it has no --cap-exact
+    code, out, err = run_cli(capsys, "count", "z-all", "19")
+    assert code == 0 and err == "" and out == f"{census.z_all_exact(19, cap=19)}\n"
+
+    def no_work(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(characters, "_row_vectors", no_work)
+    characters._whole_table.cache_clear()
+    for n in (Z_ALL_N_MAX + 1, 60):
+        code, out, err = run_cli(capsys, "count", "z-all", str(n))
+        assert code == 2 and out == "", n
+        assert err == f"corz count z-all: n must be at most {Z_ALL_N_MAX}\n", n
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "p", "5", "--cap-exact", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-exact 3" in capsys.readouterr().err
 
 
 def test_census_stdout_csv(capsys):
@@ -205,16 +219,14 @@ def test_whole_table_above_its_ceiling_is_refused(capsys, monkeypatch):
     characters._whole_table.cache_clear()
     top = Z_ALL_N_MAX + 1
     cases = [
-        (("count", "z-all", str(top), "--cap-exact", str(top)), "corz count z-all", top),
-        (("count", "z-all", "60", "--cap-exact", "20"), "corz count z-all", 60),
-        (("census", "--z-all", "--n-max", "50", "--cap-exact", str(top)), "census --z-all", top),
-        (("census", "--z-all", "--n-max", str(top), "--cap-exact", "50"), "census --z-all", top),
+        ("census", "--z-all", "--n-max", "50", "--cap-exact", str(top)),
+        ("census", "--z-all", "--n-max", str(top), "--cap-exact", "50"),
     ]
-    for argv, what, n in cases:
+    for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == (
-            f"{what}: the whole table of n={n} is above n={Z_ALL_N_MAX}, "
+            f"census --z-all: the whole table of n={top} is above n={Z_ALL_N_MAX}, "
             "the largest that fits in 2 GiB\n"
         ), argv
     # a census whose --n-max or --cap-exact is within the ceiling passes the

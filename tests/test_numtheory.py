@@ -56,8 +56,7 @@ def test_legendre_rejects_bad_modulus():
 
 def test_legendre_and_bernoulli_require_int_arguments():
     # a bool is an int subclass and a float compares equal to an int; both
-    # are refused with ValueError, also for a modulus whose check is cached
-    legendre(1, 5)
+    # are refused with ValueError
     calls = ((legendre, True, 5), (legendre, 1, 5.0), (bernoulli_number, True),
              (bernoulli_number, 4.0), (generalized_bernoulli, 2, 5.0))
     for fn, *args in calls:
@@ -447,6 +446,16 @@ def test_core_lower_bound_holds_for_13_sample():
 def test_core_lower_bound_rejects_small_moduli():
     with pytest.raises(ValueError):
         core_lower_bound_ok(100, 7)
+
+
+def test_core_lower_bound_rejects_non_integer_arguments():
+    # a str or float n or ell is refused as a bad value, not a TypeError from a
+    # comparison, as every other public function refuses it
+    for n, ell in ((20, "13"), ("20", 13), (20, 13.0), (20.0, 13), (True, 13), (20, True)):
+        with pytest.raises(ValueError, match="must be an integer at least"):
+            core_lower_bound_ok(n, ell)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        core_lower_bound_ok(0, 13)
 
 
 @given(st.integers(min_value=1, max_value=3000))

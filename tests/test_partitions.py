@@ -279,7 +279,9 @@ def test_series_match_convolutions():
 
 def test_regular_windows_match_the_convolution():
     # from 0, from an offset, and one n at a time, n <= 3000, moduli up to
-    # 499, at strides 1, 2, 3, 7 and 1000
+    # 499, at strides 1, 2, 3, 7 and 1000; and windows from just below, at and
+    # just above a g for pentagonal g, where the slice of g starts at index 1,
+    # 0 and 0 at stride 1
     upto = 3000
     for a in (2, 3, 5, 7, 11, 50, 499):
         want = regular_by_convolution(a, upto)
@@ -289,6 +291,12 @@ def test_regular_windows_match_the_convolution():
             for lo, hi in windows:
                 got = partitions._regular_window(a, lo, hi, step)
                 assert got == want[lo : hi + 1 : step], (a, step, lo, hi)
+        edges = [lo for g in (1, 2, 5, 7, 12, 15, 22, 26, 35, 40)
+                 for lo in (a * g - 1, a * g, a * g + 1) if lo + 100 <= upto]
+        for step in (1, 2, 3, 7):
+            for lo in edges:
+                got = partitions._regular_window(a, lo, lo + 100, step)
+                assert got == want[lo : lo + 101 : step], (a, step, lo)
         one_at_a_time = [partitions._regular_window(a, n, n) for n in range(upto + 1)]
         assert one_at_a_time == [[v] for v in want], a
         assert [count_p_regular(n, a) for n in range(upto + 1)] == want, a
