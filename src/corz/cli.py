@@ -51,7 +51,9 @@ _COUNT_QUANTITIES = {
 # 2-core x86 VM (3 runs each): a census of one modulus at n = 20000 takes
 # 0.28-0.40 s and 20-21 MiB.  A census grows p and the c_ell tables of all its
 # moduli as lanes of shared passes, so each further modulus adds about 0.045 s:
-# the 23 primes 5..97 take 1.25-1.33 s and 48.7 MiB.  The widest `asymptotics`
+# the 23 primes 5..97 take 1.25-1.33 s and 48.7 MiB.  `--ell 2,3,5,7` takes
+# 0.27-0.34 s and 23 MiB (6 runs); it took 0.47-0.68 s when E(q)^2 and E(q)^3
+# came from Miller's recurrence, not sparse products.  The widest `asymptotics`
 # table, every n up to here at ell = 499, takes 0.99-1.23 s and 48.3 MiB.  It
 # also bounds `count sigma`, whose divisor sum trial-divides up to sqrt(n)
 COUNT_N_MAX = 20000
@@ -68,9 +70,9 @@ Z_ALL_N_MAX = 38
 # largest modulus for `census --ell`, `asymptotics --ell` and every `count`
 # argument named ell: the core enumeration recurses once per abacus column,
 # and `count inv-alpha` grows faster than ell^3 (0.18-0.25 s end to end at 499
-# on the same VM; inv_alpha(1601) alone takes 5.3 s, 4.5 s of it the numeric
-# route's L-series partial sum, 77 488 terms at 13 016 bits, and 0.8 s the
-# exact route, nearly all of that its power sums)
+# on the same VM; inv_alpha(1601) alone takes about 5 s, 4.5 s of it the numeric
+# route's L-series partial sum, 77 488 terms at 13 016 bits, and 0.25 s the
+# exact route, 0.22 s of that its power sums)
 ELL_MAX = 500
 
 

@@ -4,10 +4,10 @@ The headline operation is inv_alpha, the integer 1/alpha_ell.  It is computed
 on two genuinely independent routes, and the two must agree:
 
 - exact: the generalized Bernoulli number B_{k,chi} as an integer pair
-  (numerator, denominator), formed from k+1 terms with integer power sums of
-  the character, summed in integers over one common denominator; the
-  Bernoulli numbers come from tangent numbers and are kept as integer pairs
-  too, so the route ends in one divmod;
+  (numerator, denominator), formed from its terms with B_j != 0, j <= k,
+  each with an integer power sum of the character, summed in integers over
+  one common denominator; the Bernoulli numbers come from tangent numbers
+  and are kept as integer pairs too, so the route ends in one divmod;
 - numeric: a partial sum of the Dirichlet series L(chi, k) plus the leading
   term of its tail, times (k-1)! ell^k sqrt(ell) / (2 pi)^k, all in integer
   fixed point.  Summing the tail by parts twice bounds what is left by
@@ -192,12 +192,25 @@ def _generalized_bernoulli(k: int, ell: int) -> tuple[int, int]:
     chi = _chi_table(ell)
     residues = [a for a in range(1, ell) if chi[a] > 0]
     nonresidues = [a for a in range(1, ell) if chi[a] < 0]
-    up, down = [1] * len(residues), [1] * len(nonresidues)
-    power_sums = []
-    for _ in range(k + 1):
-        power_sums.append(sum(up) - sum(down))
-        up = list(map(mul, up, residues))
-        down = list(map(mul, down, nonresidues))
+    # the sum reads S_(k-j) only where B_j != 0: j = 0, 1 and even j, so
+    # S_i for i = k, k - 2, ... and S_(k-1).  The running products a^i start
+    # at a^(k mod 2) and step by a^2; S_(k-1) is one step by a from a^(k-2),
+    # or the sum of the a^0 at k = 1
+    power_sums = {}
+    if k % 2:
+        up, down = residues, nonresidues
+        if k == 1:
+            power_sums[0] = len(residues) - len(nonresidues)
+    else:
+        up, down = [1] * len(residues), [1] * len(nonresidues)
+    squares_up, squares_down = [a * a for a in residues], [a * a for a in nonresidues]
+    for i in range(k % 2, k, 2):
+        power_sums[i] = sum(up) - sum(down)
+        if i == k - 2:
+            power_sums[k - 1] = sum(map(mul, up, residues)) - sum(map(mul, down, nonresidues))
+        up = list(map(mul, up, squares_up))
+        down = list(map(mul, down, squares_down))
+    power_sums[k] = sum(up) - sum(down)
     bern = [_bernoulli(j) for j in range(k + 1)]
     den = math.lcm(*(d for _, d in bern))
     acc = 0
@@ -215,10 +228,11 @@ def generalized_bernoulli(k: int, ell: int) -> Fraction:
 
     Expanding B_k(a/ell) and swapping the sums gives
     sum_j C(k, j) B_j ell^(j-1) S_(k-j) with the integer power sums
-    S_i = sum_a chi(a) a^i, built by running products.  The k+1 terms are
-    summed in integers over the least common denominator D of B_0 .. B_k,
-    and the Fraction is formed from the integer pair (total, ell D) that
-    inv_alpha reads directly.
+    S_i = sum_a chi(a) a^i.  B_j = 0 for every odd j >= 3, so only the
+    terms j = 0, 1 and even j <= k remain, and only their S_i are formed.
+    Those terms are summed in integers over the least common denominator D
+    of B_0 .. B_k, and the Fraction is formed from the integer pair
+    (total, ell D) that inv_alpha reads directly.
     """
     from fractions import Fraction
 

@@ -25,7 +25,7 @@ one n off the p table as the plain convolution.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate
 from math import isqrt
@@ -194,7 +194,8 @@ def is_regular(lam: PartitionLike, a: int) -> bool:
 # several moduli grow in shared passes of it over packed ints, one lane per
 # table; a pass of one lane is the table itself.  p_a(n) is a convolution
 # with the p(n) table, over a window of n or at one n.  Every sum runs over
-# one list of the pentagonal numbers.
+# one list of the pentagonal numbers, but for the E(q)^ell that read Jacobi's
+# series for E(q)^3 (_euler_power).
 
 # the generalized pentagonal numbers g = k(3k -+ 1)/2 for k = 1, 2, ...,
 # ascending, split by the sign (-1)^k of q^g in E(q): (minus, plus)
@@ -308,13 +309,49 @@ def count_p_regular(n: int, a: int) -> int:
 _EULER_POWERS: dict[int, list[int]] = {}
 
 
+def _euler_terms(upto: int) -> list[tuple[int, int]]:
+    # E(q) through q^upto as ascending (exponent, coefficient) pairs, off the
+    # pentagonal lists: 1 + sum sign(g) q^g
+    minus, plus = _pentagonal(upto)
+    terms = [(g, -1) for g in minus[: bisect_right(minus, upto)]]
+    terms += [(g, 1) for g in plus[: bisect_right(plus, upto)]]
+    return [(0, 1), *sorted(terms)]
+
+
+def _jacobi_terms(upto: int) -> list[tuple[int, int]]:
+    # E(q)^3 through q^upto by Jacobi's identity, as ascending (exponent,
+    # coefficient) pairs: sum_j (-1)^j (2j + 1) q^(j(j+1)/2)
+    top = (isqrt(8 * upto + 1) - 1) // 2  # the largest j with j(j+1)/2 <= upto
+    return [(j * (j + 1) // 2, (-1) ** j * (2 * j + 1)) for j in range(top + 1)]
+
+
 def _euler_power(ell: int, upto: int) -> list[int]:
-    # Coefficients of E(q)^ell through at least q^upto, extended in place by
-    # J. C. P. Miller's power recurrence over the sparse pentagonal terms:
+    # Coefficients of E(q)^ell through at least q^upto, extended in place.
+    # With ell = 3a + b and a + b <= 2, that is ell in {2, 3, 4, 6},
+    # E(q)^ell = E(q)^b (E(q)^3)^a is one product of two sparse factors of
+    # O(sqrt upto) terms each (a lone factor times 1 at ell = 3): a pair of
+    # terms adds to q^(i+j) when that lies in the range to fill, so the work
+    # is O(upto).  Every other ell takes J. C. P. Miller's power recurrence
+    # over the sparse pentagonal terms, O(upto^1.5):
     # m e_m = sum_g ((ell + 1) g - m) sign(g) e_{m-g}, an exact division.
+    # There a product of sparse factors needs a dense one too, so it is
+    # O(upto^1.5) as well, and it loses to Miller as ell grows.
     e = _EULER_POWERS.setdefault(ell, [1])
-    if len(e) <= upto:
-        for m, minus, plus in _pentagonal_cuts(len(e), upto):
+    lo = len(e)
+    if lo > upto:
+        return e
+    a, b = divmod(ell, 3)
+    if a + b <= 2:
+        factors = [_jacobi_terms(upto)] * a + [_euler_terms(upto)] * b
+        outer, inner = [[(0, 1)], *factors][-2:]
+        starts = [j for j, _ in inner]
+        tail = [0] * (upto + 1 - lo)
+        for i, u in outer:
+            for j, v in inner[bisect_left(starts, lo - i) : bisect_right(starts, upto - i)]:
+                tail[i + j - lo] += u * v
+        e += tail
+    else:
+        for m, minus, plus in _pentagonal_cuts(lo, upto):
             total = sum([((ell + 1) * g - m) * e[m - g] for g in plus]) - sum(
                 [((ell + 1) * g - m) * e[m - g] for g in minus]
             )
@@ -359,11 +396,11 @@ def _core_tables(ells: Sequence[int], upto: int) -> tuple[list[int], list[list[i
     must grow share passes of it over packed ints, one lane per table, p
     first.  A lane of w bits from bit s holds its table's values shifted by
     s, and the packed top adds e_j << s at q^(ell j), with e_j the
-    coefficient of q^j in E(q)^ell.  p's top has no term past q^0, and
-    every table already holds q^0, so a p lane adds none.  Each packed entry
-    is the sum of its lanes' values, each shifted into place; every value is
-    at least 0 and below 2^(w - 1), so no lane reaches the next and a plain
-    bit slice decodes each one exactly.  The widths, each with that one bit
+    coefficient of q^j in E(q)^ell from _euler_power.  p's top has no term
+    past q^0, and every table already holds q^0, so a p lane adds none.
+    Each packed entry is the sum of its lanes' values, each shifted into
+    place; every value is at least 0 and below 2^(w - 1), so no lane reaches
+    the next and a plain bit slice decodes each one exactly.  The widths, each with that one bit
     of margin, hold for every m <= upto, since p and c_ell do not decrease:
 
     - p: p(N) < exp(pi sqrt(2N/3)) for N >= 1 (Apostol, Introduction to
@@ -438,11 +475,11 @@ def count_cores(n: int, ell: int) -> int:
     Coefficient of q^n in E(q^ell)^ell / E(q), read from a table of c_ell
     grown in place through n by the pentagonal recurrence
     c_ell(m) = [ell | m] e_{m/ell} - sum_g sign(g) c_ell(m - g), where e_k is
-    the coefficient of q^k in E(q)^ell.  Each new entry costs O(sqrt m)
-    integer additions.  The table grows through _core_tables, as one lane of
-    a pass, beside a p lane when p(n) must grow too; a census grows p and
-    the tables of all its moduli in that call, as lanes of shared packed
-    passes.  Each table is one list of n + 1 integers: about 0.7 MiB for
+    the coefficient of q^k in E(q)^ell, which _euler_power builds.  Each new
+    entry costs O(sqrt m) integer additions.  The table grows through
+    _core_tables, as one lane of a pass, beside a p lane when p(n) must grow
+    too; a census grows p and the tables of all its moduli in that call, as
+    lanes of shared packed passes.  Each table is one list of n + 1 integers: about 0.7 MiB for
     ell = 5 and 1.5 MiB for ell = 499 at n = 20000.
     """
     _require_int(n, "n")

@@ -30,6 +30,7 @@ from reference import (
     conjugate,
     cores_by_convolution,
     cores_by_recurrence,
+    euler_power,
     hook_lengths,
     regular_by_convolution,
 )
@@ -271,10 +272,25 @@ def test_series_match_convolutions():
     # the direct convolutions, over their own pentagonal generator and
     # E(q)^ell built factor by factor
     upto = 3000
-    for ell in (2, 3, 4, 5, 7, 11, 97, 499):
+    for ell in (2, 3, 4, 5, 6, 7, 11, 97, 499):
         assert [count_cores(n, ell) for n in range(upto + 1)] == cores_by_convolution(ell, upto), ell
     for a in (2, 3, 5, 7, 50):
         assert [count_p_regular(n, a) for n in range(upto + 1)] == regular_by_convolution(a, upto), a
+
+
+def test_euler_powers_match_the_factor_by_factor_product(monkeypatch):
+    # E(q)^ell for the moduli built from the sparse E(q) and E(q)^3 factors,
+    # and for two Miller moduli beside them: in one call, and grown in place
+    # in steps, as chunked census plans grow it
+    upto = 600
+    for ell in (2, 3, 4, 5, 6, 7):
+        want = euler_power(ell, upto)
+        for steps in ((upto,), (0, 40, upto), (1, 2, 3, 6, 7, 15, 16, 599, upto)):
+            monkeypatch.setattr(partitions, "_EULER_POWERS", {})
+            series = partitions._euler_power(ell, 0)
+            for d in steps:
+                assert partitions._euler_power(ell, d) is series
+                assert series == want[: len(series)] and len(series) == d + 1, (ell, d)
 
 
 def test_regular_windows_match_the_convolution():
